@@ -303,6 +303,8 @@ def cmd_lp(args) -> int:
     if args.fit:
         with open(args.fit, encoding="utf-8") as fh:
             fit_obj = json.load(fh)
+        if not isinstance(fit_obj, dict) or "theta_hat" not in fit_obj:
+            raise DomainError(f"{args.fit}: fit report lacks 'theta_hat'")
         if fit_obj.get("info") is None:
             raise DomainError(f"{args.fit}: fit report carries no information matrix")
         fit = FitResult(
@@ -355,7 +357,7 @@ def cmd_fisher(args) -> int:
             raise DomainError(f"bad --at list: {exc}") from None
     elif args.grid:
         lo, hi, n = _parse_grid(args.grid)
-        design = list(np.linspace(lo, hi, n))
+        design = np.linspace(lo, hi, n)
     else:
         raise DomainError("give the design via --at u1,u2,... or --grid lo:hi:n")
     info = total_info(args.model, design, theta, sigma2=args.sigma2)
@@ -363,7 +365,7 @@ def cmd_fisher(args) -> int:
         "model": args.model,
         "theta": theta,
         "sigma2": args.sigma2,
-        "design": design,
+        "design": np.asarray(design).tolist(),
         "info": [[float(v) for v in row] for row in info.entries],
     }
     _write_out(json.dumps(out, indent=2) + "\n", args.out)

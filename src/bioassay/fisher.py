@@ -1,10 +1,13 @@
 """Fisher information for mean-response models.
 
-Per observation the information matrix is the scaled outer product of the
-analytic parameter gradient, i(theta) = grad f . grad f^T / sigma^2; a
-design contributes additively, so the total information is the sum over
-its points.  For the censored Weibull fit the module also provides the
-closed-form second-derivative matrix of the log-likelihood.
+The information of a design is J^T J / sigma^2, where row i of the
+Jacobian J is the analytic parameter gradient at design point i.  Inputs
+and parameters are validated once per call, and J comes from a single
+gradient evaluation over the stacked design (shape (n,), or (n, 2) for
+two-input models).  A single observation is the n = 1 case: the rank-one
+outer product grad f . grad f^T / sigma^2.  For the censored Weibull fit
+the module also provides the closed-form second-derivative matrix of the
+log-likelihood.
 
 :mod:`bioassay.fisher_reference` holds hand-tabulated closed forms that
 cross-check the outer-product computation.
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .models import gradient
+from .models import get_model
 from .models.base import ModelDef
 
 __all__ = [
@@ -74,24 +77,30 @@ def per_obs_info(model: ModelDef | str, u, theta, sigma2: float = 1.0) -> InfoMa
 
     Rank <= 1 and positive semidefinite by construction.
     """
-    if not sigma2 > 0:
-        raise DomainError(f"sigma2 must be > 0, got {sigma2}")
-    g = gradient(model, u, theta)
-    if g.ndim != 1:
+    m = model if isinstance(model, ModelDef) else get_model(model)
+    if np.ndim(u) != m.input_dim - 1:
         raise DomainError("per-observation information takes a single design point")
-    return InfoMatrix(np.outer(g, g) / sigma2, sigma2)
+    return total_info(m, [u], theta, sigma2)
 
 
 def total_info(model: ModelDef | str, design, theta, sigma2: float = 1.0) -> InfoMatrix:
-    """Additive information over a design (sequence of input points)."""
-    design = list(design)
-    if not design:
+    """Additive information over a design: J^T J / sigma2.
+
+    ``design`` stacks the input points: shape (n,), or (n, 2) for
+    two-input models.
+    """
+    m = model if isinstance(model, ModelDef) else get_model(model)
+    design = np.asarray(design, dtype=float)
+    if design.size == 0:
         raise DomainError("design must contain at least one point")
-    acc = None
-    for u in design:
-        m = per_obs_info(model, u, theta, sigma2).entries
-        acc = m if acc is None else acc + m
-    return InfoMatrix(acc, sigma2)
+    if not sigma2 > 0:
+        raise DomainError(f"sigma2 must be > 0, got {sigma2}")
+    theta = m.check_theta(theta)
+    if design.ndim != m.input_dim:
+        want = "(n,)" if m.input_dim == 1 else "(n, 2)"
+        raise DomainError(f"{m.id}: design must have shape {want}, got {design.shape}")
+    jac = m.finite_grad(m.check_input(design, for_gradient=True), theta)
+    return InfoMatrix(jac.T @ jac / sigma2, sigma2)
 
 
 def info_at_estimate(model: ModelDef | str, design, theta_hat, s2: float) -> InfoMatrix:

@@ -17,7 +17,7 @@ from scipy.special import expit
 
 from .exceptions import DomainError, SeparationError
 from .fisher import InfoMatrix, WeibullSample, info_at_estimate, weibull_observed_info
-from .models import evaluate, gradient
+from .models import evaluate
 from .models.base import ModelDef
 
 __all__ = [
@@ -291,9 +291,13 @@ def fit_least_squares(
     if data.n < p:
         raise DomainError(f"need at least {p} observations to fit {m.id}, got {data.n}")
     active = [i for i in range(p) if i not in m.frozen_slots]
+    # inputs are validated once here; the iterations call fn/grad directly
+    u = m.check_input(data.u)
+    m.check_input(u, for_gradient=True)
 
     def residuals(th):
-        return data.y - np.asarray(evaluate(m, data.u, th), dtype=float)
+        with np.errstate(over="ignore", under="ignore"):
+            return data.y - np.asarray(m.fn(u, th), dtype=float)
 
     r = residuals(theta)
     sse = float(r @ r)
@@ -302,7 +306,7 @@ def fit_least_squares(
     iters = 0
     for _ in range(max_iter):
         iters += 1
-        jac = np.atleast_2d(gradient(m, data.u, theta))
+        jac = np.atleast_2d(m.finite_grad(u, theta))
         ja = jac[:, active]
         g = ja.T @ r
         if np.linalg.norm(2.0 * jac.T @ r) < SCORE_TOL:
@@ -336,10 +340,10 @@ def fit_least_squares(
                 cand = theta + scale * step
                 try:
                     m.check_theta(cand)
-                    r_new = residuals(cand)
                 except DomainError:
                     scale *= 0.5
                     continue
+                r_new = residuals(cand)
                 sse_new = float(r_new @ r_new)
                 if np.isfinite(sse_new) and sse_new <= sse:
                     improved = True
@@ -359,7 +363,7 @@ def fit_least_squares(
     s2 = sse / (data.n - p) if data.n > p else None
     info = None
     if s2 is not None and s2 > 0:
-        info = info_at_estimate(m, list(data.u), theta, s2)
+        info = info_at_estimate(m, data.u, theta, s2)
     return FitResult(
         theta_hat=theta,
         objective=sse,

@@ -23,6 +23,7 @@ from scipy.special import logit as _logit
 from scipy.special import ndtri
 
 from .exceptions import DomainError, UnattainableRiskError
+from .fisher import InfoMatrix
 from .fitting import FitResult
 from .models import evaluate, get_model, gradient
 from .models.base import ModelDef
@@ -88,9 +89,11 @@ def _closed_form(m: ModelDef, theta: np.ndarray, target: float) -> float | None:
     return None
 
 
+@np.errstate(over="ignore", under="ignore")
 def _bisect(m: ModelDef, theta: np.ndarray, target: float) -> float:
+    # every probe is a finite dose inside the domain _resolve_query checked
     def f(x):
-        return float(evaluate(m, x, theta))
+        return float(m.fn(x, theta))
 
     unbounded_below = m.input_low is None
     lo = 0.0
@@ -140,6 +143,10 @@ def percentile(query: PercentileQuery, method: str = "auto") -> float:
     one exists), "bisect", or "auto" (closed form preferred).
     """
     m, theta, _risk, target = _resolve_query(query)
+    return _solve(m, theta, target, method)
+
+
+def _solve(m: ModelDef, theta: np.ndarray, target: float, method: str) -> float:
     if method not in ("auto", "closed", "bisect"):
         raise DomainError(f"unknown method {method!r}")
     if method in ("auto", "closed"):
@@ -151,14 +158,15 @@ def percentile(query: PercentileQuery, method: str = "auto") -> float:
     return _bisect(m, theta, target)
 
 
+@np.errstate(over="ignore", under="ignore")
 def _dose_slope(m: ModelDef, theta: np.ndarray, x: float) -> float:
     """dF/dx by central differences (h respects the dose domain)."""
     h = 1e-6 * max(1.0, abs(x))
     lo_bound = m.input_low if m.input_low is not None else -math.inf
     a = max(x - h, lo_bound)
     b = x + h
-    fa = float(evaluate(m, a, theta))
-    fb = float(evaluate(m, b, theta))
+    fa = float(m.fn(a, theta))
+    fb = float(m.fn(b, theta))
     return (fb - fa) / (b - a)
 
 
@@ -169,16 +177,18 @@ def percentile_gradient(query: PercentileQuery, method: str = "auto") -> np.ndar
     scale dL/dtheta_j = -F_theta_j(L) / F'(L); the extra-risk scale adds
     the background terms -(1-p) F_theta_j(0).
     """
-    m, theta, risk, _target = _resolve_query(query)
-    lp = percentile(query, method=method)
-    g_l = np.asarray(gradient(m, lp, theta), dtype=float)
+    m, theta, risk, target = _resolve_query(query)
+    return _lp_gradient(m, theta, risk, query.p, _solve(m, theta, target, method))
+
+
+def _lp_gradient(m: ModelDef, theta: np.ndarray, risk: str, p: float, lp: float) -> np.ndarray:
+    g_l = gradient(m, lp, theta)
     slope = _dose_slope(m, theta, lp)
     if slope <= 0:
         raise DomainError("dose-response slope vanishes at the percentile")
     if risk == "extra" and m.input_low is not None and evaluate(m, 0.0, theta) > 0.0:
         # background correction; vanishes identically when F(0) = 0
-        g_0 = np.asarray(gradient(m, 0.0, theta), dtype=float)
-        g_l = g_l - (1.0 - query.p) * g_0
+        g_l = g_l - (1.0 - p) * gradient(m, 0.0, theta)
     return -g_l / slope
 
 
@@ -211,10 +221,16 @@ def vsd_upper_limit(query: PercentileQuery, fit: FitResult, confidence: float) -
     at_fit = PercentileQuery(
         model=query.model, theta=tuple(fit.theta_hat), p=query.p, risk_type=query.risk_type
     )
-    m, _theta, risk, _target = _resolve_query(at_fit)
-    lp = percentile(at_fit)
-    g = percentile_gradient(at_fit)
-    cov = fit.info.covariance()
+    m, theta, risk, target = _resolve_query(at_fit)
+    if fit.info.p != theta.size:
+        raise DomainError(
+            f"information matrix is {fit.info.p}x{fit.info.p} but {m.id} has {theta.size} parameters"
+        )
+    lp = _solve(m, theta, target, "auto")
+    # frozen integer slots have a zero gradient and a zero information row
+    free = [i for i in range(theta.size) if i not in m.frozen_slots]
+    g = _lp_gradient(m, theta, risk, query.p, lp)[free]
+    cov = InfoMatrix(fit.info.entries[np.ix_(free, free)], fit.info.sigma2).covariance()
     var = float(g @ cov @ g)
     if var < 0:
         raise DomainError("information matrix is not positive definite")

@@ -6,7 +6,7 @@ is immutable after import; all operations are pure functions.
 """
 
 from .base import ModelDef, ParamSpec, Registry, as_theta, evaluate, gradient
-from .doseresponse import DOSE_RESPONSE_MODELS, reg_lower_gamma
+from .doseresponse import DOSE_RESPONSE_MODELS
 from .growth import GROWTH_MODELS, MONOMOLECULAR
 from .hazards import HazardSpec, hazard_ad, hazard_cox
 from .kinetics import (
@@ -55,5 +55,4 @@ __all__ = [
     "mm_velocity_curvature",
     "mm_velocity_slope",
     "steady_state_complex",
-    "reg_lower_gamma",
 ]

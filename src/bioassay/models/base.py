@@ -148,6 +148,23 @@ class ModelDef:
 
     # -- evaluation ---------------------------------------------------
 
+    def finite_grad(self, u, theta) -> np.ndarray:
+        """``grad`` at arguments already validated by the checks above.
+
+        Raises :class:`DomainError` naming the first input point whose
+        gradient is not finite.
+        """
+        with np.errstate(over="ignore", under="ignore"):
+            g = np.asarray(self.grad(u, theta), dtype=float)
+        if not np.all(np.isfinite(g)):
+            point = np.asarray(u)
+            if g.ndim > 1:
+                point = point[np.argmax(~np.all(np.isfinite(g), axis=-1))]
+            raise DomainError(
+                f"{self.id}: gradient is not finite at u={point.tolist()}, theta={theta.tolist()}"
+            )
+        return g
+
     def __call__(self, u, theta):
         return evaluate(self, u, theta)
 
@@ -225,10 +242,4 @@ def gradient(model, u, theta):
     """
     m = _resolve(model)
     theta = m.check_theta(theta)
-    u_arr = m.check_input(u, for_gradient=True)
-    with np.errstate(over="ignore", under="ignore"):
-        g = m.grad(u_arr, theta)
-    g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise DomainError(f"{m.id}: gradient is not finite at u={u}, theta={theta.tolist()}")
-    return g
+    return m.finite_grad(m.check_input(u, for_gradient=True), theta)

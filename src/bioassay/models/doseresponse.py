@@ -3,10 +3,8 @@
 Each entry maps dose ``x >= 0`` (tolerance-scale models accept the whole
 real line) to a response probability in [0, 1], nondecreasing in dose.
 
-The hit-count family uses the regularized lower incomplete gamma
-function, computed by the classic series / continued-fraction split at
-``x = a + 1`` (absolute error below 1e-12; cross-checked against
-scipy.special in the tests).
+The hit-count family is the regularized lower incomplete gamma function
+P(k, lambda * x), evaluated by :func:`scipy.special.gammainc`.
 """
 
 from __future__ import annotations
@@ -14,65 +12,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit, ndtr
+from scipy.special import expit, gammainc, gammaln, ndtr, xlogy
 
 from .base import ModelDef, ParamSpec
 
-__all__ = ["DOSE_RESPONSE_MODELS", "reg_lower_gamma"]
-
-_MAX_ITER = 500
-
-
-def _reg_lower_gamma_scalar(a: float, x: float) -> float:
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if x == 0.0:
-        return 0.0
-    lg = math.lgamma(a)
-    if x < a + 1.0:
-        # series: P(a,x) = x^a e^-x / Gamma(a) * sum x^n / (a (a+1) ... (a+n))
-        term = 1.0 / a
-        total = term
-        n = a
-        for _ in range(_MAX_ITER):
-            n += 1.0
-            term *= x / n
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        return total * math.exp(-x + a * math.log(x) - lg)
-    # continued fraction (modified Lentz) for Q(a,x); P = 1 - Q
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    q = math.exp(-x + a * math.log(x) - lg) * h
-    return 1.0 - q
-
-
-def reg_lower_gamma(a: float, x) -> float | np.ndarray:
-    """Regularized lower incomplete gamma P(a, x), vectorized over x."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return _reg_lower_gamma_scalar(a, float(x))
-    return np.array([_reg_lower_gamma_scalar(a, xi) for xi in x.ravel()]).reshape(x.shape)
+__all__ = ["DOSE_RESPONSE_MODELS"]
 
 
 # -- single-event exponential -------------------------------------------
@@ -88,12 +32,14 @@ def _one_hit_grad(x, th):
 
 def _multi_hit(x, th):
     k, lam = th
-    return reg_lower_gamma(k, lam * x)
+    return gammainc(k, lam * x)
 
 def _multi_hit_grad(x, th):
     k, lam = th
     z = lam * x
-    dp_dlam = x * z ** (k - 1.0) * np.exp(-z) / math.gamma(k)
+    # x z^(k-1) e^-z / Gamma(k) in log space: Gamma(k) overflows past k = 171,
+    # and xlogy keeps z = 0 with k = 1 exact
+    dp_dlam = x * np.exp(xlogy(k - 1.0, z) - z - gammaln(k))
     # the hit count is structurally integer: no continuous derivative
     return np.stack([np.zeros_like(dp_dlam), dp_dlam], axis=-1)
 

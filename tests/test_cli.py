@@ -201,6 +201,17 @@ def test_lp_with_fit_produces_vsd(tmp_path, capsys):
     assert report["vsd_method"] == "delta"
 
 
+def test_lp_fit_report_without_theta_hat_exit_2(tmp_path, capsys):
+    fit_path = tmp_path / "bad.json"
+    fit_path.write_text(json.dumps({"model": "one-hit", "info": [[1.0]]}))
+    code, out, err = run_cli(
+        capsys, "lp", "--model", "one-hit", "--theta", "1", "--p", "0.1", "--fit", str(fit_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "theta_hat" in err
+
+
 def test_lp_unattainable_exit_3(capsys):
     code, _, err = run_cli(
         capsys, "lp", "--model", "multistage", "--theta", "0.2", "--p", "0.9", "--risk", "total"
@@ -224,6 +235,17 @@ def test_fisher_command_row_major(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["info"] == [[1.0, 0.0], [0.0, 0.0]]
+
+
+def test_fisher_multi_hit_large_hit_count(capsys):
+    # Gamma(200) overflows a float; the gradient is computed in log space
+    code, out, _ = run_cli(
+        capsys, "fisher", "--model", "multi-hit", "--theta", "200,1", "--at", "150,200"
+    )
+    assert code == 0
+    info = np.array(json.loads(out)["info"])
+    assert np.all(np.isfinite(info)) and info[1, 1] > 0
+    assert info[0].tolist() == [0.0, 0.0]
 
 
 # -- tables ---------------------------------------------------------------------------

@@ -66,6 +66,44 @@ def test_total_info_rejects_empty_design():
         total_info("exp-time-power", [], [1.5, 0.5])
 
 
+def test_total_info_equals_sum_of_per_obs_info(rng):
+    # the stacked J^T J against the per-point outer products, every model
+    for model in all_models():
+        for _ in range(5):
+            theta = model.theta_sampler(rng)
+            design = np.array([model.input_sampler(rng, theta) for _ in range(12)])
+            got = total_info(model, design, theta, sigma2=0.7).entries
+            want = sum(per_obs_info(model, u, theta, sigma2=0.7).entries for u in design)
+            scale = max(1e-300, np.abs(want).max())
+            assert np.max(np.abs(got - want)) / scale <= 1e-12, model.id
+
+
+def test_total_info_out_of_domain_point_message():
+    theta = [1.0, 1.5]
+    with pytest.raises(DomainError) as single:
+        per_obs_info("weibull-cdf", 0.0, theta)
+    with pytest.raises(DomainError) as design:
+        total_info("weibull-cdf", [0.5, 1.0, 0.0, 2.0], theta)
+    assert str(design.value) == str(single.value) == "weibull-cdf: gradient input must be > 0.0"
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_total_info_non_finite_gradient_names_first_point():
+    # (theta x)^s overflows: 0 * inf in the shape derivative
+    theta = [1.0, 2.0]
+    with pytest.raises(DomainError) as single:
+        per_obs_info("weibull-cdf", 1e200, theta)
+    with pytest.raises(DomainError) as design:
+        total_info("weibull-cdf", [0.5, 1e200, 2.0, 1e300], theta)
+    assert str(design.value) == str(single.value)
+    assert str(design.value) == "weibull-cdf: gradient is not finite at u=1e+200, theta=[1.0, 2.0]"
+
+
+def test_total_info_rejects_unstacked_design():
+    with pytest.raises(DomainError, match="design must have shape"):
+        total_info("mm-two-substrate", [1.0, 2.0], [2.0, 1.0, 1.0, 1.0])
+
+
 def test_per_obs_rank_one_psd(rng):
     for model in all_models():
         for _ in range(50):

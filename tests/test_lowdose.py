@@ -158,6 +158,30 @@ def test_vsd_below_lp_and_metadata(rng):
     assert not res.clamped
 
 
+def test_vsd_multi_hit_skips_frozen_hit_count(rng):
+    # the integer hit count leaves a zero row and column in the information
+    xs = np.linspace(0.2, 4.0, 500)
+    y = np.asarray(ba.evaluate("multi-hit", xs, [3.0, 1.5])) + 0.05 * rng.standard_normal(xs.size)
+    fit = fit_least_squares("multi-hit", RegressionDataset(xs, y), [3.0, 1.3])
+    assert fit.info.entries[0].tolist() == [0.0, 0.0]
+    res = vsd_upper_limit(PercentileQuery("multi-hit", (3.0, 1.5), 0.01), fit, confidence=0.975)
+    lam_se = math.sqrt(1.0 / fit.info.entries[1, 1])
+    assert math.isfinite(res.se) and res.se > 0
+    # L_p = c / lambda at a fixed hit count, so its SE is L_p * se(lambda) / lambda
+    assert res.se == pytest.approx(res.lp * lam_se / fit.theta_hat[1], rel=1e-5)
+    assert 0.0 < res.vsd < res.lp
+
+
+def test_vsd_rejects_mismatched_information(rng):
+    from bioassay.fisher import InfoMatrix
+
+    fit = _one_hit_fit(rng)
+    wrong = type(fit)(**{**fit.__dict__, "info": InfoMatrix(np.eye(2), 1.0)})
+    q = PercentileQuery("one-hit", (1.0,), 0.1)
+    with pytest.raises(DomainError, match="2x2 but one-hit has 1 parameters"):
+        vsd_upper_limit(q, wrong, confidence=0.975)
+
+
 def test_vsd_confidence_domain(rng):
     fit = _one_hit_fit(rng)
     q = PercentileQuery("one-hit", (1.0,), 0.1, risk_type="total")

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import gammainc
 
 import bioassay as ba
 from bioassay.exceptions import DomainError
-from bioassay.models import MONOMOLECULAR, get_model, reg_lower_gamma
+from bioassay.models import MONOMOLECULAR, get_model
 
 from conftest import all_models, fd_gradient, rel_err, sample_point
 
@@ -187,21 +186,34 @@ def test_two_substrate_hyperbola_section():
     assert v2 > v1
 
 
-# -- incomplete gamma engine ---------------------------------------------
+# -- multi-hit curve ------------------------------------------------------
 
-def test_reg_lower_gamma_against_scipy(rng):
+def poisson_tail(k: int, z: float) -> float:
+    """P(k, z) = 1 - e^-z sum_{j<k} z^j / j!: at least k Poisson(z) events."""
+    term = math.exp(-z)
+    terms = [term]
+    for j in range(1, k):
+        term *= z / j
+        terms.append(term)
+    return 1.0 - math.fsum(terms)
+
+
+def test_multi_hit_against_poisson_sum(rng):
     for _ in range(500):
-        a = float(rng.integers(1, 12))
+        k = int(rng.integers(1, 12))
+        lam = 0.5 + 0.5 * rng.random()
         x = 20.0 * rng.random()
-        assert abs(reg_lower_gamma(a, x) - gammainc(a, x)) < 1e-12
+        got = ba.evaluate("multi-hit", x, [k, lam])
+        assert abs(got - poisson_tail(k, lam * x)) < 1e-12, (k, lam, x)
 
 
-def test_reg_lower_gamma_large_arguments(rng):
-    # spans the series / continued-fraction split at x = a + 1
+def test_multi_hit_large_arguments_against_poisson_sum(rng):
     for _ in range(1000):
-        a = float(rng.integers(1, 80))
+        k = int(rng.integers(1, 80))
+        lam = 0.5 + 0.5 * rng.random()
         x = 200.0 * rng.random()
-        assert abs(reg_lower_gamma(a, x) - gammainc(a, x)) < 1e-12
+        got = ba.evaluate("multi-hit", x, [k, lam])
+        assert abs(got - poisson_tail(k, lam * x)) < 1e-12, (k, lam, x)
 
 
 # -- domain validation -----------------------------------------------------
