@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -31,9 +30,9 @@ from .exceptions import (
     UnattainableRiskError,
     UnknownModelError,
 )
-from .fisher import InfoMatrix, WeibullSample, total_info
+from .fisher import WeibullSample, total_info
 from .fitting import FitResult, RegressionDataset, fit_least_squares, weibull_mle
-from .lowdose import PercentileQuery, percentile, vsd_upper_limit
+from .lowdose import PercentileQuery, percentile, resolve_query, vsd_upper_limit
 from .models import evaluate, get_model
 from .tables import check_consistency, polyptych_from_json, verdict_to_json
 
@@ -291,43 +290,26 @@ def cmd_lp(args) -> int:
     if theta is None:
         raise DomainError("--theta is required")
     query = PercentileQuery(args.model, tuple(theta), args.p, risk_type=args.risk)
-    lp_value = percentile(query)
     out = {
         "model": args.model,
         "p": args.p,
-        "risk_type": args.risk or ("extra" if _has_background(args.model, theta) else "total"),
-        "Lp": lp_value,
+        "risk_type": resolve_query(query)[2],
+        "Lp": percentile(query),
         "vsd": None,
         "confidence": args.confidence,
     }
     if args.fit:
         with open(args.fit, encoding="utf-8") as fh:
-            fit_obj = json.load(fh)
-        if not isinstance(fit_obj, dict) or "theta_hat" not in fit_obj:
-            raise DomainError(f"{args.fit}: fit report lacks 'theta_hat'")
-        if fit_obj.get("info") is None:
-            raise DomainError(f"{args.fit}: fit report carries no information matrix")
-        fit = FitResult(
-            theta_hat=np.asarray(fit_obj["theta_hat"], dtype=float),
-            objective=fit_obj.get("objective", math.nan),
-            s2=fit_obj.get("s2"),
-            info=InfoMatrix(np.asarray(fit_obj["info"], dtype=float), fit_obj.get("s2") or 1.0),
-            converged=fit_obj.get("converged", True),
-            iterations=fit_obj.get("iterations", 0),
-            model=fit_obj.get("model"),
-        )
+            report = json.load(fh)
+        try:
+            fit = FitResult.from_dict(report)
+        except DomainError as exc:
+            raise DomainError(f"{args.fit}: {exc}") from None
         confidence = args.confidence if args.confidence is not None else 0.975
         res = vsd_upper_limit(query, fit, confidence)
         out.update({"Lp": res.lp, "vsd": res.vsd, "confidence": confidence, "vsd_method": res.method})
     _write_out(json.dumps(out, indent=2) + "\n", args.out)
     return 0
-
-
-def _has_background(model_id: str, theta) -> bool:
-    model = get_model(model_id)
-    if model.input_low is None:
-        return False
-    return evaluate(model, 0.0, theta) > 0.0
 
 
 # -- eff ------------------------------------------------------------------------------
@@ -346,21 +328,34 @@ def cmd_eff(args) -> int:
 
 # -- fisher ----------------------------------------------------------------------------
 
+def _parse_at(raw: str, model):
+    """--at design: u1,u2,... or, for two-input models, x1:x2 pairs."""
+    try:
+        if model.input_dim == 1:
+            return [float(v) for v in raw.split(",")]
+        pairs = [[float(c) for c in point.split(":")] for point in raw.split(",")]
+    except ValueError as exc:
+        raise DomainError(f"bad --at list: {exc}") from None
+    if any(len(pair) != 2 for pair in pairs):
+        raise DomainError(f"{model.id} takes x1:x2 input pairs, got --at {raw!r}")
+    return pairs
+
+
 def cmd_fisher(args) -> int:
     theta = _parse_theta(args.theta)
     if theta is None:
         raise DomainError("--theta is required")
+    model = get_model(args.model)
     if args.at:
-        try:
-            design = [float(v) for v in args.at.split(",")]
-        except ValueError as exc:
-            raise DomainError(f"bad --at list: {exc}") from None
+        design = _parse_at(args.at, model)
     elif args.grid:
+        if model.input_dim == 2:
+            raise DomainError(f"{model.id} takes x1:x2 input pairs; give the design via --at x1:x2,...")
         lo, hi, n = _parse_grid(args.grid)
         design = np.linspace(lo, hi, n)
     else:
         raise DomainError("give the design via --at u1,u2,... or --grid lo:hi:n")
-    info = total_info(args.model, design, theta, sigma2=args.sigma2)
+    info = total_info(model, design, theta, sigma2=args.sigma2)
     out = {
         "model": args.model,
         "theta": theta,
@@ -390,11 +385,11 @@ def cmd_tables(args) -> int:
 
 def cmd_simulate_bd(args) -> int:
     spec = BirthDeathSpec(b=args.birth, d=args.death, i0=args.i0, t_end=args.t_end, seed=_seed(args))
-    if args.bins and not args.replicates:
+    if args.bins is not None and args.replicates is None:
         raise DomainError("--bins summarizes replicate event times; give --replicates too")
-    if args.replicates:
+    if args.replicates is not None:
         reps = simulate_replicates(spec, args.replicates, threshold=args.threshold)
-        if args.bins:
+        if args.bins is not None:
             event_times = [r.time for r in reps if r.outcome in ("extinct", "onset")]
             if not event_times:
                 raise NotConvergedError("no events observed: every replicate was censored")
@@ -464,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fisher", help="total Fisher information over a design")
     p.add_argument("--model", required=True)
     p.add_argument("--theta", required=True)
-    p.add_argument("--at", help="design points, comma separated")
+    p.add_argument("--at", help="design points, comma separated (x1:x2 pairs for two-input models)")
     p.add_argument("--grid", help="design grid lo:hi:n")
     p.add_argument("--sigma2", type=float, default=1.0)
     common(p)
@@ -496,7 +491,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, UnknownModelError, CsvError, OSError, json.JSONDecodeError) as exc:
+    except (DomainError, UnknownModelError, CsvError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotConvergedError, SeparationError, UnattainableRiskError) as exc:

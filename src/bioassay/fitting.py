@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, kolmogorov
 
 from .exceptions import DomainError, SeparationError
 from .fisher import InfoMatrix, WeibullSample, info_at_estimate, weibull_observed_info
 from .models import evaluate
-from .models.base import ModelDef
+from .models.base import ModelDef, as_theta
 
 __all__ = [
     "RegressionDataset",
@@ -120,6 +120,32 @@ class FitResult:
             "iterations": int(self.iterations),
             "message": self.message,
         }
+
+    @classmethod
+    def from_dict(cls, report) -> FitResult:
+        """Inverse of :meth:`to_dict`; raises :class:`DomainError` on a malformed report.
+
+        Only ``theta_hat`` is required.  The information matrix is scaled
+        by ``s2`` when the report has one (least squares) and by 1 otherwise.
+        """
+        if not isinstance(report, dict) or "theta_hat" not in report:
+            raise DomainError("fit report lacks 'theta_hat'")
+        try:
+            s2 = None if report.get("s2") is None else float(report["s2"])
+            info = report.get("info")
+            return cls(
+                theta_hat=as_theta(report["theta_hat"]),
+                objective=float(report.get("objective", math.nan)),
+                s2=s2,
+                info=None if info is None else InfoMatrix(np.asarray(info, dtype=float), s2 or 1.0),
+                converged=bool(report.get("converged", True)),
+                iterations=int(report.get("iterations", 0)),
+                model=report.get("model"),
+                objective_kind=report.get("objective_kind", "sse"),
+                message=report.get("message", ""),
+            )
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"malformed fit report: {exc}") from None
 
 
 # -- censored Weibull -----------------------------------------------------
@@ -469,17 +495,7 @@ def relative_risk(beta1: float) -> float:
 class KSResult:
     statistic: float
     p_value: float
-    asymptotic_valid: bool  # the series approximation is quoted for n >= 35
-
-
-def _kolmogorov_sf(lam: float, terms: int = 100) -> float:
-    """Asymptotic Kolmogorov survival function, truncated series."""
-    if lam <= 0:
-        return 1.0
-    total = 0.0
-    for j in range(1, terms + 1):
-        total += (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
-    return min(1.0, max(0.0, 2.0 * total))
+    asymptotic_valid: bool  # the limit law is quoted for n >= 35
 
 
 def ks_test(sample, cdf) -> KSResult:
@@ -487,7 +503,8 @@ def ks_test(sample, cdf) -> KSResult:
 
     ``cdf`` is a callable x -> F(x) or a (model, theta) pair.  The
     statistic is the exact supremum over the order statistics; the
-    p-value uses the asymptotic Kolmogorov series with 100 terms.
+    p-value is the limiting Kolmogorov law P(K > sqrt(n) D), from
+    :func:`scipy.special.kolmogorov`.
     """
     xs = np.sort(np.asarray(sample, dtype=float))
     n = xs.size
@@ -498,11 +515,11 @@ def ks_test(sample, cdf) -> KSResult:
     else:
         model, theta = cdf
         f = np.asarray(evaluate(model, xs, theta), dtype=float)
-    if np.any(f < 0) or np.any(f > 1):
+    if not np.all((f >= 0) & (f <= 1)):
         raise DomainError("cdf values must lie in [0, 1]")
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - f)
     d_minus = np.max(f - (i - 1) / n)
     d = float(max(d_plus, d_minus))
-    p = _kolmogorov_sf(math.sqrt(n) * d)
+    p = float(kolmogorov(math.sqrt(n) * d))
     return KSResult(statistic=d, p_value=p, asymptotic_valid=n >= 35)

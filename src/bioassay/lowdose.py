@@ -3,8 +3,9 @@
 The percentile of a dose-response curve is the dose at which the
 response probability reaches a target ``p``, on either the total-risk
 scale F(L) = p or the extra-risk scale (F(L) - F(0)) / (1 - F(0)) = p.
-Closed-form inversions are used where they exist; otherwise a monotone
-bisection solves F(L) = target to |F - target| <= 1e-12.
+Closed-form inversions come from the model itself
+(:attr:`ModelDef.inverse`); curves without one are solved by a monotone
+bisection of F(L) = target to |F - target| <= 1e-12.
 
 The safe-dose bound is a delta-method lower confidence limit for the
 estimated percentile: the gradient of L_p with respect to the model
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logit as _logit
 from scipy.special import ndtri
 
 from .exceptions import DomainError, UnattainableRiskError
@@ -28,7 +28,14 @@ from .fitting import FitResult
 from .models import evaluate, get_model, gradient
 from .models.base import ModelDef
 
-__all__ = ["PercentileQuery", "VsdResult", "percentile", "percentile_gradient", "vsd_upper_limit"]
+__all__ = [
+    "PercentileQuery",
+    "VsdResult",
+    "percentile",
+    "percentile_gradient",
+    "resolve_query",
+    "vsd_upper_limit",
+]
 
 _BISECT_F_TOL = 1e-12
 
@@ -37,9 +44,9 @@ _BISECT_F_TOL = 1e-12
 class PercentileQuery:
     """A percentile request: model, parameters, target probability, risk scale.
 
-    ``risk_type`` None picks the default: extra risk when the curve has a
-    background response F(0) > 0, total risk otherwise.  The low-dose
-    regime of interest is p <= 0.1, but any p in (0, 1) is accepted.
+    ``risk_type`` None picks the default scale (see :func:`resolve_query`).
+    The low-dose regime of interest is p <= 0.1, but any p in (0, 1) is
+    accepted.
     """
 
     model: str | ModelDef
@@ -54,7 +61,13 @@ class PercentileQuery:
             raise DomainError(f"risk_type must be 'total' or 'extra', got {self.risk_type!r}")
 
 
-def _resolve_query(query: PercentileQuery):
+def resolve_query(query: PercentileQuery):
+    """Validate a query and return ``(model, theta, risk_type, target)``.
+
+    This is the one place the default risk scale is decided: extra risk
+    when the curve has a background response F(0) > 0, total risk
+    otherwise.  ``target`` is the response level F(L) must reach.
+    """
     m = query.model if isinstance(query.model, ModelDef) else get_model(query.model)
     if m.family != "dose-response-cdf":
         raise DomainError(f"percentiles are defined for dose-response curves, not {m.id}")
@@ -77,21 +90,9 @@ def _resolve_query(query: PercentileQuery):
     return m, theta, risk, target
 
 
-def _closed_form(m: ModelDef, theta: np.ndarray, target: float) -> float | None:
-    if m.id == "one-hit":
-        return -math.log1p(-target) / theta[0]
-    if m.id == "weibull-cdf":
-        return (-math.log1p(-target)) ** (1.0 / theta[1]) / theta[0]
-    if m.id == "logit-cdf":
-        return (_logit(target) - theta[0]) / theta[1]
-    if m.id == "probit-cdf":
-        return (ndtri(target) - theta[0]) / theta[1]
-    return None
-
-
 @np.errstate(over="ignore", under="ignore")
 def _bisect(m: ModelDef, theta: np.ndarray, target: float) -> float:
-    # every probe is a finite dose inside the domain _resolve_query checked
+    # every probe is a finite dose inside the domain resolve_query checked
     def f(x):
         return float(m.fn(x, theta))
 
@@ -142,19 +143,17 @@ def percentile(query: PercentileQuery, method: str = "auto") -> float:
     ``method`` selects the inversion path: "closed" (closed form where
     one exists), "bisect", or "auto" (closed form preferred).
     """
-    m, theta, _risk, target = _resolve_query(query)
+    m, theta, _risk, target = resolve_query(query)
     return _solve(m, theta, target, method)
 
 
 def _solve(m: ModelDef, theta: np.ndarray, target: float, method: str) -> float:
     if method not in ("auto", "closed", "bisect"):
         raise DomainError(f"unknown method {method!r}")
-    if method in ("auto", "closed"):
-        closed = _closed_form(m, theta, target)
-        if closed is not None:
-            return float(closed)
-        if method == "closed":
-            raise DomainError(f"no closed-form percentile for {m.id}")
+    if method != "bisect" and m.inverse is not None:
+        return float(m.inverse(target, theta))
+    if method == "closed":
+        raise DomainError(f"no closed-form percentile for {m.id}")
     return _bisect(m, theta, target)
 
 
@@ -177,7 +176,7 @@ def percentile_gradient(query: PercentileQuery, method: str = "auto") -> np.ndar
     scale dL/dtheta_j = -F_theta_j(L) / F'(L); the extra-risk scale adds
     the background terms -(1-p) F_theta_j(0).
     """
-    m, theta, risk, target = _resolve_query(query)
+    m, theta, risk, target = resolve_query(query)
     return _lp_gradient(m, theta, risk, query.p, _solve(m, theta, target, method))
 
 
@@ -221,7 +220,7 @@ def vsd_upper_limit(query: PercentileQuery, fit: FitResult, confidence: float) -
     at_fit = PercentileQuery(
         model=query.model, theta=tuple(fit.theta_hat), p=query.p, risk_type=query.risk_type
     )
-    m, theta, risk, target = _resolve_query(at_fit)
+    m, theta, risk, target = resolve_query(at_fit)
     if fit.info.p != theta.size:
         raise DomainError(
             f"information matrix is {fit.info.p}x{fit.info.p} but {m.id} has {theta.size} parameters"

@@ -24,6 +24,8 @@ __all__ = [
     "ModelDef",
     "Registry",
     "as_theta",
+    "box_sampler",
+    "input_sampler",
 ]
 
 
@@ -33,6 +35,27 @@ def as_theta(theta) -> np.ndarray:
     if arr.ndim != 1:
         raise DomainError(f"parameter vector must be 1-D, got shape {arr.shape}")
     return arr
+
+
+def box_sampler(lows, highs) -> Callable:
+    """Parameter sampler ``rng -> theta`` uniform on the box [lows, highs]."""
+    lows = np.asarray(lows, dtype=float)
+    highs = np.asarray(highs, dtype=float)
+
+    def sample(rng):
+        return lows + (highs - lows) * rng.random(len(lows))
+
+    return sample
+
+
+def input_sampler(lo: float, hi: float, size: int | None = None) -> Callable:
+    """Input sampler ``(rng, theta) -> u`` uniform on [lo, hi]; ``size=2``
+    draws a pair for two-input models."""
+
+    def sample(rng, theta):
+        return lo + (hi - lo) * rng.random(size)
+
+    return sample
 
 
 @dataclass(frozen=True)
@@ -80,7 +103,8 @@ class ModelDef:
     arguments.  ``grad`` returns shape ``(arity,)`` for a scalar input and
     ``(n, arity)`` for an array of inputs.  ``params`` is None for
     variadic models (polynomial-exponent families), in which case
-    ``variadic_param`` describes every slot.
+    ``variadic_param`` describes every slot.  ``inverse(target, theta)``,
+    where set, is the closed-form dose at which ``fn`` reaches ``target``.
     """
 
     id: str
@@ -95,6 +119,7 @@ class ModelDef:
     grad_input_low_strict: bool = False  # gradient needs u strictly above input_low
     theta_sampler: Callable | None = None
     input_sampler: Callable | None = None
+    inverse: Callable | None = None
     doc: str = ""
 
     @property

@@ -2,6 +2,7 @@
 
 Each entry maps dose ``x >= 0`` (tolerance-scale models accept the whole
 real line) to a response probability in [0, 1], nondecreasing in dose.
+Curves with a closed-form percentile carry it as ``inverse(target, theta)``.
 
 The hit-count family is the regularized lower incomplete gamma function
 P(k, lambda * x), evaluated by :func:`scipy.special.gammainc`.
@@ -12,9 +13,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit, gammainc, gammaln, ndtr, xlogy
+from scipy.special import expit, gammainc, gammaln, logit, ndtr, ndtri, xlogy
 
-from .base import ModelDef, ParamSpec
+from .base import ModelDef, ParamSpec, box_sampler, input_sampler
 
 __all__ = ["DOSE_RESPONSE_MODELS"]
 
@@ -26,6 +27,9 @@ def _one_hit(x, th):
 
 def _one_hit_grad(x, th):
     return np.stack([x * np.exp(-th[0] * x)], axis=-1)
+
+def _one_hit_inverse(target, th):
+    return -math.log1p(-target) / th[0]
 
 
 # -- k identical events: gamma-count curve --------------------------------
@@ -58,6 +62,9 @@ def _weibull_cdf_grad(x, th):
         [s * theta ** (s - 1.0) * x**s * e, (z**s) * np.log(z) * e], axis=-1
     )
 
+def _weibull_cdf_inverse(target, th):
+    return (-math.log1p(-target)) ** (1.0 / th[1]) / th[0]
+
 
 # -- polynomial-exponent stage curve --------------------------------------
 
@@ -81,6 +88,9 @@ def _logit_cdf_grad(x, th):
     w = p * (1.0 - p)
     return np.stack([w, w * x], axis=-1)
 
+def _logit_cdf_inverse(target, th):
+    return (logit(target) - th[0]) / th[1]
+
 
 def _probit_cdf(x, th):
     return ndtr(th[0] + th[1] * x)
@@ -90,33 +100,15 @@ def _probit_cdf_grad(x, th):
     phi = np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi)
     return np.stack([phi, phi * x], axis=-1)
 
-
-def _usampler(lo, hi):
-    def sample(rng, theta):
-        return lo + (hi - lo) * rng.random()
-
-    return sample
-
-
-def _theta_one_hit(rng):
-    return np.array([0.2 + 2.3 * rng.random()])
+def _probit_cdf_inverse(target, th):
+    return (ndtri(target) - th[0]) / th[1]
 
 
 def _theta_multi_hit(rng):
     return np.array([float(rng.integers(1, 6)), 0.3 + 2.0 * rng.random()])
 
 
-def _theta_weibull(rng):
-    return np.array([0.3 + 2.0 * rng.random(), 0.4 + 2.0 * rng.random()])
-
-
-def _theta_multistage(rng):
-    # three stages by default; variadic models accept any length >= 1
-    return 0.05 + rng.random(3) * np.array([0.5, 1.5, 1.0])
-
-
-def _theta_tolerance(rng):
-    return np.array([-2.0 + 3.0 * rng.random(), 0.3 + 2.0 * rng.random()])
+_theta_tolerance = box_sampler([-2.0, 0.3], [1.0, 2.3])
 
 
 DOSE_RESPONSE_MODELS = [
@@ -127,8 +119,9 @@ DOSE_RESPONSE_MODELS = [
         grad=_one_hit_grad,
         params=(ParamSpec("rate", low=0.0),),
         input_low=0.0,
-        theta_sampler=_theta_one_hit,
-        input_sampler=_usampler(0.0, 4.0),
+        theta_sampler=box_sampler([0.2], [2.5]),
+        input_sampler=input_sampler(0.0, 4.0),
+        inverse=_one_hit_inverse,
         doc="1 - exp(-theta * x)",
     ),
     ModelDef(
@@ -142,7 +135,7 @@ DOSE_RESPONSE_MODELS = [
         ),
         input_low=0.0,
         theta_sampler=_theta_multi_hit,
-        input_sampler=_usampler(0.0, 6.0),
+        input_sampler=input_sampler(0.0, 6.0),
         doc="regularized lower incomplete gamma P(k, lambda * x)",
     ),
     ModelDef(
@@ -153,8 +146,9 @@ DOSE_RESPONSE_MODELS = [
         params=(ParamSpec("rate", low=0.0), ParamSpec("shape", low=0.0)),
         input_low=0.0,
         grad_input_low_strict=True,  # ln(theta*x) in the shape derivative
-        theta_sampler=_theta_weibull,
-        input_sampler=_usampler(0.1, 4.0),
+        theta_sampler=box_sampler([0.3, 0.4], [2.3, 2.4]),
+        input_sampler=input_sampler(0.1, 4.0),
+        inverse=_weibull_cdf_inverse,
         doc="1 - exp(-(theta * x)**s)",
     ),
     ModelDef(
@@ -165,8 +159,9 @@ DOSE_RESPONSE_MODELS = [
         params=None,
         variadic_param=ParamSpec("stage-coefficient", low=0.0, strict=False),
         input_low=0.0,
-        theta_sampler=_theta_multistage,
-        input_sampler=_usampler(0.0, 3.0),
+        # three stages by default; variadic models accept any length >= 1
+        theta_sampler=box_sampler([0.05] * 3, [0.55, 1.55, 1.05]),
+        input_sampler=input_sampler(0.0, 3.0),
         doc="1 - exp(-(theta0 + theta1*x + ... + thetak*x^k))",
     ),
     ModelDef(
@@ -176,7 +171,8 @@ DOSE_RESPONSE_MODELS = [
         grad=_logit_cdf_grad,
         params=(ParamSpec("location"), ParamSpec("slope", low=0.0)),
         theta_sampler=_theta_tolerance,
-        input_sampler=_usampler(-3.0, 3.0),
+        input_sampler=input_sampler(-3.0, 3.0),
+        inverse=_logit_cdf_inverse,
         doc="logistic tolerance curve 1 / (1 + exp(-(theta0 + theta1*x)))",
     ),
     ModelDef(
@@ -186,7 +182,8 @@ DOSE_RESPONSE_MODELS = [
         grad=_probit_cdf_grad,
         params=(ParamSpec("location"), ParamSpec("slope", low=0.0)),
         theta_sampler=_theta_tolerance,
-        input_sampler=_usampler(-3.0, 3.0),
+        input_sampler=input_sampler(-3.0, 3.0),
+        inverse=_probit_cdf_inverse,
         doc="standard normal tolerance curve Phi(theta0 + theta1*x)",
     ),
 ]

@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelDef, ParamSpec
+from .base import ModelDef, ParamSpec, box_sampler, input_sampler
 
 __all__ = ["GROWTH_MODELS", "MONOMOLECULAR"]
 
 
 def _free(name):
     return ParamSpec(name)
-
-
-def _pos(name):
-    return ParamSpec(name, low=0.0)
 
 
 # -- double exponential -----------------------------------------------
@@ -191,23 +187,6 @@ def _gen_logistic_ii_grad(u, th):
     return np.stack([1.0 / (1.0 + e), base, base * g, base * th[2] * dg], axis=-1)
 
 
-def _sampler(lows, highs):
-    lows = np.asarray(lows, dtype=float)
-    highs = np.asarray(highs, dtype=float)
-
-    def sample(rng):
-        return lows + (highs - lows) * rng.random(len(lows))
-
-    return sample
-
-
-def _usampler(lo, hi):
-    def sample(rng, theta):
-        return lo + (hi - lo) * rng.random()
-
-    return sample
-
-
 GROWTH_MODELS = [
     ModelDef(
         id="gompertz",
@@ -215,8 +194,8 @@ GROWTH_MODELS = [
         fn=_gompertz,
         grad=_gompertz_grad,
         params=(_free("scale"), _free("shape"), _free("rate")),
-        theta_sampler=_sampler([0.4, 0.3, 0.2], [2.0, 1.2, 0.8]),
-        input_sampler=_usampler(0.1, 2.5),
+        theta_sampler=box_sampler([0.4, 0.3, 0.2], [2.0, 1.2, 0.8]),
+        input_sampler=input_sampler(0.1, 2.5),
         doc="double exponential: theta0 * exp(theta1 * exp(theta2 * u))",
     ),
     ModelDef(
@@ -227,8 +206,8 @@ GROWTH_MODELS = [
         params=(_free("offset"), _free("scale"), _free("rate"), _free("power")),
         input_low=0.0,
         input_low_strict=True,
-        theta_sampler=_sampler([-1.0, 0.4, 0.2, 0.5], [2.0, 2.0, 1.0, 2.0]),
-        input_sampler=_usampler(0.2, 3.0),
+        theta_sampler=box_sampler([-1.0, 0.4, 0.2, 0.5], [2.0, 2.0, 1.0, 2.0]),
+        input_sampler=input_sampler(0.2, 3.0),
         doc="theta0 + theta1 * exp(theta2 * u**theta3)",
     ),
     ModelDef(
@@ -237,8 +216,8 @@ GROWTH_MODELS = [
         fn=_logistic,
         grad=_logistic_grad,
         params=(_free("asymptote"), ParamSpec("shape", low=0.0), _free("rate")),
-        theta_sampler=_sampler([0.5, 0.3, -1.5], [2.5, 2.5, 1.5]),
-        input_sampler=_usampler(-2.0, 4.0),
+        theta_sampler=box_sampler([0.5, 0.3, -1.5], [2.5, 2.5, 1.5]),
+        input_sampler=input_sampler(-2.0, 4.0),
         doc="theta0 / (1 + theta1 * exp(theta2 * u)); shape > 0 keeps the denominator positive",
     ),
     ModelDef(
@@ -247,8 +226,8 @@ GROWTH_MODELS = [
         fn=_bertalanffy,
         grad=_bertalanffy_grad,
         params=(_free("offset"), _free("scale"), _free("rate")),
-        theta_sampler=_sampler([0.3, 0.3, -0.8], [2.0, 2.0, 0.8]),
-        input_sampler=_usampler(0.0, 3.0),
+        theta_sampler=box_sampler([0.3, 0.3, -0.8], [2.0, 2.0, 0.8]),
+        input_sampler=input_sampler(0.0, 3.0),
         doc="(theta0 + theta1 * exp(theta2 * u))**3",
     ),
     ModelDef(
@@ -257,8 +236,8 @@ GROWTH_MODELS = [
         fn=_tanh4p,
         grad=_tanh4p_grad,
         params=(_free("level"), _free("amplitude"), _free("steepness"), _free("center")),
-        theta_sampler=_sampler([-2.0, 0.3, 0.3, -1.0], [2.0, 2.0, 2.0, 1.0]),
-        input_sampler=_usampler(-3.0, 3.0),
+        theta_sampler=box_sampler([-2.0, 0.3, 0.3, -1.0], [2.0, 2.0, 2.0, 1.0]),
+        input_sampler=input_sampler(-3.0, 3.0),
         doc="theta0 + theta1 * tanh(theta2 * (u - theta3))",
     ),
     ModelDef(
@@ -267,8 +246,8 @@ GROWTH_MODELS = [
         fn=_atan3p,
         grad=_atan3p_grad,
         params=(_free("asymptote"), _free("steepness"), _free("center")),
-        theta_sampler=_sampler([0.3, 0.3, -1.0], [2.5, 2.0, 1.0]),
-        input_sampler=_usampler(-3.0, 3.0),
+        theta_sampler=box_sampler([0.3, 0.3, -1.0], [2.5, 2.0, 1.0]),
+        input_sampler=input_sampler(-3.0, 3.0),
         doc="(theta0/2) * (1 + (2/pi) * arctan(theta1 * (u - theta2)))",
     ),
     ModelDef(
@@ -277,8 +256,8 @@ GROWTH_MODELS = [
         fn=_atan4p,
         grad=_atan4p_grad,
         params=(_free("level"), _free("amplitude"), _free("steepness"), _free("center")),
-        theta_sampler=_sampler([-2.0, 0.3, 0.3, -1.0], [2.0, 2.0, 2.0, 1.0]),
-        input_sampler=_usampler(-3.0, 3.0),
+        theta_sampler=box_sampler([-2.0, 0.3, 0.3, -1.0], [2.0, 2.0, 2.0, 1.0]),
+        input_sampler=input_sampler(-3.0, 3.0),
         doc="theta0 + (2/pi) * theta1 * arctan(theta2 * (u - theta3))",
     ),
     ModelDef(
@@ -289,8 +268,8 @@ GROWTH_MODELS = [
         params=(_free("scale"), _free("power")),
         input_low=0.0,
         input_low_strict=True,
-        theta_sampler=_sampler([0.3, -1.5], [2.5, 2.5]),
-        input_sampler=_usampler(0.2, 4.0),
+        theta_sampler=box_sampler([0.3, -1.5], [2.5, 2.5]),
+        input_sampler=input_sampler(0.2, 4.0),
         doc="theta0 * u**theta1",
     ),
     ModelDef(
@@ -301,8 +280,8 @@ GROWTH_MODELS = [
         params=(_free("level"), _free("scale"), _free("rate")),
         input_low=0.0,
         input_low_strict=True,
-        theta_sampler=_sampler([0.0, 0.3, 0.2], [2.5, 2.5, 2.0]),
-        input_sampler=_usampler(0.2, 4.0),
+        theta_sampler=box_sampler([0.0, 0.3, 0.2], [2.5, 2.5, 2.0]),
+        input_sampler=input_sampler(0.2, 4.0),
         doc="theta0 - theta1 * exp(-theta2 * ln u)",
     ),
     ModelDef(
@@ -318,8 +297,8 @@ GROWTH_MODELS = [
         ),
         input_low=0.0,
         grad_input_low_strict=True,  # ln(theta2*u) in the shape derivative
-        theta_sampler=_sampler([1.0, -0.5, 0.3, 0.5], [3.0, 0.8, 2.0, 2.5]),
-        input_sampler=_usampler(0.2, 3.0),
+        theta_sampler=box_sampler([1.0, -0.5, 0.3, 0.5], [3.0, 0.8, 2.0, 2.5]),
+        input_sampler=input_sampler(0.2, 3.0),
         doc="theta0 - (theta0 - theta1) * exp(-(theta2 * u)**theta3)",
     ),
     ModelDef(
@@ -334,8 +313,8 @@ GROWTH_MODELS = [
             _free("c2"),
             _free("c3"),
         ),
-        theta_sampler=_sampler([0.5, -1.0, -0.8, -0.5, -0.3], [2.5, 1.0, 0.8, 0.5, 0.3]),
-        input_sampler=_usampler(-1.5, 1.5),
+        theta_sampler=box_sampler([0.5, -1.0, -0.8, -0.5, -0.3], [2.5, 1.0, 0.8, 0.5, 0.3]),
+        input_sampler=input_sampler(-1.5, 1.5),
         doc="theta0 / (1 + exp(theta1 + theta2*u + theta3*u^2 + theta4*u^3))",
     ),
     ModelDef(
@@ -351,8 +330,8 @@ GROWTH_MODELS = [
         ),
         input_low=0.0,
         input_low_strict=True,
-        theta_sampler=_sampler([0.5, -1.0, -1.5, 0.3], [2.5, 1.0, 1.5, 2.0]),
-        input_sampler=_usampler(0.2, 4.0),
+        theta_sampler=box_sampler([0.5, -1.0, -1.5, 0.3], [2.5, 1.0, 1.5, 2.0]),
+        input_sampler=input_sampler(0.2, 4.0),
         doc="theta0 / (1 + exp(theta1 + theta2 * (u**theta3 - 1)/theta3))",
     ),
 ]
@@ -376,7 +355,7 @@ MONOMOLECULAR = ModelDef(
     fn=_monomolecular,
     grad=_monomolecular_grad,
     params=(_free("level"), _free("scale"), _free("rate")),
-    theta_sampler=_sampler([0.0, 0.3, 0.2], [2.5, 2.5, 2.0]),
-    input_sampler=_usampler(0.2, 4.0),
+    theta_sampler=box_sampler([0.0, 0.3, 0.2], [2.5, 2.5, 2.0]),
+    input_sampler=input_sampler(0.2, 4.0),
     doc="theta0 - theta1 * exp(-theta2 * u)",
 )

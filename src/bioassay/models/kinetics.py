@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import DomainError
-from .base import ModelDef, ParamSpec
+from .base import ModelDef, ParamSpec, box_sampler, input_sampler
 
 __all__ = [
     "KINETICS_MODELS",
@@ -254,30 +254,6 @@ def _leaf_response_grad(it, th):
     )
 
 
-def _pos_sampler(lows, highs):
-    lows = np.asarray(lows, dtype=float)
-    highs = np.asarray(highs, dtype=float)
-
-    def sample(rng):
-        return lows + (highs - lows) * rng.random(len(lows))
-
-    return sample
-
-
-def _usampler(lo, hi):
-    def sample(rng, theta):
-        return lo + (hi - lo) * rng.random()
-
-    return sample
-
-
-def _pair_sampler(lo, hi):
-    def sample(rng, theta):
-        return lo + (hi - lo) * rng.random(2)
-
-    return sample
-
-
 def _p(name):
     return ParamSpec(name, low=0.0)
 
@@ -290,8 +266,8 @@ KINETICS_MODELS = [
         grad=_mm_grad,
         params=(_p("vmax"), _p("km")),
         input_low=0.0,
-        theta_sampler=_pos_sampler([0.3, 0.3], [3.0, 3.0]),
-        input_sampler=_usampler(0.0, 5.0),
+        theta_sampler=box_sampler([0.3, 0.3], [3.0, 3.0]),
+        input_sampler=input_sampler(0.0, 5.0),
         doc="rectangular hyperbola vmax * s / (km + s)",
     ),
     ModelDef(
@@ -304,8 +280,8 @@ KINETICS_MODELS = [
                 ParamSpec("c3", low=0.0, strict=False)),
         input_dim=2,
         input_low=0.0,
-        theta_sampler=_pos_sampler([0.3, 0.1, 0.1, 0.1], [3.0, 1.5, 1.5, 1.5]),
-        input_sampler=_pair_sampler(0.1, 4.0),
+        theta_sampler=box_sampler([0.3, 0.1, 0.1, 0.1], [3.0, 1.5, 1.5, 1.5]),
+        input_sampler=input_sampler(0.1, 4.0, size=2),
         doc="k*x1*x2 / (1 + c1*x1 + c2*x2 + c3*x1*x2)",
     ),
     ModelDef(
@@ -316,8 +292,8 @@ KINETICS_MODELS = [
         params=(_p("vmax"), _p("half-max"), _p("exponent")),
         input_low=0.0,
         grad_input_low_strict=True,  # ln x in the exponent derivative
-        theta_sampler=_pos_sampler([0.3, 0.3, 0.5], [3.0, 3.0, 3.0]),
-        input_sampler=_usampler(0.1, 5.0),
+        theta_sampler=box_sampler([0.3, 0.3, 0.5], [3.0, 3.0, 3.0]),
+        input_sampler=input_sampler(0.1, 5.0),
         doc="sigmoidal response v * x^n / (kc^n + x^n)",
     ),
     ModelDef(
@@ -328,8 +304,8 @@ KINETICS_MODELS = [
         params=(_p("vmax"), _p("half-max"), _p("exponent")),
         input_low=0.0,
         grad_input_low_strict=True,
-        theta_sampler=_pos_sampler([0.3, 0.3, 0.5], [3.0, 3.0, 3.0]),
-        input_sampler=_usampler(0.1, 5.0),
+        theta_sampler=box_sampler([0.3, 0.3, 0.5], [3.0, 3.0, 3.0]),
+        input_sampler=input_sampler(0.1, 5.0),
         doc="complementary sigmoid v / (1 + (x/kc)^n)",
     ),
     ModelDef(
@@ -340,8 +316,8 @@ KINETICS_MODELS = [
         params=(ParamSpec("upper"), _p("power"), ParamSpec("lower"), _p("scale")),
         input_low=0.0,
         input_low_strict=True,
-        theta_sampler=_pos_sampler([0.5, 0.4, -0.5, 0.3], [3.0, 2.5, 0.5, 3.0]),
-        input_sampler=_usampler(0.2, 5.0),
+        theta_sampler=box_sampler([0.5, 0.4, -0.5, 0.3], [3.0, 2.5, 0.5, 3.0]),
+        input_sampler=input_sampler(0.2, 5.0),
         doc="Morgan-Mercer-Flodin form (theta0*x^theta1 + theta2*theta3)/(x^theta1 + theta3)",
     ),
     ModelDef(
@@ -351,8 +327,8 @@ KINETICS_MODELS = [
         grad=_mm_parallel_grad,
         params=(_p("v1"), _p("k1"), _p("v2"), _p("k2")),
         input_low=0.0,
-        theta_sampler=_pos_sampler([0.3, 0.3, 0.3, 0.3], [3.0, 3.0, 3.0, 3.0]),
-        input_sampler=_usampler(0.0, 5.0),
+        theta_sampler=box_sampler([0.3, 0.3, 0.3, 0.3], [3.0, 3.0, 3.0, 3.0]),
+        input_sampler=input_sampler(0.0, 5.0),
         doc="sum of two independent hyperbolas",
     ),
     ModelDef(
@@ -363,8 +339,8 @@ KINETICS_MODELS = [
         params=(_p("e0"), _p("k1"), _p("k2"), _p("k3"), _p("k4")),
         input_dim=2,
         input_low=0.0,
-        theta_sampler=_pos_sampler([0.3] * 5, [3.0] * 5),
-        input_sampler=_pair_sampler(0.1, 4.0),
+        theta_sampler=box_sampler([0.3] * 5, [3.0] * 5),
+        input_sampler=input_sampler(0.1, 4.0, size=2),
         doc="chained transport e0*(k1*k3*s - k2*k4*i)/(k2 + k3 + k1*s + k4*i)",
     ),
     ModelDef(
@@ -374,8 +350,8 @@ KINETICS_MODELS = [
         grad=_photo_pmax_grad,
         params=(_p("p0"), _p("efficiency")),
         input_low=0.0,
-        theta_sampler=_pos_sampler([0.3, 0.3], [3.0, 3.0]),
-        input_sampler=_usampler(0.0, 5.0),
+        theta_sampler=box_sampler([0.3, 0.3], [3.0, 3.0]),
+        input_sampler=input_sampler(0.0, 5.0),
         doc="saturating photosynthetic response p0*eta*c / (p0 + eta*c)",
     ),
     ModelDef(
@@ -385,8 +361,8 @@ KINETICS_MODELS = [
         grad=_leaf_response_grad,
         params=(_p("efficiency"), _p("pmax"), ParamSpec("respiration", low=0.0, strict=False)),
         input_low=0.0,
-        theta_sampler=_pos_sampler([0.3, 0.3, 0.0], [3.0, 3.0, 1.0]),
-        input_sampler=_usampler(0.0, 5.0),
+        theta_sampler=box_sampler([0.3, 0.3, 0.0], [3.0, 3.0, 1.0]),
+        input_sampler=input_sampler(0.0, 5.0),
         doc="light-flux response a*I*pmax/(a*I + pmax) - rd",
     ),
 ]

@@ -70,7 +70,10 @@ class SummaryVariable:
             raise DomainError(f"unknown variable type {self.type!r}; pick one of {VARIABLE_TYPES}")
 
     def check_value(self, v) -> float:
-        v = float(v)
+        try:
+            v = float(v)
+        except (TypeError, ValueError):
+            raise DomainError(f"variable '{self.name}': value {v!r} is not a number") from None
         if not np.isfinite(v):
             raise DomainError(f"variable '{self.name}': values must be finite")
         if self.type in ("integer", "nonneg-integer") and v != int(v):

@@ -201,15 +201,26 @@ def test_lp_with_fit_produces_vsd(tmp_path, capsys):
     assert report["vsd_method"] == "delta"
 
 
-def test_lp_fit_report_without_theta_hat_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "report, named",
+    [
+        ({"model": "one-hit", "info": [[1.0]]}, "theta_hat"),
+        ({"theta_hat": ["abc"], "info": [[1.0]]}, "'abc'"),
+        ({"theta_hat": [1.0], "s2": "x", "info": [[1.0]]}, "'x'"),
+        ({"theta_hat": [1.0], "info": [["abc"]]}, "'abc'"),
+        ({"theta_hat": [1.0, 2.0], "info": [[1.0, 0.0], [0.0]]}, "fit report"),
+    ],
+    ids=["no-theta_hat", "text-theta_hat", "text-s2", "text-info", "ragged-info"],
+)
+def test_lp_fit_malformed_report_exit_2(tmp_path, capsys, report, named):
     fit_path = tmp_path / "bad.json"
-    fit_path.write_text(json.dumps({"model": "one-hit", "info": [[1.0]]}))
+    fit_path.write_text(json.dumps(report))
     code, out, err = run_cli(
         capsys, "lp", "--model", "one-hit", "--theta", "1", "--p", "0.1", "--fit", str(fit_path)
     )
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1 and "theta_hat" in err
+    assert err.count("\n") == 1 and named in err
 
 
 def test_lp_unattainable_exit_3(capsys):
@@ -235,6 +246,37 @@ def test_fisher_command_row_major(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["info"] == [[1.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "model, theta",
+    [("mm-two-substrate", [2.0, 1.0, 1.0, 1.0]), ("mm-series", [1.0, 2.0, 0.5, 1.5, 0.8])],
+    ids=["mm-two-substrate", "mm-series"],
+)
+def test_fisher_two_input_pairs(capsys, model, theta):
+    pairs = [[1.0, 2.0], [3.0, 0.5], [0.2, 4.0]]
+    code, out, _ = run_cli(
+        capsys, "fisher", "--model", model, "--theta", ",".join(map(str, theta)),
+        "--at", ",".join(f"{x1}:{x2}" for x1, x2 in pairs),
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["design"] == pairs
+    assert report["info"] == ba.fisher.total_info(model, pairs, theta).entries.tolist()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [(("--grid", "0.1:4:5"), "--at"), (("--at", "1:2,3"), "x1:x2"), (("--at", "1:x"), "--at")],
+    ids=["grid", "unpaired", "text"],
+)
+def test_fisher_two_input_bad_design_exit_2(capsys, flags, named):
+    code, out, err = run_cli(
+        capsys, "fisher", "--model", "mm-two-substrate", "--theta", "2,1,1,1", *flags
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and named in err
 
 
 def test_fisher_multi_hit_large_hit_count(capsys):
@@ -290,6 +332,13 @@ def test_tables_malformed_exit_2(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run_cli(capsys, "tables", "--input", str(path))
     assert code == 2
+    obj = json.loads(json.dumps(DIPTYCH))
+    obj["tables"][0]["cells"][0]["value"] = "abc"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "tables", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "'count'" in err
 
 
 # -- simulate-bd -------------------------------------------------------------------------
@@ -345,6 +394,36 @@ def test_simulate_bd_bins_needs_replicates(capsys):
     )
     assert code == 2
     assert "replicates" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [("--replicates", "0"), ("--replicates", "3", "--bins", "0")], ids=["replicates", "bins"]
+)
+def test_simulate_bd_zero_counts_exit_2(capsys, flags):
+    code, out, err = run_cli(
+        capsys, "simulate-bd", "--birth", "0", "--death", "1", "--t-end", "50", "--seed", "4", *flags
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and ">= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tables", "--input"),
+        ("lp", "--model", "one-hit", "--theta", "1", "--p", "0.1", "--fit"),
+        ("fit", "--model", "mm", "--theta", "1,1", "--input"),
+    ],
+    ids=["tables", "lp-fit", "fit"],
+)
+def test_non_utf8_input_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "utf-8" in err
 
 
 def test_module_entry_point():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.optimize import minimize_scalar
 
 import bioassay as ba
@@ -11,6 +12,7 @@ from bioassay.exceptions import DomainError, SeparationError
 from bioassay.fisher import WeibullSample
 from bioassay.fitting import (
     BinaryDataset,
+    FitResult,
     RegressionDataset,
     fit_least_squares,
     fit_logit,
@@ -270,3 +272,57 @@ def test_ks_power_against_wrong_rate():
 def test_ks_rejects_empty():
     with pytest.raises(DomainError):
         ks_test([], ("one-hit", [1.0]))
+
+
+def test_ks_rejects_nan_cdf_values():
+    with pytest.raises(DomainError):
+        ks_test([0.1, 0.2, 0.3], lambda x: float("nan"))
+
+
+def test_ks_exact_quantiles_have_p_value_one():
+    # sqrt(n) D = 0.01: the truncated alternating series gave 0.867 here
+    n = 2500
+    xs = -np.log1p(-(np.arange(1, n + 1) - 0.5) / n)
+    assert ks_test(xs, ("one-hit", [1.0])).p_value == 1.0
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000])
+def test_ks_p_value_matches_scipy_asymptotic(n):
+    xs = np.random.default_rng(n).exponential(1.0 / 1.2, n)
+    res = ks_test(xs, ("one-hit", [1.0]))
+    ref = stats.kstest(xs, stats.expon.cdf, method="asymp")
+    assert res.statistic == pytest.approx(ref.statistic, abs=1e-12)
+    assert res.p_value == pytest.approx(ref.pvalue, abs=1e-12)
+
+
+# -- fit reports -----------------------------------------------------------------
+
+def _weibull_fit():
+    times = _weibull_times(np.random.default_rng(2), 1.0, 1.4, 200)
+    return weibull_mle(WeibullSample(times, np.ones(times.size, dtype=int)))
+
+
+def _gn_fit():
+    xs = np.linspace(0.2, 5.0, 30)
+    y = ba.evaluate("mm", xs, [2.0, 1.0]) + 0.01 * np.random.default_rng(4).standard_normal(30)
+    return fit_least_squares("mm", RegressionDataset(xs, y), [1.0, 1.0])
+
+
+def _logit_fit():
+    rng = np.random.default_rng(6)
+    x1 = rng.standard_normal(300)
+    y = (rng.random(300) < 1.0 / (1.0 + np.exp(-(0.3 + 0.8 * x1)))).astype(float)
+    return fit_logit(BinaryDataset(x1, y))
+
+
+@pytest.mark.parametrize("make_fit", [_gn_fit, _weibull_fit, _logit_fit], ids=["gn", "weibull", "logit"])
+def test_fit_report_round_trip(make_fit):
+    fit = make_fit()
+    back = FitResult.from_dict(fit.to_dict())
+    assert np.array_equal(back.theta_hat, fit.theta_hat)
+    assert back.objective == fit.objective
+    assert back.s2 == fit.s2
+    assert np.array_equal(back.info.entries, fit.info.entries)
+    assert back.info.sigma2 == fit.info.sigma2
+    assert (back.converged, back.iterations, back.model) == (fit.converged, fit.iterations, fit.model)
+    assert (back.objective_kind, back.message) == (fit.objective_kind, fit.message)

@@ -1,6 +1,7 @@
 """Percentile inversion and delta-method safe-dose bounds."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -21,10 +22,21 @@ def test_multistage_unit_point():
     assert percentile(q) == pytest.approx(1.0, rel=1e-10)
 
 
-def test_weibull_closed_form_and_bisection_agree():
-    q = PercentileQuery("weibull-cdf", (1.0, 2.0), 0.5, risk_type="total")
+@pytest.mark.parametrize(
+    "model, theta, p, exact",
+    [
+        ("one-hit", (1.5,), 0.1, -math.log(0.9) / 1.5),
+        ("weibull-cdf", (1.0, 2.0), 0.5, math.sqrt(math.log(2.0))),
+        ("logit-cdf", (-1.0, 2.0), 0.1, (math.log(0.1 / 0.9) + 1.0) / 2.0),
+        ("probit-cdf", (-1.0, 2.0), 0.1, (NormalDist().inv_cdf(0.1) + 1.0) / 2.0),
+    ],
+    ids=["one-hit", "weibull-cdf", "logit-cdf", "probit-cdf"],
+)
+def test_closed_form_and_bisection_agree(model, theta, p, exact):
+    assert ba.get_model(model).inverse is not None
+    q = PercentileQuery(model, theta, p, risk_type="total")
     closed = percentile(q, method="closed")
-    assert closed == pytest.approx(math.sqrt(math.log(2.0)), rel=1e-12)
+    assert closed == pytest.approx(exact, rel=1e-12)
     assert abs(closed - percentile(q, method="bisect")) < 1e-10
 
 
