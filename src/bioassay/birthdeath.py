@@ -2,8 +2,10 @@
 
 At population i the total event rate is i*(b + d): exponential waiting
 times, each event a birth with probability b/(b+d).  The simulation is
-exact and event-driven; replicate RNG streams derive deterministically
-from (seed, replicate index).
+the exact jump chain, drawn for all running clones at once in blocks of
+steps from one generator seeded by ``spec.seed``.  A replicate study
+with n clones is therefore deterministic for a fixed (seed, n), and its
+one-clone case is the end state of ``simulate_bd``.
 
 First-event times for hazard studies are defined by a population
 threshold: extinction studies use no threshold and record extinction,
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DomainError, NotConvergedError
 
 __all__ = [
     "BirthDeathSpec",
@@ -29,6 +31,11 @@ __all__ = [
 ]
 
 MAX_POPULATION = 100_000_000
+MAX_TRAJECTORY_EVENTS = 10_000_000  # recorded events of one trajectory (memory guard)
+_BLOCK_CELLS = 1 << 16  # steps drawn per block, over all running clones
+
+_RUNNING, _CENSORED, _EXTINCT, _ONSET, _TRUNCATED = range(5)
+_OUTCOMES = (None, "censored", "extinct", "onset", "truncated")
 
 
 @dataclass(frozen=True)
@@ -71,38 +78,74 @@ class Trajectory:
         return int(self.populations[-1])
 
 
-def _rng_for(seed: int, replicate: int | None = None):
-    key = (int(seed),) if replicate is None else (int(seed), int(replicate))
-    return np.random.default_rng(key)
+def _run(spec: BirthDeathSpec, n: int, threshold: int | None, max_population: int, record: bool = False):
+    """Exact jump chains of ``n`` independent clones, drawn in blocks of steps.
 
-
-def _run(spec: BirthDeathSpec, rng, threshold: int | None, max_population: int, record: bool):
-    t = 0.0
-    pop = int(spec.i0)
+    Each block draws k birth/death steps and k unit exponentials for every
+    running clone; populations and event times are cumulative sums, and a
+    clone stops at its first step that lies past t_end (censored, the step
+    is not taken), empties the clone (extinct), reaches ``threshold``
+    (onset) or exceeds ``max_population`` (truncated), in that precedence.
+    Clones still running carry their last (t, pop) into the next block.
+    Returns the stop times (t_end when censored) and outcome codes; with
+    ``record`` (n = 1) also the event times and populations from (0, i0).
+    """
+    rng = np.random.default_rng(spec.seed)
     total = spec.b + spec.d
     p_birth = spec.b / total
-    times = [0.0]
-    pops = [pop]
-    truncated = False
-    hit_time = None
-    if threshold is not None and pop >= threshold:
-        hit_time = 0.0
-    while pop > 0 and hit_time is None:
-        dt = rng.exponential(1.0 / (pop * total))
-        if t + dt > spec.t_end:
-            t = spec.t_end
-            break
-        t += dt
-        pop += 1 if rng.random() < p_birth else -1
+    t = np.zeros(n)
+    pop = np.full(n, int(spec.i0), dtype=np.int64)
+    state = np.full(n, _RUNNING, dtype=np.int8)
+    if threshold is not None and spec.i0 >= threshold:
+        state[:] = _ONSET
+    times_rec, pops_rec = [np.zeros(1)], [pop[:1].copy()]
+    events = 0
+    live = np.flatnonzero(state == _RUNNING)
+    k = 16
+    while live.size:
+        m = live.size
+        width = max(1, min(k, _BLOCK_CELLS // m))
+        k = min(2 * k, _BLOCK_CELLS)
+        rows = np.arange(m)
+        pops = pop[live, None] + np.where(rng.random((m, width)) < p_birth, 1, -1).cumsum(axis=1)
+        before = np.empty_like(pops)
+        before[:, 0] = pop[live]
+        before[:, 1:] = pops[:, :-1]
+        # columns past a row's stop can divide by a zero or negative population
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dt = rng.standard_exponential((m, width)) / (before * total)
+            dt[:, 0] += t[live]
+            times = dt.cumsum(axis=1)
+            late = times > spec.t_end
+        stop = late | (pops == 0) | (pops > max_population)
+        if threshold is not None:
+            stop |= pops >= threshold
+        stopped = stop.any(axis=1)
+        col = np.where(stopped, stop.argmax(axis=1), width - 1)
+        censored = late[rows, col]
+        t_new, p_new = times[rows, col], pops[rows, col]
+        code = np.where(stopped, _TRUNCATED, _RUNNING).astype(np.int8)
+        if threshold is not None:
+            code[stopped & (p_new >= threshold)] = _ONSET
+        code[stopped & (p_new == 0)] = _EXTINCT
+        code[censored] = _CENSORED
+        t[live] = np.where(censored, spec.t_end, t_new)
+        pop[live] = p_new  # read again only while running
+        state[live] = code
         if record:
-            times.append(t)
-            pops.append(pop)
-        if threshold is not None and pop >= threshold:
-            hit_time = t
-        if pop > max_population:
-            truncated = True
-            break
-    return t, pop, times, pops, truncated, hit_time
+            taken = int(col[0]) + 1 - int(censored[0])
+            times_rec.append(times[0, :taken])
+            pops_rec.append(pops[0, :taken])
+            events += taken
+            if events > MAX_TRAJECTORY_EVENTS:
+                raise NotConvergedError(
+                    f"trajectory passed {MAX_TRAJECTORY_EVENTS} events before t = {spec.t_end}; "
+                    "shorten the horizon or simulate replicates instead"
+                )
+        live = live[code == _RUNNING]
+    if record:
+        return t, state, np.concatenate(times_rec), np.concatenate(pops_rec)
+    return t, state
 
 
 def simulate_bd(spec: BirthDeathSpec, max_population: int = MAX_POPULATION) -> Trajectory:
@@ -110,15 +153,15 @@ def simulate_bd(spec: BirthDeathSpec, max_population: int = MAX_POPULATION) -> T
 
     Stops at extinction or the horizon; a population beyond
     ``max_population`` stops the run with the truncation flag set
-    (explosion guard).
+    (explosion guard).  A trajectory of more than ``MAX_TRAJECTORY_EVENTS``
+    events raises NotConvergedError (memory guard).
     """
-    rng = _rng_for(spec.seed)
-    _t, pop, times, pops, truncated, _hit = _run(spec, rng, None, max_population, record=True)
+    _t, state, times, pops = _run(spec, 1, None, max_population, record=True)
     return Trajectory(
-        times=np.asarray(times),
-        populations=np.asarray(pops, dtype=int),
-        extinct=pop == 0,
-        truncated=truncated,
+        times=times,
+        populations=pops,
+        extinct=bool(state[0] == _EXTINCT),
+        truncated=bool(state[0] == _TRUNCATED),
         t_end=spec.t_end,
     )
 
@@ -136,7 +179,7 @@ def simulate_replicates(
     threshold: int | None = None,
     max_population: int = MAX_POPULATION,
 ) -> list[Replicate]:
-    """Independent replicates with per-replicate RNG streams.
+    """Independent replicates, simulated together by one seeded generator.
 
     With ``threshold`` None the recorded event is extinction; otherwise
     it is the first time the population reaches the threshold.  Runs
@@ -146,20 +189,8 @@ def simulate_replicates(
         raise DomainError("n_replicates must be >= 1")
     if threshold is not None and threshold < 1:
         raise DomainError("threshold must be >= 1")
-    out = []
-    for i in range(n_replicates):
-        rng = _rng_for(spec.seed, i)
-        t, pop, _times, _pops, truncated, hit = _run(spec, rng, threshold, max_population, record=False)
-        if threshold is not None and hit is not None:
-            rep = Replicate(i, "onset", hit)
-        elif pop == 0:
-            rep = Replicate(i, "extinct", t)
-        elif truncated:
-            rep = Replicate(i, "truncated", t)
-        else:
-            rep = Replicate(i, "censored", spec.t_end)
-        out.append(rep)
-    return out
+    t, state = _run(spec, n_replicates, threshold, max_population)
+    return [Replicate(i, _OUTCOMES[s], ti) for i, (s, ti) in enumerate(zip(state.tolist(), t.tolist()))]
 
 
 def empirical_hazard(event_times, bins: int, t_range: tuple[float, float] | None = None):
@@ -170,6 +201,8 @@ def empirical_hazard(event_times, bins: int, t_range: tuple[float, float] | None
     times = np.sort(np.asarray(event_times, dtype=float))
     if times.size == 0:
         raise DomainError("no event times supplied")
+    if np.isnan(times[-1]):  # NaN sorts last
+        raise DomainError("event times must not be NaN")
     if bins < 1:
         raise DomainError("bins must be >= 1")
     lo, hi = t_range if t_range is not None else (0.0, float(times.max()))
@@ -177,20 +210,13 @@ def empirical_hazard(event_times, bins: int, t_range: tuple[float, float] | None
         raise DomainError(f"empty time range ({lo}, {hi})")
     edges = np.linspace(lo, hi, bins + 1)
     width = edges[1] - edges[0]
-    mids = []
-    rates = []
-    for j in range(bins):
-        left, right = edges[j], edges[j + 1]
-        at_risk = int(np.sum(times >= left))
-        if at_risk == 0:
-            continue
-        if j == bins - 1:
-            events = int(np.sum((times >= left) & (times <= right)))
-        else:
-            events = int(np.sum((times >= left) & (times < right)))
-        mids.append(0.5 * (left + right))
-        rates.append(events / (at_risk * width))
-    return np.asarray(mids), np.asarray(rates)
+    # sorted positions of the edges: bin j holds [edge j, edge j+1), the last bin is closed
+    pos = np.searchsorted(times, edges, side="left")
+    pos[-1] = np.searchsorted(times, edges[-1], side="right")
+    at_risk = times.size - pos[:-1]
+    keep = at_risk > 0
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    return mids[keep], np.diff(pos)[keep] / (at_risk[keep] * width)
 
 
 def ad_hazard_fit(event_times, k: int, t0: float = 0.0) -> float:

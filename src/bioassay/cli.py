@@ -385,8 +385,11 @@ def cmd_tables(args) -> int:
 
 def cmd_simulate_bd(args) -> int:
     spec = BirthDeathSpec(b=args.birth, d=args.death, i0=args.i0, t_end=args.t_end, seed=_seed(args))
-    if args.bins is not None and args.replicates is None:
-        raise DomainError("--bins summarizes replicate event times; give --replicates too")
+    if args.replicates is None and (args.bins is not None or args.threshold is not None):
+        flag = "--bins" if args.bins is not None else "--threshold"
+        raise DomainError(f"{flag} applies to replicate studies; give --replicates too")
+    if args.bins is not None and args.bins < 1:
+        raise DomainError("bins must be >= 1")
     if args.replicates is not None:
         reps = simulate_replicates(spec, args.replicates, threshold=args.threshold)
         if args.bins is not None:

@@ -1,10 +1,13 @@
 """Birth-death simulation: exactness properties, oracles, hazard estimation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from bioassay import birthdeath
 from bioassay.birthdeath import (
     BirthDeathSpec,
     ad_hazard_fit,
@@ -12,7 +15,7 @@ from bioassay.birthdeath import (
     simulate_bd,
     simulate_replicates,
 )
-from bioassay.exceptions import DomainError
+from bioassay.exceptions import DomainError, NotConvergedError
 
 
 def extinction_probability(b, d, t, i0=1):
@@ -102,6 +105,100 @@ def test_replicates_deterministic():
     assert simulate_replicates(spec, 50) == simulate_replicates(spec, 50)
 
 
+@pytest.mark.parametrize(
+    "b, d, i0, t_end",
+    [(1.0, 1.0, 1, 2.0), (0.5, 1.0, 2, 3.0), (1.5, 0.5, 1, 3.0), (1.3, 0.9, 3, 4.0)],
+    ids=["critical", "subcritical", "supercritical", "i0=3"],
+)
+def test_extinction_times_follow_kendall_law(b, d, i0, t_end):
+    """Extinct replicates: share P0(t_end)^i0, times distributed as P0(t)^i0 / P0(t_end)^i0."""
+    n = 20_000
+    reps = simulate_replicates(BirthDeathSpec(b=b, d=d, i0=i0, t_end=t_end, seed=41), n)
+    times = np.array([r.time for r in reps if r.outcome == "extinct"])
+    assert all(r.outcome in ("extinct", "censored") for r in reps)
+    want = extinction_probability(b, d, t_end, i0)
+    assert abs(times.size / n - want) < 3.5 * math.sqrt(want * (1.0 - want) / n)
+    cdf = np.vectorize(lambda t: extinction_probability(b, d, t, i0) / want)
+    assert stats.kstest(times, cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("b, d, i0, threshold", [(1.5, 1.0, 2, 20), (1.2, 1.0, 1, 5)])
+def test_onset_share_matches_gamblers_ruin(b, d, i0, threshold):
+    n = 20_000
+    reps = simulate_replicates(BirthDeathSpec(b=b, d=d, i0=i0, t_end=200.0, seed=43), n, threshold=threshold)
+    assert {r.outcome for r in reps} == {"onset", "extinct"}
+    r = d / b
+    want = (1.0 - r**i0) / (1.0 - r**threshold)
+    share = np.mean([rep.outcome == "onset" for rep in reps])
+    assert abs(share - want) < 3.5 * math.sqrt(want * (1.0 - want) / n)
+
+
+def test_replicates_truncated_past_max_population():
+    b, d, cap, n = 2.0, 0.5, 50, 5000
+    reps = simulate_replicates(BirthDeathSpec(b=b, d=d, i0=1, t_end=1e3, seed=47), n, max_population=cap)
+    assert {r.outcome for r in reps} == {"truncated", "extinct"}
+    assert all(0 < r.time < 1e3 for r in reps)
+    r = d / b
+    want = (1.0 - r) / (1.0 - r ** (cap + 1))  # reaches cap + 1 before 0
+    share = np.mean([rep.outcome == "truncated" for rep in reps])
+    assert abs(share - want) < 3.5 * math.sqrt(want * (1.0 - want) / n)
+
+
+@pytest.mark.parametrize("threshold", [40, 50, 51])
+def test_onset_wins_over_truncation(threshold):
+    spec = BirthDeathSpec(b=2.0, d=0.5, i0=1, t_end=1e3, seed=53)
+    reps = simulate_replicates(spec, 2000, threshold=threshold, max_population=50)
+    assert {r.outcome for r in reps} == {"onset", "extinct"}
+
+
+def test_one_replicate_is_end_of_trajectory():
+    specs = [
+        (BirthDeathSpec(b=1.0, d=1.0, i0=2, t_end=3.0), 10**8),
+        (BirthDeathSpec(b=0.0, d=1.0, i0=1, t_end=100.0), 10**8),
+        (BirthDeathSpec(b=1.0, d=1.0, i0=3, t_end=0.05), 10**8),
+        (BirthDeathSpec(b=2.0, d=1.0, i0=1, t_end=50.0), 30),
+    ]
+    seen = set()
+    for base, cap in specs:
+        for seed in range(20):
+            spec = BirthDeathSpec(b=base.b, d=base.d, i0=base.i0, t_end=base.t_end, seed=seed)
+            (rep,) = simulate_replicates(spec, 1, max_population=cap)
+            traj = simulate_bd(spec, max_population=cap)
+            if traj.extinct:
+                assert (rep.outcome, rep.time) == ("extinct", traj.extinction_time)
+            elif traj.truncated:
+                assert (rep.outcome, rep.time) == ("truncated", traj.times[-1])
+            else:
+                assert (rep.outcome, rep.time) == ("censored", spec.t_end)
+            seen.add(rep.outcome)
+            # the same draws give the first passage of a threshold the trajectory reaches
+            reached = np.flatnonzero(traj.populations >= base.i0 + 2)
+            if reached.size:
+                (onset,) = simulate_replicates(spec, 1, threshold=base.i0 + 2, max_population=cap)
+                assert (onset.outcome, onset.time) == ("onset", traj.times[reached[0]])
+                seen.add("onset")
+    assert seen == {"extinct", "truncated", "censored", "onset"}
+
+
+def test_kernel_emits_no_runtime_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate_replicates(BirthDeathSpec(b=0.0, d=1.0, i0=3, t_end=100.0, seed=59), 500)
+        simulate_replicates(BirthDeathSpec(b=1.0, d=1.0, i0=1, t_end=20.0, seed=59), 500)
+        simulate_replicates(BirthDeathSpec(b=1.5, d=1.0, i0=1, t_end=40.0, seed=59), 500, threshold=100)
+        simulate_replicates(BirthDeathSpec(b=3.0, d=0.0, i0=1, t_end=1e3, seed=59), 50, max_population=1000)
+        simulate_bd(BirthDeathSpec(b=0.5, d=2.0, i0=5, t_end=100.0, seed=59))
+        simulate_bd(BirthDeathSpec(b=2.0, d=1.0, i0=1, t_end=8.0, seed=59))
+
+
+def test_trajectory_event_budget(monkeypatch):
+    monkeypatch.setattr(birthdeath, "MAX_TRAJECTORY_EVENTS", 1000)
+    short = simulate_bd(BirthDeathSpec(b=2.0, d=1.0, i0=20, t_end=1.0, seed=61))
+    assert short.times.size - 1 <= 1000
+    with pytest.raises(NotConvergedError, match="1000 events"):
+        simulate_bd(BirthDeathSpec(b=2.0, d=1.0, i0=20, t_end=12.0, seed=61))
+
+
 def test_spec_validation():
     with pytest.raises(DomainError):
         BirthDeathSpec(b=-1.0, d=1.0)
@@ -136,6 +233,32 @@ def test_single_bin_total_rate():
     mids, rates = empirical_hazard(times, bins=1)
     assert mids[0] == pytest.approx(2.0)
     assert rates[0] == pytest.approx(4 / (4 * 4.0))
+
+
+def test_empirical_hazard_matches_per_bin_counts():
+    """Sorted-position counts give the same rates, bit for bit, as counting each bin."""
+    rng = np.random.default_rng(67)
+    for trial in range(200):
+        times = np.round(rng.exponential(1.0, int(rng.integers(1, 300))), int(rng.integers(1, 4)))
+        bins = int(rng.integers(1, 12))
+        t_range = None if trial % 2 else (0.0, float(rng.uniform(0.2, 2.0)))
+        lo, hi = t_range if t_range is not None else (0.0, float(times.max()))
+        edges = np.linspace(lo, hi, bins + 1)
+        want_mids, want_rates = [], []
+        for j in range(bins):
+            at_risk = int(np.sum(times >= edges[j]))
+            if at_risk:
+                upper = times <= edges[j + 1] if j == bins - 1 else times < edges[j + 1]
+                want_mids.append(0.5 * (edges[j] + edges[j + 1]))
+                want_rates.append(int(np.sum((times >= edges[j]) & upper)) / (at_risk * (edges[1] - edges[0])))
+        mids, rates = empirical_hazard(times, bins, t_range)
+        assert mids.tolist() == want_mids
+        assert rates.tolist() == want_rates
+
+
+def test_empirical_hazard_rejects_nan():
+    with pytest.raises(DomainError, match="NaN"):
+        empirical_hazard([0.5, float("nan")], bins=2, t_range=(0.0, 1.0))
 
 
 def test_empirical_hazard_rejects_empty():

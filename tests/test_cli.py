@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 import bioassay as ba
+from bioassay import birthdeath
 from bioassay.cli import CURVE_GALLERY, main
 
 
@@ -408,6 +410,34 @@ def test_simulate_bd_zero_counts_exit_2(capsys, flags):
     assert err.count("\n") == 1 and ">= 1" in err
 
 
+def test_simulate_bd_bins_checked_before_simulating(capsys):
+    # every replicate is censored, so a late check would report "no events observed"
+    code, out, err = run_cli(
+        capsys, "simulate-bd", "--birth", "1", "--death", "0.01", "--t-end", "0.05", "--seed", "1",
+        "--replicates", "3", "--bins", "0",
+    )
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and ">= 1" in err
+
+
+@pytest.mark.parametrize("threshold", ["0", "5"])
+def test_simulate_bd_threshold_needs_replicates(capsys, threshold):
+    code, out, err = run_cli(
+        capsys, "simulate-bd", "--birth", "1", "--death", "1", "--t-end", "0.5", "--threshold", threshold
+    )
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "--threshold" in err and "--replicates" in err
+
+
+def test_simulate_bd_event_budget_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(birthdeath, "MAX_TRAJECTORY_EVENTS", 1000)
+    code, out, err = run_cli(
+        capsys, "simulate-bd", "--birth", "2", "--death", "1", "--i0", "20", "--t-end", "12", "--seed", "3"
+    )
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "1000 events" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -430,10 +460,13 @@ def test_module_entry_point():
     import subprocess
     import sys
 
+    src = os.path.dirname(os.path.dirname(ba.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "bioassay", "eff", "--rho12", "0", "--rhoy21", "0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["eff"] == 1.0
