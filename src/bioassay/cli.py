@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -125,19 +126,27 @@ def _read_csv(path: str, columns: tuple[str, ...]):
             raise CsvError(
                 f"{path}: line 1: expected header {','.join(columns)}, got {','.join(header)}"
             )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(columns):
-                raise CsvError(f"{path}: line {lineno}: expected {len(columns)} fields, got {len(row)}")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise CsvError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
+        rows = list(reader)
+    width = len(columns)
+    if rows and all(len(row) == width for row in rows):
+        try:
+            return np.array(list(map(float, chain.from_iterable(rows)))).reshape(-1, width)
+        except ValueError:
+            pass
+    # a blank row to skip or a bad field: walk the rows to find the line
+    data = []
+    for lineno, row in enumerate(rows, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != width:
+            raise CsvError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+        try:
+            data.append([float(cell) for cell in row])
+        except ValueError as exc:
+            raise CsvError(f"{path}: line {lineno}: {exc}") from None
+    if not data:
         raise CsvError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    return np.asarray(data, dtype=float)
 
 
 # -- fit -------------------------------------------------------------------------
@@ -218,13 +227,6 @@ def _render_svg(grid, series) -> str:
     if yhi == ylo:
         ylo, yhi = ylo - 1.0, yhi + 1.0
     xlo, xhi = float(grid.min()), float(grid.max())
-
-    def sx(x):
-        return pad + (x - xlo) / (xhi - xlo) * (width - 2 * pad)
-
-    def sy(y):
-        return height - pad - (y - ylo) / (yhi - ylo) * (height - 2 * pad)
-
     colors = ("black", "firebrick", "steelblue", "darkgreen")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(width)}" height="{int(height)}" '
@@ -235,12 +237,10 @@ def _render_svg(grid, series) -> str:
         f'y2="{_fmt(height - pad)}" stroke="gray"/>',
     ]
     for idx, (model_id, vals) in enumerate(series):
-        pts = [
-            (sx(x), sy(y))
-            for x, y in zip(grid, vals)
-            if np.isfinite(y)
-        ]
-        parts.append(_svg_polyline(pts, colors[idx % len(colors)]))
+        keep = np.isfinite(vals)
+        sx = pad + (grid[keep] - xlo) / (xhi - xlo) * (width - 2 * pad)
+        sy = height - pad - (vals[keep] - ylo) / (yhi - ylo) * (height - 2 * pad)
+        parts.append(_svg_polyline(zip(sx.tolist(), sy.tolist()), colors[idx % len(colors)]))
         parts.append(
             f'<text x="{_fmt(width - pad)}" y="{_fmt(pad + 16 * idx)}" text-anchor="end" '
             f'fill="{colors[idx % len(colors)]}" font-size="12">{model_id}</text>'

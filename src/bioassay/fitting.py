@@ -37,6 +37,7 @@ __all__ = [
 
 SCORE_TOL = 1e-8
 SSE_REL_TOL = 1e-10
+_HALVINGS = 0.5 ** np.arange(25)  # Gauss-Newton step scales 1, 1/2, ..., 2^-24
 
 
 @dataclass(frozen=True)
@@ -156,12 +157,15 @@ def weibull_log_likelihood(sample: WeibullSample, theta: float, s: float) -> flo
     if not theta > 0 or not s > 0:
         raise DomainError("theta and s must both be > 0")
     t = sample.times
-    ev = sample.event_flags == 1
     with np.errstate(over="ignore"):
-        return float(
-            np.sum(np.log(s) + s * np.log(theta) + (s - 1.0) * np.log(t[ev]))
-            - theta**s * np.sum(t**s)
-        )
+        sum_ts = np.sum(t**s)
+    return _weibull_ll(theta, s, np.log(t[sample.event_flags == 1]), sum_ts)
+
+
+def _weibull_ll(theta: float, s: float, log_t_events: np.ndarray, sum_ts) -> float:
+    """The censored log-likelihood from the event log-times and sum t_i^s."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.log(s) + s * np.log(theta) + (s - 1.0) * log_t_events) - theta**s * sum_ts)
 
 
 def weibull_score(sample: WeibullSample, theta: float, s: float) -> np.ndarray:
@@ -191,7 +195,11 @@ def weibull_theta_star(sample: WeibullSample, s: float) -> float:
     d = sample.d
     if d < 1:
         raise DomainError("no events observed: the rate MLE is at the boundary")
-    return float((d / np.sum(sample.times**s)) ** (1.0 / s))
+    return _theta_star(d, np.sum(sample.times**s), s)
+
+
+def _theta_star(d: int, sum_ts, s: float) -> float:
+    return float((d / sum_ts) ** (1.0 / s))
 
 
 def _golden_max(f, lo, hi, tol=1e-7, max_iter=200):
@@ -231,9 +239,16 @@ def weibull_mle(
     if sample.d < 2:
         raise DomainError("need at least two events to estimate (theta, s)")
     lo, hi = s_bounds
+    t, d = sample.times, sample.d
+    log_t_events = np.log(t[sample.event_flags == 1])
 
     def profile(s):
-        return weibull_log_likelihood(sample, weibull_theta_star(sample, s), s)
+        # weibull_log_likelihood at (weibull_theta_star(s), s), with t**s taken once
+        sum_ts = np.sum(t**s)
+        theta = _theta_star(d, sum_ts, s)
+        if not theta > 0:
+            raise DomainError("theta and s must both be > 0")
+        return _weibull_ll(theta, s, log_t_events, sum_ts)
 
     s_hat, golden_iters = _golden_max(profile, lo, hi)
     theta_hat = weibull_theta_star(sample, s_hat)
@@ -361,20 +376,14 @@ def fit_least_squares(
                 continue
             step = np.zeros(p)
             step[active] = step_a
-            scale = 1.0
-            for _ in range(25):
-                cand = theta + scale * step
-                try:
-                    m.check_theta(cand)
-                except DomainError:
-                    scale *= 0.5
-                    continue
+            # step halving; candidates outside the domain are skipped in one test
+            cands = theta + _HALVINGS[:, None] * step
+            for cand in cands[m.admits(cands)]:
                 r_new = residuals(cand)
                 sse_new = float(r_new @ r_new)
                 if np.isfinite(sse_new) and sse_new <= sse:
                     improved = True
                     break
-                scale *= 0.5
             if improved:
                 break
         if not improved:

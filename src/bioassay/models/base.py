@@ -74,6 +74,17 @@ class ParamSpec:
     strict: bool = True
     integer: bool = False
 
+    def admits(self, values) -> np.ndarray:
+        """Elementwise: which values :meth:`check` accepts, without raising."""
+        ok = np.isfinite(values)
+        if self.integer:
+            ok &= values == np.trunc(values)
+        if self.low is not None:
+            ok &= (values > self.low) if self.strict else (values >= self.low)
+        if self.high is not None:
+            ok &= (values < self.high) if self.strict else (values <= self.high)
+        return ok
+
     def check(self, value: float, index: int, model_id: str) -> None:
         if not np.isfinite(value):
             raise DomainError(f"{model_id}: parameter '{self.name}' (theta[{index}]) must be finite")
@@ -151,6 +162,17 @@ class ModelDef:
             for i, value in enumerate(theta):
                 self.variadic_param.check(value, i, self.id)
         return theta
+
+    def admits(self, thetas: np.ndarray) -> np.ndarray:
+        """Which rows of ``thetas`` (k x p, p a valid parameter count)
+        :meth:`check_theta` accepts; the cheap test for a batch of line-search
+        candidates, most of which may lie outside the domain."""
+        if self.params is None:
+            return np.all(self.variadic_param.admits(thetas), axis=-1)
+        ok = self.params[0].admits(thetas[..., 0])
+        for i, spec in enumerate(self.params[1:], start=1):
+            ok &= spec.admits(thetas[..., i])
+        return ok
 
     def check_input(self, u, for_gradient: bool = False):
         u = np.asarray(u, dtype=float)

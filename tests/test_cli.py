@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import bioassay as ba
-from bioassay import birthdeath
-from bioassay.cli import CURVE_GALLERY, main
+from bioassay import birthdeath, cli
+from bioassay.cli import CURVE_GALLERY, CsvError, main
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +98,28 @@ def test_fit_malformed_row_reports_line(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_read_csv_blank_and_quoted_rows(tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_text("u,y\n1,0.5\n2,0.75\n")
+    odd = tmp_path / "odd.csv"
+    odd.write_text('u,y\n\n1,"0.5"\n , \n2 , 0.75\n\n')
+    expected = np.array([[1.0, 0.5], [2.0, 0.75]])
+    for path in (plain, odd):
+        got = cli._read_csv(str(path), ("u", "y"))
+        assert got.dtype == float and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [("1,0.5\n2,0.6,7\n", "line 3: expected 2 fields, got 3"), ("\n1,0.5\n2,\n", "line 4"), ("\n \n", "no data rows")],
+)
+def test_read_csv_errors_name_the_line(tmp_path, body, line):
+    path = tmp_path / "bad.csv"
+    path.write_text("u,y\n" + body)
+    with pytest.raises(CsvError, match=line):
+        cli._read_csv(str(path), ("u", "y"))
+
+
 def test_fit_unknown_model_lists_registry(tmp_path, capsys):
     csv_path = tmp_path / "reg.csv"
     csv_path.write_text("u,y\n1,0.5\n")
@@ -155,6 +177,24 @@ def test_curves_svg(capsys, tmp_path):
     assert code == 0
     svg = out_path.read_text()
     assert svg.startswith("<svg") and "<polyline" in svg
+
+
+def test_curves_svg_points_follow_the_axes(capsys):
+    # every polyline vertex is the grid point and value mapped onto the 640x480 plot, 50 px padding
+    code, out, _ = run_cli(capsys, "curves", "--model", "gompertz,tanh", "--grid", "0.5:4:40", "--format", "svg")
+    assert code == 0
+    grid = np.linspace(0.5, 4.0, 40)
+    values = [ba.evaluate(m, grid, [1.0] * ba.get_model(m).arity) for m in ("gompertz", "tanh")]
+    ylo, yhi = min(v.min() for v in values), max(v.max() for v in values)
+    polylines = [line for line in out.splitlines() if line.startswith("<polyline")]
+    assert len(polylines) == 2
+    for line, vals in zip(polylines, values):
+        pts = line.split('points="')[1].split('"')[0].split()
+        assert len(pts) == grid.size
+        for pt, x, y in zip(pts, grid.tolist(), vals.tolist()):
+            sx = 50.0 + (x - 0.5) / (4.0 - 0.5) * 540.0
+            sy = 480.0 - 50.0 - (y - ylo) / (yhi - ylo) * 380.0
+            assert pt == "%.17g,%.17g" % (sx, sy)
 
 
 def test_curves_grid_clipped_with_warning(capsys):

@@ -161,6 +161,19 @@ def test_least_squares_damping_handles_singular_normal_equations():
     assert float(np.mean((pred - y) ** 2)) < 4e-4  # fits the ridge despite singularity
 
 
+def test_least_squares_halves_steps_at_a_parameter_bound():
+    # the unconstrained optimum has a negative intercept; Gauss-Newton steps
+    # leave the domain (coefficients >= 0) and must be halved back into it
+    xs = np.linspace(0.0, 3.0, 20)
+    y = np.asarray(ba.evaluate("multistage", xs, [0.0, 0.3, 0.2])) - 0.01
+    start = np.array([0.05, 0.3, 0.2])
+    r0 = y - np.asarray(ba.evaluate("multistage", xs, start))
+    fit = fit_least_squares("multistage", RegressionDataset(xs, y), start)
+    assert fit.converged
+    assert np.all(fit.theta_hat >= 0.0) and fit.theta_hat[0] < 1e-6
+    assert fit.objective < float(r0 @ r0)
+
+
 def test_least_squares_requires_enough_points():
     with pytest.raises(DomainError, match="at least 2"):
         fit_least_squares("mm", RegressionDataset([1.0], [0.5]), [1.0, 1.0])

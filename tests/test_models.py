@@ -250,6 +250,28 @@ def test_nonpositive_rate_named():
         ba.evaluate("one-hit", 1.0, [0.0])
 
 
+def test_admits_agrees_with_check_theta(rng):
+    probes = (0.0, -0.0, 1e-300, -1e-300, -1.0, 2.5, 3.0, 1.0, 50.0, np.inf, -np.inf, np.nan)
+    for m in all_models():
+        _u, theta = sample_point(m, rng)
+        theta = np.asarray(theta, dtype=float)
+        rows = [theta]
+        for i in range(len(theta)):
+            for v in probes + tuple(np.nextafter(theta[i], (-np.inf, np.inf))):
+                row = theta.copy()
+                row[i] = v
+                rows.append(row)
+        rows = np.array(rows)
+        expected = []
+        for row in rows:
+            try:
+                m.check_theta(row)
+                expected.append(True)
+            except DomainError:
+                expected.append(False)
+        assert m.admits(rows).tolist() == expected, m.id
+
+
 def test_unknown_model():
     from bioassay.exceptions import UnknownModelError
 
