@@ -3,21 +3,32 @@
 A summary table maps tuples of category codes to values of one summary
 variable.  Several tables on the same variable and population form a
 polyptych; it is consistent when a universal table over the union of
-their schemes has every table as a marginal.  Consistency is decided as
-feasibility of the linear system {U >= 0, U = 0 on structural zeros,
-marginals match} via :mod:`bioassay.simplex`; an optional exact mode
-enumerates integer witnesses for integer-typed variables.
+their schemes has every table as a marginal, i.e. when the linear system
+{U >= 0, U = 0 on structural zeros, marginals match} is feasible.
+
+Two paths decide it.  When there are no structural zeros and the table
+schemes form an acyclic (decomposable) hypergraph, found by GYO
+reduction, tables that agree on the marginals of their join-tree
+separators are globally consistent (Vorob'ev 1962): the join-tree
+product prod n_C / prod n_S is a witness, and the sharp upper bound of a
+universal cell is the smallest table cell containing it (Dobra &
+Fienberg 2000).  Everything else (cyclic schemes, structural zeros) is a
+linear program for HiGHS (``scipy.optimize.linprog``).  An optional exact
+mode decides integer feasibility for integer-typed variables: by a
+northwest-corner fill along the join tree, or by enumeration on the LP
+path.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .exceptions import DomainError
-from .simplex import solve_lp
+from .exceptions import DomainError, NotConvergedError
 
 __all__ = [
     "VARIABLE_TYPES",
@@ -58,6 +69,7 @@ class CategoryAttribute:
         if len(domain) > _MAX_DOMAIN:
             raise DomainError(f"attribute '{self.name}' exceeds the domain cap {_MAX_DOMAIN}")
         object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "_index", {code: i for i, code in enumerate(domain)})
 
 
 @dataclass(frozen=True)
@@ -74,6 +86,8 @@ class SummaryVariable:
             v = float(v)
         except (TypeError, ValueError):
             raise DomainError(f"variable '{self.name}': value {v!r} is not a number") from None
+        except OverflowError:  # an int beyond the float range
+            raise DomainError(f"variable '{self.name}': values must be finite") from None
         if not np.isfinite(v):
             raise DomainError(f"variable '{self.name}': values must be finite")
         if self.type in ("integer", "nonneg-integer") and v != int(v):
@@ -81,6 +95,38 @@ class SummaryVariable:
         if self.type in ("nonneg-real", "nonneg-integer") and v < 0:
             raise DomainError(f"variable '{self.name}': value {v} is negative")
         return v
+
+
+def _as_coords(key) -> tuple:
+    if type(key) is tuple:
+        return key
+    return tuple(key) if isinstance(key, (tuple, list)) else (key,)
+
+
+def _checked_cells(cells: dict, scheme, variable: SummaryVariable) -> dict | None:
+    """Validate all cells at once, with set operations and C-level maps.
+
+    Returns the checked ``{coords: float}`` dict, or None when some cell
+    fails a check (the caller then walks the cells to name the first).
+    """
+    keys = list(cells)
+    if set(map(type, keys)) - {tuple}:
+        keys = list(map(_as_coords, keys))
+    try:
+        values = list(map(float, cells.values()))
+        if not set(map(len, keys)) <= {len(scheme)}:
+            return None
+        if not all(attr._index.keys() >= set(codes) for codes, attr in zip(zip(*keys), scheme)):
+            return None
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if not all(map(math.isfinite, values)):
+        return None
+    if variable.type in ("integer", "nonneg-integer") and not all(map(float.is_integer, values)):
+        return None
+    if variable.type in ("nonneg-real", "nonneg-integer") and values and min(values) < 0:
+        return None
+    return dict(zip(keys, values))
 
 
 @dataclass(frozen=True)
@@ -99,15 +145,18 @@ class SummaryTable:
         names = [a.name for a in scheme]
         if len(set(names)) != len(names):
             raise DomainError(f"scheme repeats attribute names: {names}")
-        checked = {}
-        for coords, value in self.cells.items():
-            coords = tuple(coords) if isinstance(coords, (tuple, list)) else (coords,)
-            if len(coords) != len(scheme):
-                raise DomainError(f"cell {coords} does not match the scheme arity {len(scheme)}")
-            for code, attr in zip(coords, scheme):
-                if code not in attr.domain:
-                    raise DomainError(f"code {code!r} not in domain of attribute '{attr.name}'")
-            checked[coords] = self.variable.check_value(value)
+        checked = _checked_cells(self.cells, scheme, self.variable)
+        if checked is None:
+            # some cell is invalid: the per-cell walk raises on the first one
+            checked = {}
+            for coords, value in self.cells.items():
+                coords = _as_coords(coords)
+                if len(coords) != len(scheme):
+                    raise DomainError(f"cell {coords} does not match the scheme arity {len(scheme)}")
+                for code, attr in zip(coords, scheme):
+                    if code not in attr.domain:
+                        raise DomainError(f"code {code!r} not in domain of attribute '{attr.name}'")
+                checked[coords] = self.variable.check_value(value)
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "cells", checked)
 
@@ -127,11 +176,12 @@ class SummaryTable:
 
     def to_array(self) -> np.ndarray:
         shape = tuple(len(a.domain) for a in self.scheme)
-        out = np.zeros(shape)
-        index = [{code: i for i, code in enumerate(a.domain)} for a in self.scheme]
-        for coords, v in self.cells.items():
-            out[tuple(ix[c] for ix, c in zip(index, coords))] = v
-        return out
+        flat = np.zeros(len(self.cells), dtype=np.intp)  # C-order cell index, built axis by axis
+        for attr, codes in zip(self.scheme, zip(*self.cells)):
+            flat = flat * len(attr.domain) + list(map(attr._index.__getitem__, codes))
+        out = np.zeros(math.prod(shape))
+        out[flat] = list(self.cells.values())
+        return out.reshape(shape)
 
 
 def marginal(table: SummaryTable, keep) -> SummaryTable:
@@ -237,37 +287,11 @@ class ConsistencyVerdict:
     certificate: str | None = None
 
 
-def _constraint_system(p: Polyptych):
-    """Dense equality system over non-structural universal cells."""
-    universal = p.universal_scheme
-    cells = [c for c in itertools.product(*(a.domain for a in universal)) if c not in p.structural_zeros]
-    col_of = {c: j for j, c in enumerate(cells)}
-    names = [a.name for a in universal]
-    rows = []
-    rhs = []
-    labels = []
-    for t_idx, t in enumerate(p.tables):
-        positions = [names.index(a.name) for a in t.scheme]
-        row_of: dict[tuple, int] = {}
-        for coords in t.coordinates():
-            row = np.zeros(len(cells))
-            rows.append(row)
-            rhs.append(t.value(coords))
-            labels.append(f"table {t_idx + 1} cell {coords}")
-            row_of[coords] = len(rows) - 1
-        for c, j in col_of.items():
-            key = tuple(c[i] for i in positions)
-            rows[row_of[key]][j] = 1.0
-    return np.array(rows), np.array(rhs), cells, labels
+# -- consistency core -----------------------------------------------------------------
 
 
-def check_consistency(p: Polyptych, integer_exact: bool = False) -> ConsistencyVerdict:
-    """Decide whether a universal table exists with the given marginals.
-
-    Real-valued feasibility is the primary semantics.  With
-    ``integer_exact`` (integer-typed variables only) an exhaustive
-    search over integer tables decides integer feasibility instead.
-    """
+def _totals_certificate(p: Polyptych) -> tuple[str | None, float]:
+    """Size guard and grand-total check: (certificate or None, total scale)."""
     if p.universal_size() > _MAX_UNIVERSAL_CELLS:
         raise DomainError(
             f"universal scheme too large: {p.universal_size()} cells exceed {_MAX_UNIVERSAL_CELLS}"
@@ -276,29 +300,259 @@ def check_consistency(p: Polyptych, integer_exact: bool = False) -> ConsistencyV
     scale = max(1.0, max(abs(t) for t in totals))
     if any(abs(t - totals[0]) > _EQ_TOL * scale for t in totals[1:]):
         pretty = ", ".join(f"{t:g}" for t in totals)
-        return ConsistencyVerdict(
-            consistent=False,
-            certificate=f"grand totals differ ({pretty}): additivity over the shared population fails",
-        )
-    if integer_exact:
-        if p.variable.type not in ("integer", "nonneg-integer"):
-            raise DomainError("integer_exact applies to integer-typed variables only")
-        return _check_integer(p)
+        return f"grand totals differ ({pretty}): additivity over the shared population fails", scale
+    return None, scale
 
-    A, b, cells, labels = _constraint_system(p)
-    res = solve_lp(A, b)
-    if res.status == "infeasible":
-        bad = "; ".join(labels[i] for i in res.unsatisfied_rows) or "marginal constraints"
-        return ConsistencyVerdict(
-            consistent=False,
-            certificate=f"no nonnegative universal table satisfies: {bad}",
+
+def _join_tree(p: Polyptych) -> list[tuple[int, int, frozenset]] | None:
+    """GYO reduction of the table schemes, in its ear-removal form.
+
+    A table is an ear when one other remaining table (its parent) holds
+    every attribute it shares with the rest; the separator is that shared
+    set of universal axes.  Returns the (child, parent, separator) edges in
+    removal order, the last table left being the root, or None when the
+    schemes are cyclic or the polyptych has structural zeros.
+    """
+    if p.structural_zeros:
+        return None
+    names = [a.name for a in p.universal_scheme]
+    schemes = [frozenset(names.index(n) for n in t.attribute_names) for t in p.tables]
+    left = list(range(len(schemes)))
+    edges = []
+    while len(left) > 1:
+        for e in left:
+            others = [f for f in left if f != e]
+            shared = schemes[e] & frozenset().union(*(schemes[f] for f in others))
+            parent = next((f for f in others if shared <= schemes[f]), None)
+            if parent is not None:
+                edges.append((e, parent, shared))
+                left.remove(e)
+                break
+        else:
+            return None
+    return edges
+
+
+def _dense_tables(p: Polyptych) -> list[tuple[frozenset, np.ndarray]]:
+    """Each table as (its universal axes, array over every universal axis).
+
+    Axes follow the universal order; an attribute the table lacks is a
+    length-1 axis, so tables broadcast against each other.
+    """
+    names = [a.name for a in p.universal_scheme]
+    out = []
+    for t in p.tables:
+        pos = [names.index(n) for n in t.attribute_names]
+        shape = [1] * len(names)
+        for i, attr in zip(pos, t.scheme):
+            shape[i] = len(attr.domain)
+        order = sorted(range(len(pos)), key=pos.__getitem__)
+        out.append((frozenset(pos), t.to_array().transpose(order).reshape(shape)))
+    return out
+
+
+def _margin(axes: frozenset, arr: np.ndarray, keep: frozenset) -> np.ndarray:
+    """Sum a dense table onto the universal axes ``keep`` (others become length 1)."""
+    return arr.sum(axis=tuple(sorted(axes - keep)), keepdims=True)
+
+
+def _codes(scheme, index) -> tuple:
+    return tuple(a.domain[i] for a, i in zip(scheme, index))
+
+
+def _tree_certificate(p: Polyptych, dense, edges, tol: float) -> str | None:
+    """Why no nonnegative universal table fits a decomposable polyptych, or None.
+
+    A negative cell rules out every nonnegative table; otherwise tables
+    that agree on each join-tree separator marginal, within ``tol``, are
+    consistent.
+    """
+    for k, t in enumerate(p.tables):
+        if t.cells and min(t.cells.values()) < -tol:
+            coords = min(t.cells, key=t.cells.get)
+            return (
+                f"table {k + 1} cell {coords} is negative ({t.cells[coords]:g}): "
+                "no nonnegative table has it as a marginal"
+            )
+    universal = p.universal_scheme
+    for child, parent, sep in edges:
+        mine, theirs = _margin(*dense[child], sep), _margin(*dense[parent], sep)
+        bad = np.flatnonzero(np.abs(mine - theirs) > tol)
+        if bad.size:
+            axes = sorted(sep)
+            index = np.unravel_index(bad[0], mine.shape)
+            over = ", ".join(universal[i].name for i in axes)
+            at = _codes([universal[i] for i in axes], [index[i] for i in axes])
+            return (
+                f"tables {child + 1} and {parent + 1} disagree on their marginal over ({over}) "
+                f"at {at}: {mine.flat[bad[0]]:g} vs {theirs.flat[bad[0]]:g}"
+            )
+    return None
+
+
+def _product_fill(dense, edges) -> np.ndarray:
+    """The join-tree product prod n_C / prod n_S over the universal cells, with 0/0 = 0.
+
+    Each separator marginal is taken from the parent table, so the product
+    reproduces every table's marginal.
+    """
+    arrays = [np.maximum(arr, 0.0) for _axes, arr in dense]
+    num = reduce(np.multiply, arrays)
+    separators = (_margin(dense[parent][0], arrays[parent], sep) for _c, parent, sep in edges)
+    den = reduce(np.multiply, separators, np.ones(()))
+    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
+
+
+def _northwest_fill(dense, edges) -> np.ndarray:
+    """An integer universal table with the given marginals.
+
+    Starting from the root table, each child is joined on in the reverse
+    of GYO removal order: within every slice of its separator, the
+    northwest-corner rule fills the current table's cells (rows) against
+    the child's new cells (columns).  Cell (i, j) takes the overlap of the
+    cumulative intervals [A_{i-1}, A_i) and [B_{j-1}, B_j), which is exact
+    in integers because the slice totals agree.
+    """
+    shape = np.broadcast_shapes(*(arr.shape for _axes, arr in dense))
+    root = (set(range(len(dense))) - {child for child, _p, _s in edges}).pop()
+    axes = sorted(dense[root][0])
+    fill = dense[root][1].reshape([shape[i] for i in axes])
+    for child, _parent, sep in reversed(edges):
+        child_axes = sorted(dense[child][0])
+        s = sorted(sep)
+        rows = [i for i in axes if i not in sep]
+        cols = [i for i in child_axes if i not in sep]
+        n_s, n_rows, n_cols = (math.prod(shape[i] for i in group) for group in (s, rows, cols))
+        a = fill.transpose([axes.index(i) for i in s + rows]).reshape(n_s, n_rows)
+        b = (
+            dense[child][1]
+            .reshape([shape[i] for i in child_axes])
+            .transpose([child_axes.index(i) for i in s + cols])
+            .reshape(n_s, n_cols)
         )
-    witness_cells = {c: float(v) for c, v in zip(cells, res.x) if v > 0.0}
-    witness_var = p.variable
-    if witness_var.type in ("integer", "nonneg-integer"):
-        # a real-valued witness certifies LP feasibility only
-        witness_var = SummaryVariable(witness_var.name, "nonneg-real" if witness_var.type == "nonneg-integer" else "real")
-    witness = SummaryTable(scheme=p.universal_scheme, variable=witness_var, cells=witness_cells)
+        hi_a, hi_b = a.cumsum(axis=1), b.cumsum(axis=1)
+        overlap = np.minimum(hi_a[:, :, None], hi_b[:, None, :]) - np.maximum(
+            (hi_a - a)[:, :, None], (hi_b - b)[:, None, :]
+        )
+        axes = s + rows + cols
+        fill = np.maximum(overlap, 0.0).reshape([shape[i] for i in axes])
+    return fill.transpose(np.argsort(axes)).reshape(shape)
+
+
+def _real_variable(v: SummaryVariable) -> SummaryVariable:
+    # a real-valued witness certifies LP feasibility only
+    relaxed = {"integer": "real", "nonneg-integer": "nonneg-real"}
+    return SummaryVariable(v.name, relaxed[v.type]) if v.type in relaxed else v
+
+
+def _witness(p: Polyptych, variable: SummaryVariable, flat: np.ndarray) -> SummaryTable:
+    """The universal table holding the positive entries of a C-ordered universal array."""
+    flat = flat.ravel()
+    positive = flat > 0.0
+    coords = itertools.compress(itertools.product(*(a.domain for a in p.universal_scheme)), positive)
+    return SummaryTable(
+        scheme=p.universal_scheme, variable=variable, cells=dict(zip(coords, flat[positive].tolist()))
+    )
+
+
+def _constraint_system(p: Polyptych):
+    """Dense equality system A x = b over the non-structural universal cells.
+
+    Table t owns one row per cell of its scheme, in C order, and tables
+    follow each other; column j is universal cell ``cols[j]`` (a flat C
+    index).  Returns (A, b, cols).
+    """
+    universal = p.universal_scheme
+    names = [a.name for a in universal]
+    shape = tuple(len(a.domain) for a in universal)
+    size = p.universal_size()
+    keep = np.ones(size, dtype=bool)
+    if p.structural_zeros:
+        zeros = np.array([[a._index[c] for a, c in zip(universal, z)] for z in p.structural_zeros])
+        keep[np.ravel_multi_index(tuple(zeros.T), shape)] = False
+    cols = np.flatnonzero(keep)
+    index = np.indices(shape).reshape(len(shape), size)[:, cols]
+    b = np.concatenate([t.to_array().ravel() for t in p.tables])
+    A = np.zeros((b.size, cols.size))
+    offset = 0
+    for t in p.tables:
+        pos = [names.index(n) for n in t.attribute_names]
+        t_shape = tuple(shape[i] for i in pos)
+        A[offset + np.ravel_multi_index(tuple(index[pos]), t_shape), np.arange(cols.size)] = 1.0
+        offset += math.prod(t_shape)
+    return A, b, cols
+
+
+def _row_label(p: Polyptych, row: int) -> str:
+    """Name row ``row`` of the constraint system by its table and cell."""
+    for k, t in enumerate(p.tables):
+        shape = tuple(len(a.domain) for a in t.scheme)
+        size = math.prod(shape)
+        if row < size:
+            return f"table {k + 1} cell {_codes(t.scheme, np.unravel_index(row, shape))}"
+        row -= size
+
+
+def _linprog(c, A, b):
+    """min c.x subject to A x = b, x >= 0, by HiGHS; raises unless solved or infeasible."""
+    from scipy.optimize import linprog  # deferred: importing scipy.optimize costs ~0.3 s
+
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    if res.status not in (0, 2):
+        raise NotConvergedError(f"HiGHS did not decide the linear program: {res.message}")
+    return res
+
+
+def _phase1(p: Polyptych, A, b):
+    """Phase-1 LP: min sum(a) subject to [A | I] (x, a) = |b|, (x, a) >= 0.
+
+    Returns (x, None) when A x = b has a nonnegative solution, otherwise
+    (None, certificate), the certificate naming the rows whose artificials
+    stay positive.
+    """
+    m, n = A.shape
+    sign = np.where(b < 0, -1.0, 1.0)
+    res = _linprog(np.r_[np.zeros(n), np.ones(m)], np.hstack([A * sign[:, None], np.eye(m)]), b * sign)
+    scale = max(1.0, float(np.abs(b).max()))
+    art = res.x[n:]
+    if art.sum() <= _EQ_TOL * scale * m:
+        return res.x[:n], None
+    bad = "; ".join(_row_label(p, i) for i in np.flatnonzero(art > _EQ_TOL * scale)) or "marginal constraints"
+    return None, f"no nonnegative universal table satisfies: {bad}"
+
+
+def check_consistency(p: Polyptych, integer_exact: bool = False) -> ConsistencyVerdict:
+    """Decide whether a universal table exists with the given marginals.
+
+    Real-valued feasibility is the primary semantics.  With
+    ``integer_exact`` (integer-typed variables only) integer feasibility
+    is decided instead: by a northwest-corner fill on decomposable
+    polyptychs, by exhaustive search otherwise.
+    """
+    bad, scale = _totals_certificate(p)
+    if bad is not None:
+        return ConsistencyVerdict(consistent=False, certificate=bad)
+    if integer_exact and p.variable.type not in ("integer", "nonneg-integer"):
+        raise DomainError("integer_exact applies to integer-typed variables only")
+    edges = _join_tree(p)
+    if edges is None:
+        if integer_exact:
+            return _check_integer(p)
+        A, b, cols = _constraint_system(p)
+        x, bad = _phase1(p, A, b)
+        if bad is not None:
+            return ConsistencyVerdict(consistent=False, certificate=bad)
+        flat = np.zeros(p.universal_size())
+        flat[cols] = x
+        return ConsistencyVerdict(consistent=True, witness=_witness(p, _real_variable(p.variable), flat))
+    dense = _dense_tables(p)
+    bad = _tree_certificate(p, dense, edges, 0.0 if integer_exact else _EQ_TOL * scale)
+    if bad is not None:
+        return ConsistencyVerdict(consistent=False, certificate=bad)
+    if integer_exact:
+        witness = _witness(p, p.variable, _northwest_fill(dense, edges))
+    else:
+        witness = _witness(p, _real_variable(p.variable), _product_fill(dense, edges))
     return ConsistencyVerdict(consistent=True, witness=witness)
 
 
@@ -404,8 +658,11 @@ def chi_square_independence(table: SummaryTable) -> tuple[float, int]:
 def classify_empty(p: Polyptych, coords) -> str:
     """'structural', 'accidental' (forced zero), or 'occupied' for one universal cell.
 
-    Accidental means every consistent universal table carries 0 there,
-    decided by maximizing the cell subject to the marginal constraints.
+    Accidental means every consistent universal table carries 0 there: the
+    largest value the cell takes subject to the marginal constraints is 0.
+    On a decomposable polyptych that largest value is the smallest table
+    cell containing it; otherwise one HiGHS LP maximizes the cell, and an
+    infeasible LP is explained by the phase-1 certificate.
     """
     coords = tuple(coords)
     universal = p.universal_scheme
@@ -414,21 +671,35 @@ def classify_empty(p: Polyptych, coords) -> str:
     for code, attr in zip(coords, universal):
         if code not in attr.domain:
             raise DomainError(f"code {code!r} not in domain of '{attr.name}'")
-    verdict = check_consistency(p)
-    if not verdict.consistent:
-        raise DomainError(f"polyptych is inconsistent: {verdict.certificate}")
-    if coords in p.structural_zeros:
-        return "structural"
-    A, b, cells, _labels = _constraint_system(p)
-    j = cells.index(coords)
-    c = np.zeros(len(cells))
-    c[j] = -1.0  # maximize the cell
-    res = solve_lp(A, b, c)
-    if res.status != "optimal":
-        raise DomainError(f"cell maximization failed: {res.status}")
-    max_value = -res.objective
-    scale = max(1.0, float(np.abs(b).max()))
-    return "accidental" if max_value <= _EQ_TOL * scale else "occupied"
+    index = tuple(attr._index[code] for code, attr in zip(coords, universal))
+    bad, scale = _totals_certificate(p)
+    edges = _join_tree(p)
+    if bad is None and edges is not None:
+        dense = _dense_tables(p)
+        bad = _tree_certificate(p, dense, edges, _EQ_TOL * scale)
+    if bad is not None:
+        raise DomainError(f"polyptych is inconsistent: {bad}")
+    if edges is not None:
+        # a table indexes only its own axes; an absent attribute is a length-1 axis
+        containing = [arr[tuple(i if n > 1 else 0 for i, n in zip(index, arr.shape))] for _a, arr in dense]
+        largest = float(min(containing))
+        cell_scale = max(1.0, max(float(np.abs(arr).max()) for _a, arr in dense))
+    else:
+        A, b, cols = _constraint_system(p)
+        structural = coords in p.structural_zeros
+        c = np.zeros(cols.size)
+        if not structural:
+            shape = tuple(len(a.domain) for a in universal)
+            c[np.searchsorted(cols, np.ravel_multi_index(index, shape))] = -1.0  # maximize the cell
+        res = _linprog(c, A, b)
+        if res.status == 2:
+            _x, bad = _phase1(p, A, b)
+            raise DomainError(f"polyptych is inconsistent: {bad or 'HiGHS finds the marginals infeasible'}")
+        if structural:
+            return "structural"
+        largest = -res.fun
+        cell_scale = max(1.0, float(np.abs(b).max()))
+    return "accidental" if largest <= _EQ_TOL * cell_scale else "occupied"
 
 
 # -- JSON wire format ---------------------------------------------------------

@@ -510,3 +510,54 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["eff"] == 1.0
+
+
+def test_main_reuses_one_parser_without_leaking_state(tmp_path, capsys, monkeypatch):
+    built = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    cli._parser.cache_clear()
+    try:
+        out_path = tmp_path / "eff.json"
+        code, out, _ = run_cli(capsys, "eff", "--rho12", "0.5", "--rhoy21", "0", "--out", str(out_path))
+        assert code == 0 and out == ""
+        assert json.loads(out_path.read_text())["eff"] == pytest.approx(0.75)
+        # a second subcommand with other flags: no --out, --seed or value carries over
+        code, out, _ = run_cli(
+            capsys, "simulate-bd", "--birth", "0", "--death", "1", "--t-end", "100",
+            "--replicates", "2", "--seed", "5",
+        )
+        assert code == 0 and out.startswith("replicate,outcome,time\n")
+        code, out, _ = run_cli(capsys, "eff", "--rho12", "0", "--rhoy21", "0")
+        assert code == 0 and json.loads(out)["eff"] == 1.0
+        monkeypatch.setenv("BIOASSAY_SEED", "6")
+        seeded = run_cli(
+            capsys, "simulate-bd", "--birth", "0", "--death", "1", "--t-end", "100",
+            "--replicates", "2",
+        )
+        again = run_cli(
+            capsys, "simulate-bd", "--birth", "0", "--death", "1", "--t-end", "100",
+            "--replicates", "2", "--seed", "6",
+        )
+        assert seeded == again
+        with pytest.raises(SystemExit) as exc:
+            main(["eff", "--rho12", "0"])  # argparse rejects the missing flag
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported inside the LP path only: it would add
+    # about 0.3 s to every process that imports the package
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(ba.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, bioassay, bioassay.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -4,10 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from bioassay.exceptions import DomainError
-from bioassay.simplex import solve_lp
+from bioassay.exceptions import DomainError, NotConvergedError
 from bioassay.tables import (
     CategoryAttribute,
     Polyptych,
@@ -41,55 +43,6 @@ def row_table(values, attr=ROW, variable=COUNTS):
     return SummaryTable(
         scheme=(attr,), variable=variable, cells={(c,): v for c, v in zip(attr.domain, values)}
     )
-
-
-# -- simplex cross-check -------------------------------------------------------
-
-def test_simplex_matches_scipy_on_random_systems(rng):
-    for _ in range(60):
-        m = int(rng.integers(2, 6))
-        n = int(rng.integers(m, 9))
-        A = rng.integers(0, 3, size=(m, n)).astype(float)
-        feasible_x = rng.random(n) * 3.0
-        b = A @ feasible_x if rng.random() < 0.7 else rng.random(m) * 5.0 + 1.0
-        c = rng.standard_normal(n)
-        ours = solve_lp(A, b, c)
-        ref = linprog(c, A_eq=A, b_eq=b, bounds=[(0, None)] * n, method="highs")
-        if ref.status == 0:
-            assert ours.status in ("optimal", "unbounded")
-            if ours.status == "optimal":
-                assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
-                assert np.allclose(A @ ours.x, b, atol=1e-8)
-                assert np.all(ours.x >= -1e-12)
-        elif ref.status == 2:
-            assert ours.status == "infeasible"
-        elif ref.status == 3:
-            assert ours.status == "unbounded"
-
-
-def test_simplex_feasibility_only(rng):
-    A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
-    b = np.array([2.0, 3.0])
-    res = solve_lp(A, b)
-    assert res.status == "optimal"
-    assert np.allclose(A @ res.x, b)
-
-
-def test_simplex_survives_classic_cycling_instance():
-    # Beale's degenerate example: naive pivoting cycles forever,
-    # Bland's rule terminates at the known optimum -0.05
-    A = np.array(
-        [
-            [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
-            [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    b = np.array([0.0, 0.0, 1.0])
-    c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
-    res = solve_lp(A, b, c)
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(-0.05, abs=1e-9)
 
 
 # -- marginals -------------------------------------------------------------------
@@ -318,6 +271,266 @@ def test_classify_rejects_inconsistent():
     p = Polyptych(tables=(row_table([2, 1]), row_table([3, 2], attr=COL)))
     with pytest.raises(DomainError, match="inconsistent"):
         classify_empty(p, ("r1", "c1"))
+
+
+# -- HiGHS as the oracle -----------------------------------------------------------------
+
+def highs_system(p):
+    """The marginal equality system, built cell by cell, independently of the package."""
+    universal = p.universal_scheme
+    names = [a.name for a in universal]
+    cells = [c for c in itertools.product(*(a.domain for a in universal)) if c not in p.structural_zeros]
+    rows, rhs = [], []
+    for t in p.tables:
+        pos = [names.index(a.name) for a in t.scheme]
+        for key in t.coordinates():
+            rows.append([1.0 if tuple(c[i] for i in pos) == key else 0.0 for c in cells])
+            rhs.append(t.value(key))
+    return np.array(rows), np.array(rhs), cells
+
+
+def highs_consistent(p):
+    A, b, cells = highs_system(p)
+    res = linprog(np.zeros(len(cells)), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+def highs_label(p, cell):
+    if cell in p.structural_zeros:
+        return "structural"
+    A, b, cells = highs_system(p)
+    cost = np.zeros(len(cells))
+    cost[cells.index(cell)] = -1.0
+    res = linprog(cost, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return "accidental" if -res.fun <= 1e-9 * max(1.0, float(np.abs(b).max())) else "occupied"
+
+
+def margin_table(universal, counts, names, variable=COUNTS):
+    """The marginal of a dense universal count array onto ``names`` (in that order)."""
+    order = [a.name for a in universal]
+    axes = [order.index(n) for n in names]
+    summed = counts.sum(axis=tuple(i for i in range(len(order)) if i not in axes))
+    arr = np.transpose(summed, np.argsort(np.argsort(axes)))  # summed keeps universal order
+    scheme = tuple(universal[i] for i in axes)
+    cells = {
+        tuple(a.domain[i] for a, i in zip(scheme, idx)): int(arr[idx])
+        for idx in itertools.product(*(range(len(a.domain)) for a in scheme))
+        if arr[idx]
+    }
+    return SummaryTable(scheme=scheme, variable=variable, cells=cells)
+
+
+ACYCLIC_SCHEMES = {
+    "chain": (("a", "b"), ("b", "c"), ("c", "d")),
+    "star": (("a", "b"), ("a", "c"), ("a", "d")),
+    "disconnected": (("a", "b"), ("c",)),
+    "nested": (("a", "b", "c"), ("b", "a")),
+}
+
+
+@st.composite
+def acyclic_polyptychs(draw, kinds=tuple(sorted(ACYCLIC_SCHEMES)), perturb=True):
+    """Margins of a random count table on an acyclic scheme, perhaps with one unit moved."""
+    kind = draw(st.sampled_from(kinds))
+    schemes = [s[::-1] if draw(st.booleans()) else s for s in ACYCLIC_SCHEMES[kind]]
+    schemes = draw(st.permutations(schemes))
+    names = sorted({n for s in schemes for n in s})
+    universal = tuple(
+        CategoryAttribute(n, tuple(f"{n}{i}" for i in range(draw(st.integers(1, 3))))) for n in names
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.poisson(rng.uniform(0.3, 3.0), [len(a.domain) for a in universal])
+    if draw(st.booleans()):  # an empty row: its cells are forced zeros
+        axis = int(rng.integers(len(universal)))
+        np.moveaxis(counts, axis, 0)[int(rng.integers(counts.shape[axis]))] = 0
+    tables = [margin_table(universal, counts, s) for s in schemes]
+    if perturb and draw(st.booleans()):
+        k = draw(st.integers(0, len(tables) - 1))
+        t = tables[k]
+        coords = list(t.coordinates())
+        src, dst = draw(st.sampled_from(coords)), draw(st.sampled_from(coords))
+        cells = dict(t.cells)
+        if cells.get(src, 0) > 0:
+            cells[src] -= 1  # move one unit: every grand total stays equal
+        cells[dst] = cells.get(dst, 0) + 1
+        tables[k] = SummaryTable(scheme=t.scheme, variable=t.variable, cells=cells)
+    return Polyptych(tables=tuple(tables))
+
+
+def assert_witness_marginals(p, w, exact=False):
+    for t in p.tables:
+        back = marginal(w, list(t.attribute_names))  # in the witness's attribute order
+        order = [t.attribute_names.index(n) for n in back.attribute_names]
+        for coords in t.coordinates():
+            got = back.value(tuple(coords[i] for i in order))
+            if exact:
+                assert got == t.value(coords)
+            else:
+                assert got == pytest.approx(t.value(coords), abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(acyclic_polyptychs())
+def test_acyclic_verdict_and_labels_agree_with_highs(p):
+    verdict = check_consistency(p)
+    assert verdict.consistent == highs_consistent(p)
+    if not verdict.consistent:
+        assert "disagree" in verdict.certificate or "grand totals differ" in verdict.certificate
+        with pytest.raises(DomainError, match="inconsistent"):
+            classify_empty(p, next(itertools.product(*(a.domain for a in p.universal_scheme))))
+        return
+    assert all(v >= 0 for v in verdict.witness.cells.values())
+    assert_witness_marginals(p, verdict.witness)
+    for cell in itertools.product(*(a.domain for a in p.universal_scheme)):
+        assert classify_empty(p, cell) == highs_label(p, cell), cell
+
+
+@settings(max_examples=40, deadline=None)
+@given(acyclic_polyptychs(kinds=("chain", "star")))
+def test_northwest_fill_is_an_exact_integer_witness(p):
+    verdict = check_consistency(p, integer_exact=True)
+    assert verdict.consistent == highs_consistent(p)
+    if verdict.consistent:
+        w = verdict.witness
+        assert w.variable == p.variable
+        assert all(v >= 0 and v == int(v) for v in w.cells.values())
+        assert_witness_marginals(p, w, exact=True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(acyclic_polyptychs(perturb=False))
+def test_to_array_matches_cell_walk(p):
+    for t in p.tables:
+        arr = t.to_array()
+        for idx in itertools.product(*(range(len(a.domain)) for a in t.scheme)):
+            assert arr[idx] == t.value(tuple(a.domain[i] for a, i in zip(t.scheme, idx)))
+
+
+def three_way(counts):
+    attrs = tuple(
+        CategoryAttribute(n, tuple(f"{n}{i}" for i in range(r))) for n, r in zip("abc", counts.shape)
+    )
+    return attrs, Polyptych(
+        tables=tuple(margin_table(attrs, counts, pair) for pair in (("a", "b"), ("a", "c"), ("b", "c")))
+    )
+
+
+def test_cyclic_verdict_and_labels_agree_with_highs(rng):
+    counts = rng.poisson(1.0, (3, 2, 3))
+    counts[1] = 0
+    attrs, p = three_way(counts)
+    verdict = check_consistency(p)
+    assert verdict.consistent and highs_consistent(p)
+    assert_witness_marginals(p, verdict.witness)
+    for cell in itertools.product(*(a.domain for a in attrs)):
+        assert classify_empty(p, cell) == highs_label(p, cell), cell
+
+
+def test_cyclic_inconsistent_classify_names_unsatisfied_rows():
+    # a = b, a = c and b != c: every one-way margin agrees, no table exists
+    attrs = tuple(CategoryAttribute(n, (f"{n}0", f"{n}1")) for n in "abc")
+    ab = SummaryTable(scheme=attrs[:2], variable=COUNTS, cells={("a0", "b0"): 1, ("a1", "b1"): 1})
+    ac = SummaryTable(scheme=(attrs[0], attrs[2]), variable=COUNTS, cells={("a0", "c0"): 1, ("a1", "c1"): 1})
+    bc = SummaryTable(scheme=attrs[1:], variable=COUNTS, cells={("b0", "c1"): 1, ("b1", "c0"): 1})
+    p = Polyptych(tables=(ab, ac, bc))
+    assert not highs_consistent(p)
+    verdict = check_consistency(p)
+    assert not verdict.consistent
+    assert "no nonnegative universal table satisfies: table" in verdict.certificate
+    rows_named = r"inconsistent: no nonnegative universal table satisfies: table \d cell"
+    with pytest.raises(DomainError, match=rows_named):
+        classify_empty(p, ("a0", "b0", "c0"))
+
+
+def test_negative_real_cell_is_inconsistent():
+    real = SummaryVariable("mass", "real")
+    p = Polyptych(
+        tables=(row_table([2.0, -1.0], variable=real), row_table([1.0, 0.0], attr=COL, variable=real))
+    )
+    assert not highs_consistent(p)
+    verdict = check_consistency(p)
+    assert not verdict.consistent
+    assert "table 1 cell ('r2',) is negative" in verdict.certificate
+    with pytest.raises(DomainError, match="negative"):
+        classify_empty(p, ("r1", "c1"))
+
+
+def test_zero_separator_slice_gives_zero_witness_cells():
+    # b1 is empty in both tables: the product witness divides 0 by 0 there
+    a = CategoryAttribute("a", ("a0", "a1"))
+    b = CategoryAttribute("b", ("b0", "b1"))
+    c = CategoryAttribute("c", ("c0", "c1"))
+    ab = SummaryTable(scheme=(a, b), variable=COUNTS, cells={("a0", "b0"): 2, ("a1", "b0"): 1})
+    bc = SummaryTable(scheme=(b, c), variable=COUNTS, cells={("b0", "c0"): 1, ("b0", "c1"): 2})
+    p = Polyptych(tables=(ab, bc))
+    w = check_consistency(p).witness
+    assert all(np.isfinite(v) and v > 0 for v in w.cells.values())
+    assert all(coords[1] == "b0" for coords in w.cells)
+    assert_witness_marginals(p, w)
+    assert classify_empty(p, ("a0", "b1", "c0")) == "accidental"
+    assert classify_empty(p, ("a1", "b0", "c1")) == "occupied"
+
+
+def test_grand_total_tables_are_decomposable():
+    total = SummaryTable(scheme=(), variable=COUNTS, cells={(): 4})
+    verdict = check_consistency(Polyptych(tables=(total, total)))
+    assert verdict.consistent and verdict.witness.cells == {(): 4.0}
+    p = Polyptych(tables=(row_table([3, 1]), total))
+    assert check_consistency(p, integer_exact=True).witness.cells == {("r1",): 3.0, ("r2",): 1.0}
+
+
+def test_structural_zeros_route_to_highs(monkeypatch):
+    calls = []
+    real_linprog = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: calls.append(1) or real_linprog(*a, **k))
+    p = Polyptych(tables=(row_table([3, 1]), row_table([2, 2], attr=COL)))
+    assert check_consistency(p).consistent
+    assert classify_empty(p, ("r1", "c1")) == "occupied"
+    assert calls == []
+    zeros = Polyptych(tables=p.tables, structural_zeros=frozenset({("r2", "c2")}))
+    assert check_consistency(zeros).consistent == highs_consistent(zeros)
+    assert classify_empty(zeros, ("r2", "c1")) == highs_label(zeros, ("r2", "c1"))
+    assert len(calls) == 2
+
+
+def test_highs_failure_is_not_converged(monkeypatch):
+    class Stalled:
+        status, message = 4, "numerical difficulties"
+
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: Stalled())
+    _attrs, p = three_way(np.ones((2, 2, 2), dtype=int))
+    with pytest.raises(NotConvergedError, match="numerical difficulties"):
+        check_consistency(p)
+
+
+# -- cell validation --------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "variable, cells, message",
+    [
+        (COUNTS, {("r1",): 1, ("zz",): 2, ("r2",): "abc"}, "code 'zz' not in domain of attribute 'row'"),
+        (COUNTS, {("r1",): "abc", ("zz",): 2}, "value 'abc' is not a number"),
+        (COUNTS, {("r1",): 1, ("r1", "c1"): 2}, r"cell \('r1', 'c1'\) does not match the scheme arity 1"),
+        (COUNTS, {("r1",): 1.5, ("r2",): -1}, "value 1.5 is not an integer"),
+        (COUNTS, {("r1",): 1, ("r2",): -1}, "value -1.0 is negative"),
+        (COUNTS, {("r1",): float("inf")}, "values must be finite"),
+        (COUNTS, {("r1",): 10**400}, "values must be finite"),
+        (SummaryVariable("mass", "nonneg-real"), {("r1",): None}, "'mass': value None is not a number"),
+    ],
+)
+def test_cell_validation_names_the_first_bad_cell(variable, cells, message):
+    with pytest.raises(DomainError, match=message):
+        SummaryTable(scheme=(ROW,), variable=variable, cells=cells)
+
+
+def test_cell_keys_and_values_are_normalized():
+    t = SummaryTable(scheme=(ROW,), variable=COUNTS, cells={"r1": "3", ("r2",): True})
+    assert t.cells == {("r1",): 3.0, ("r2",): 1.0}
+    assert all(type(v) is float for v in t.cells.values())
+    real = SummaryTable(scheme=(ROW, COL), variable=SummaryVariable("x", "real"), cells={("r1", "c2"): -0.5})
+    assert real.cells == {("r1", "c2"): -0.5}
 
 
 # -- JSON ------------------------------------------------------------------------------
