@@ -32,6 +32,7 @@ __all__ = [
 
 MAX_POPULATION = 100_000_000
 MAX_TRAJECTORY_EVENTS = 10_000_000  # recorded events of one trajectory (memory guard)
+MAX_REPLICATE_STEPS = 200_000_000  # steps drawn by one call, over all clones (time guard)
 _BLOCK_CELLS = 1 << 16  # steps drawn per block, over all running clones
 
 _RUNNING, _CENSORED, _EXTINCT, _ONSET, _TRUNCATED = range(5)
@@ -87,6 +88,7 @@ def _run(spec: BirthDeathSpec, n: int, threshold: int | None, max_population: in
     is not taken), empties the clone (extinct), reaches ``threshold``
     (onset) or exceeds ``max_population`` (truncated), in that precedence.
     Clones still running carry their last (t, pop) into the next block.
+    Drawing more than ``MAX_REPLICATE_STEPS`` steps raises NotConvergedError.
     Returns the stop times (t_end when censored) and outcome codes; with
     ``record`` (n = 1) also the event times and populations from (0, i0).
     """
@@ -99,13 +101,19 @@ def _run(spec: BirthDeathSpec, n: int, threshold: int | None, max_population: in
     if threshold is not None and spec.i0 >= threshold:
         state[:] = _ONSET
     times_rec, pops_rec = [np.zeros(1)], [pop[:1].copy()]
-    events = 0
+    events = drawn = 0
     live = np.flatnonzero(state == _RUNNING)
     k = 16
     while live.size:
         m = live.size
         width = max(1, min(k, _BLOCK_CELLS // m))
         k = min(2 * k, _BLOCK_CELLS)
+        drawn += m * width
+        if drawn > MAX_REPLICATE_STEPS:
+            raise NotConvergedError(
+                f"simulation passed {MAX_REPLICATE_STEPS} steps over {n} clones before t = {spec.t_end}; "
+                "shorten the horizon, lower max_population or simulate fewer replicates"
+            )
         rows = np.arange(m)
         pops = pop[live, None] + np.where(rng.random((m, width)) < p_birth, 1, -1).cumsum(axis=1)
         before = np.empty_like(pops)
@@ -183,7 +191,9 @@ def simulate_replicates(
 
     With ``threshold`` None the recorded event is extinction; otherwise
     it is the first time the population reaches the threshold.  Runs
-    that see neither by the horizon are censored at t_end.
+    that see neither by the horizon are censored at t_end.  A study that
+    draws more than ``MAX_REPLICATE_STEPS`` steps over all clones raises
+    NotConvergedError (time guard).
     """
     if n_replicates < 1:
         raise DomainError("n_replicates must be >= 1")

@@ -1,7 +1,8 @@
 """Model fitting and goodness of fit.
 
-Provides the censored two-parameter Weibull maximum-likelihood fit (with
-the closed-form rate profile), Gauss-Newton least squares with
+Provides the censored two-parameter Weibull maximum-likelihood fit (the
+closed-form rate profile, its shape score solved as a bracketed root by
+Brent's method), Gauss-Newton least squares with
 Levenberg damping for the mean-response registry, Newton logistic
 regression for binary covariate models, and the Kolmogorov-Smirnov
 one-sample test.
@@ -157,15 +158,10 @@ def weibull_log_likelihood(sample: WeibullSample, theta: float, s: float) -> flo
     if not theta > 0 or not s > 0:
         raise DomainError("theta and s must both be > 0")
     t = sample.times
+    log_t_events = np.log(t[sample.event_flags == 1])
     with np.errstate(over="ignore"):
-        sum_ts = np.sum(t**s)
-    return _weibull_ll(theta, s, np.log(t[sample.event_flags == 1]), sum_ts)
-
-
-def _weibull_ll(theta: float, s: float, log_t_events: np.ndarray, sum_ts) -> float:
-    """The censored log-likelihood from the event log-times and sum t_i^s."""
-    with np.errstate(over="ignore"):
-        return float(np.sum(np.log(s) + s * np.log(theta) + (s - 1.0) * log_t_events) - theta**s * sum_ts)
+        events = np.sum(np.log(s) + s * np.log(theta) + (s - 1.0) * log_t_events)
+        return float(events - theta**s * np.sum(t**s))
 
 
 def weibull_score(sample: WeibullSample, theta: float, s: float) -> np.ndarray:
@@ -195,113 +191,66 @@ def weibull_theta_star(sample: WeibullSample, s: float) -> float:
     d = sample.d
     if d < 1:
         raise DomainError("no events observed: the rate MLE is at the boundary")
-    return _theta_star(d, np.sum(sample.times**s), s)
+    return float((d / np.sum(sample.times**s)) ** (1.0 / s))
 
 
-def _theta_star(d: int, sum_ts, s: float) -> float:
-    return float((d / sum_ts) ** (1.0 / s))
-
-
-def _golden_max(f, lo, hi, tol=1e-7, max_iter=200):
-    """Golden-section maximizer on [lo, hi]; returns (x, iterations)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d_ = a + invphi * (b - a)
-    fc, fd = f(c), f(d_)
-    it = 0
-    while b - a > tol and it < max_iter:
-        if fc > fd:
-            b, d_, fd = d_, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + invphi * (b - a)
-            fd = f(d_)
-        it += 1
-    return 0.5 * (a + b), it
-
-
-def weibull_mle(
-    sample: WeibullSample,
-    s_bounds: tuple[float, float] = (0.05, 50.0),
-    max_iter: int = 200,
-) -> FitResult:
+def weibull_mle(sample: WeibullSample, s_bounds: tuple[float, float] = (0.05, 50.0)) -> FitResult:
     """Two-parameter Weibull MLE by profiling the rate out of the shape.
 
-    For each shape the rate maximizer is closed-form; the profile
-    log-likelihood is maximized by golden section over ``s_bounds`` and
-    polished with Newton steps on the full score.  Convergence requires
-    both score components below 1e-8.  A shape estimate pinned at the
-    profile boundary is reported as non-converged.
+    At fixed shape s the rate maximizer theta*(s) is closed-form, and the
+    shape score there, divided by the event count d, is the strictly
+    decreasing profile score
+    g(s) = 1/s + mean(event log t) - sum t^s log t / sum t^s.
+    Its root in ``s_bounds`` is found by Brent's method on the times
+    divided by their geometric mean c (the MLE does not depend on the time
+    unit), and the rate, log-likelihood and information are mapped back
+    to the data's unit.  Convergence requires the unit-free score
+    (theta dl/dtheta, dl/ds) below 1e-8.  When g does not change sign
+    over ``s_bounds`` the shape is pinned at the bound and reported as
+    non-converged.  ``iterations`` counts profile-score evaluations.
     """
+    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
+
     if sample.d < 2:
         raise DomainError("need at least two events to estimate (theta, s)")
     lo, hi = s_bounds
-    t, d = sample.times, sample.d
-    log_t_events = np.log(t[sample.event_flags == 1])
+    d = sample.d
+    log_t = np.log(sample.times)
+    log_c = log_t.mean()  # c, the geometric mean of the times
+    x = log_t - log_c
+    mean_event = x[sample.event_flags == 1].mean()
 
-    def profile(s):
-        # weibull_log_likelihood at (weibull_theta_star(s), s), with t**s taken once
-        sum_ts = np.sum(t**s)
-        theta = _theta_star(d, sum_ts, s)
-        if not theta > 0:
-            raise DomainError("theta and s must both be > 0")
-        return _weibull_ll(theta, s, log_t_events, sum_ts)
+    def score(s):
+        # weights t^s / max t^s, so that t^s never overflows
+        z = s * x
+        w = np.exp(z - z.max())
+        return 1.0 / s + mean_event - (w @ x) / w.sum()
 
-    s_hat, golden_iters = _golden_max(profile, lo, hi)
-    theta_hat = weibull_theta_star(sample, s_hat)
-
-    # Newton polish on the joint score
-    x = np.array([theta_hat, s_hat])
-    iters = golden_iters
-    converged = False
-    for _ in range(max_iter):
-        iters += 1
-        score = weibull_score(sample, x[0], x[1])
-        if np.max(np.abs(score)) < SCORE_TOL:
-            converged = True
-            break
-        h = weibull_observed_info(sample, x[0], x[1])
-        try:
-            step = np.linalg.solve(h, -score)
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        ll_old = weibull_log_likelihood(sample, x[0], x[1])
-        # Newton directions are ascent directions here; tolerate rounding
-        # noise in ll so the quadratic endgame is not rejected over 1 ulp
-        ll_floor = ll_old - 1e-12 * max(1.0, abs(ll_old))
-        accepted = False
-        for _ in range(40):
-            cand = x + scale * step
-            if cand[0] > 0 and lo <= cand[1] <= hi:
-                ll_new = weibull_log_likelihood(sample, *cand)
-                if np.isfinite(ll_new) and ll_new >= ll_floor:
-                    accepted = True
-                    break
-            scale *= 0.5
-        if not accepted:
-            break
-        x = cand
-
-    theta_hat, s_hat = float(x[0]), float(x[1])
+    g_lo, g_hi = score(lo), score(hi)
+    iters = 2
     message = ""
-    boundary = s_hat <= lo * (1 + 1e-6) or s_hat >= hi * (1 - 1e-6)
-    if boundary:
-        converged = False
+    if g_lo <= 0.0 or g_hi >= 0.0:
+        s_hat = lo if g_lo <= 0.0 else hi
         message = f"shape estimate pinned at profile boundary [{lo}, {hi}]"
-    elif not converged:
-        message = "score tolerance not reached within the iteration budget"
-
-    info = InfoMatrix(weibull_observed_info(sample, theta_hat, s_hat, negate=True), 1.0)
+    else:
+        s_hat, root = brentq(score, lo, hi, full_output=True, disp=False)
+        iters += root.function_calls
+    scaled = WeibullSample(np.exp(x), sample.event_flags)
+    theta_scaled = weibull_theta_star(scaled, s_hat)
+    # theta * dl/dtheta and dl/ds do not depend on the time unit
+    unit_free = weibull_score(scaled, theta_scaled, s_hat) * [theta_scaled, 1.0]
+    if not message and not np.max(np.abs(unit_free)) < SCORE_TOL:
+        message = "score tolerance not reached at the profile-score root"
+    # back to the data's time unit: theta = theta_scaled / c, l = l_scaled - d log c
+    c = math.exp(log_c)
+    jac = np.array([c, 1.0])
+    info = InfoMatrix(weibull_observed_info(scaled, theta_scaled, s_hat, negate=True) * np.outer(jac, jac), 1.0)
     return FitResult(
-        theta_hat=np.array([theta_hat, s_hat]),
-        objective=weibull_log_likelihood(sample, theta_hat, s_hat),
+        theta_hat=np.array([theta_scaled / c, s_hat]),
+        objective=weibull_log_likelihood(scaled, theta_scaled, s_hat) - d * log_c,
         s2=None,
         info=info,
-        converged=converged,
+        converged=not message,
         iterations=iters,
         model="weibull-cdf",
         objective_kind="loglik",

@@ -4,8 +4,9 @@ The percentile of a dose-response curve is the dose at which the
 response probability reaches a target ``p``, on either the total-risk
 scale F(L) = p or the extra-risk scale (F(L) - F(0)) / (1 - F(0)) = p.
 Closed-form inversions come from the model itself
-(:attr:`ModelDef.inverse`); curves without one are solved by a monotone
-bisection of F(L) = target to |F - target| <= 1e-12.
+(:attr:`ModelDef.inverse`); curves without one are solved for the root
+of F(L) = target by Brent's method on a bracket found by doubling, to
+|F - target| <= 1e-12.
 
 The safe-dose bound is a delta-method lower confidence limit for the
 estimated percentile: the gradient of L_p with respect to the model
@@ -37,7 +38,7 @@ __all__ = [
     "vsd_upper_limit",
 ]
 
-_BISECT_F_TOL = 1e-12
+_ROOT_F_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,9 @@ def resolve_query(query: PercentileQuery):
 
 
 @np.errstate(over="ignore", under="ignore")
-def _bisect(m: ModelDef, theta: np.ndarray, target: float) -> float:
+def _root(m: ModelDef, theta: np.ndarray, target: float) -> float:
+    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
+
     # every probe is a finite dose inside the domain resolve_query checked
     def f(x):
         return float(m.fn(x, theta))
@@ -122,26 +125,19 @@ def _bisect(m: ModelDef, theta: np.ndarray, target: float) -> float:
                 f"{f(hi)} (at dose {hi})",
                 f(hi),
             )
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        if f(mid) < target:
-            a = mid
-        else:
-            b = mid
-    mid = 0.5 * (a + b)
-    if abs(f(mid) - target) > _BISECT_F_TOL:
-        raise DomainError(f"bisection stalled: |F - target| = {abs(f(mid) - target):.2e}")
-    return mid
+    # a tolerance relative to the dose alone: low-dose percentiles span many decades
+    x = brentq(lambda x: f(x) - target, lo, hi, xtol=np.finfo(float).tiny, disp=False)
+    if abs(f(x) - target) > _ROOT_F_TOL:
+        raise DomainError(f"root search stalled: |F - target| = {abs(f(x) - target):.2e}")
+    return x
 
 
 def percentile(query: PercentileQuery, method: str = "auto") -> float:
     """Dose at which the curve reaches the target probability.
 
     ``method`` selects the inversion path: "closed" (closed form where
-    one exists), "bisect", or "auto" (closed form preferred).
+    one exists), "bisect" (the bracketed numeric root, whatever the
+    model), or "auto" (closed form preferred).
     """
     m, theta, _risk, target = resolve_query(query)
     return _solve(m, theta, target, method)
@@ -154,7 +150,7 @@ def _solve(m: ModelDef, theta: np.ndarray, target: float, method: str) -> float:
         return float(m.inverse(target, theta))
     if method == "closed":
         raise DomainError(f"no closed-form percentile for {m.id}")
-    return _bisect(m, theta, target)
+    return _root(m, theta, target)
 
 
 @np.errstate(over="ignore", under="ignore")

@@ -199,6 +199,16 @@ def test_trajectory_event_budget(monkeypatch):
         simulate_bd(BirthDeathSpec(b=2.0, d=1.0, i0=20, t_end=12.0, seed=61))
 
 
+def test_replicate_step_budget(monkeypatch):
+    small = BirthDeathSpec(b=1.0, d=1.0, i0=1, t_end=1.0, seed=67)
+    expected = simulate_replicates(small, 50)
+    monkeypatch.setattr(birthdeath, "MAX_REPLICATE_STEPS", 100_000)
+    assert simulate_replicates(small, 50) == expected
+    # supercritical from 20 cells: extinction is negligible, the clones grow past the budget
+    with pytest.raises(NotConvergedError, match="100000 steps over 2 clones"):
+        simulate_replicates(BirthDeathSpec(b=2.0, d=1.0, i0=20, t_end=100.0, seed=67), 2)
+
+
 def test_spec_validation():
     with pytest.raises(DomainError):
         BirthDeathSpec(b=-1.0, d=1.0)

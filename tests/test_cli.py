@@ -38,6 +38,29 @@ def test_fit_weibull_survival(tmp_path, capsys):
     assert report["info"] is not None
 
 
+@pytest.mark.parametrize("shape, seed", [(1.5, 3), (30.0, 5)])
+def test_fit_weibull_survival_in_large_time_units(tmp_path, shape, seed):
+    # with times near 1e9, t^s overflows at shape 30 (a RuntimeWarning, then exit 2)
+    # and an absolute score tolerance fails at shape 1.5 (exit 3) unless the fit rescales
+    import subprocess
+    import sys
+
+    rng = np.random.default_rng(seed)
+    times = 1e9 * rng.weibull(shape, 60)
+    censor = 1e9 * rng.exponential(2.0, 60)
+    rows = [f"{t:.10g},{int(t <= c)}" for t, c in zip(np.minimum(times, censor), censor)]
+    csv_path = tmp_path / "surv.csv"
+    csv_path.write_text("time,event\n" + "\n".join(rows) + "\n")
+    src = os.path.dirname(os.path.dirname(ba.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bioassay", "fit", "--model", "weibull-cdf", "--input", str(csv_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["converged"]
+
+
 def test_fit_regression_model(tmp_path, capsys):
     xs = np.linspace(0.3, 8.0, 40)
     y = np.asarray(ba.evaluate("mm", xs, [2.0, 1.0]))
@@ -476,6 +499,16 @@ def test_simulate_bd_event_budget_exit_3(capsys, monkeypatch):
     )
     assert (code, out) == (3, "")
     assert err.count("\n") == 1 and "1000 events" in err
+
+
+def test_simulate_bd_replicate_step_budget_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(birthdeath, "MAX_REPLICATE_STEPS", 100_000)
+    code, out, err = run_cli(
+        capsys, "simulate-bd", "--birth", "2", "--death", "1", "--i0", "20", "--t-end", "100",
+        "--replicates", "2", "--seed", "3",
+    )
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "100000 steps" in err
 
 
 @pytest.mark.parametrize(

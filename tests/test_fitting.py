@@ -1,6 +1,7 @@
 """Fitting procedures: Weibull MLE, Gauss-Newton, logit, KS test."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,33 @@ def test_weibull_mle_identical_times_hits_boundary():
     fit = weibull_mle(sample)
     assert not fit.converged
     assert "boundary" in fit.message
+
+
+def _censored_weibull_samples(seed, count):
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(count):
+        n = int(rng.integers(10, 200))
+        theta, s = rng.uniform(0.2, 5.0), rng.uniform(0.3, 5.0)
+        times = _weibull_times(rng, theta, s, n)
+        censor = rng.exponential(rng.uniform(0.5, 5.0) / theta, n)
+        flags = (times <= censor).astype(int)
+        flags[:2] = 1
+        samples.append(WeibullSample(np.minimum(times, censor), flags))
+    return samples
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6, 1e9])
+def test_weibull_mle_is_free_of_the_time_unit(c):
+    # unless the fit is free of the unit, t^s overflows at c = 1e9 and an absolute
+    # score test fails at c >= 1e7
+    for sample in _censored_weibull_samples(17, 100):
+        ref = weibull_mle(sample)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = weibull_mle(WeibullSample(c * sample.times, sample.event_flags))
+        assert ref.converged and fit.converged, fit.message
+        np.testing.assert_allclose(fit.theta_hat, [ref.theta_hat[0] / c, ref.theta_hat[1]], rtol=1e-12)
 
 
 # -- Gauss-Newton least squares ---------------------------------------------------

@@ -444,6 +444,38 @@ def test_cyclic_inconsistent_classify_names_unsatisfied_rows():
         classify_empty(p, ("a0", "b0", "c0"))
 
 
+def test_cyclic_integer_exact_gives_an_exact_integer_witness(rng):
+    # all two-way margins of a three-way r=3 table: cyclic, decided by exhaustive search
+    _attrs, p = three_way(rng.integers(0, 4, (3, 3, 3)))
+    verdict = check_consistency(p, integer_exact=True)
+    assert verdict.consistent
+    w = verdict.witness
+    assert w.variable == p.variable
+    assert all(v >= 0 and v == int(v) for v in w.cells.values())
+    assert_witness_marginals(p, w, exact=True)
+
+
+def test_integer_exact_structural_zero_infeasible_by_exhaustive_search():
+    p = Polyptych(
+        tables=(row_table([1, 0]), row_table([0, 1], attr=COL)),
+        structural_zeros=frozenset({("r1", "c2")}),
+    )
+    verdict = check_consistency(p, integer_exact=True)
+    assert not verdict.consistent
+    assert verdict.certificate.startswith("exhaustive search")
+
+
+def test_integer_exact_enumeration_cap():
+    rows = CategoryAttribute("big-row", tuple(f"r{i}" for i in range(101)))
+    cols = CategoryAttribute("big-col", tuple(f"c{i}" for i in range(100)))
+    p = Polyptych(
+        tables=(row_table([1] + [0] * 100, attr=rows), row_table([1] + [0] * 99, attr=cols)),
+        structural_zeros=frozenset({("r0", "c1")}),
+    )
+    with pytest.raises(DomainError, match="integer enumeration capped at 10000 cells, got 10100"):
+        check_consistency(p, integer_exact=True)
+
+
 def test_negative_real_cell_is_inconsistent():
     real = SummaryVariable("mass", "real")
     p = Polyptych(
