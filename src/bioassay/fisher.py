@@ -15,6 +15,7 @@ cross-check the outer-product computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +151,21 @@ class WeibullSample:
         return int(self.event_flags.sum())
 
 
+def _weibull_powers(sample: WeibullSample, theta: float, s: float):
+    """The terms (theta t)^s of the Weibull likelihood without overflow.
+
+    Returns (log k, w, log t) with (theta t)^s = k w, where the weights
+    w = (t / max t)^s lie in (0, 1] and k = (theta max t)^s, so that k
+    overflows only when the largest term itself does.  Near a fit k is of
+    order one in any time unit, while t^s alone overflows at t = 1e9 and
+    s > 34.
+    """
+    log_t = np.log(sample.times)
+    z = s * log_t
+    z_max = z.max()
+    return s * math.log(theta) + z_max, np.exp(z - z_max), log_t
+
+
 def weibull_observed_info(sample: WeibullSample, theta: float, s: float, negate: bool = False) -> np.ndarray:
     """Second derivatives of the censored-Weibull log-likelihood at (theta, s).
 
@@ -161,17 +177,14 @@ def weibull_observed_info(sample: WeibullSample, theta: float, s: float, negate:
         raise DomainError("theta and s must both be > 0")
     if sample.n == 0:
         raise DomainError("sample must be nonempty")
-    t = sample.times
     d = sample.d
-    ts = t**s
-    sum_ts = ts.sum()
-    log_t = np.log(t)
-    itt = -s * d / theta**2 - s * (s - 1.0) * theta ** (s - 2.0) * sum_ts
-    its = (
-        d / theta
-        - theta ** (s - 1.0) * (1.0 + s * np.log(theta)) * sum_ts
-        - s * theta ** (s - 1.0) * (ts * log_t).sum()
-    )
-    iss = -d / s**2 - theta**s * (ts * np.log(theta * t) ** 2).sum()
+    log_k, w, log_t = _weibull_powers(sample, theta, s)
+    log_tt = math.log(theta) + log_t
+    k = np.exp(log_k)
+    sum_ts = k * w.sum()
+    ts_log_tt = k * (w * log_tt)
+    itt = -s * (d + (s - 1.0) * sum_ts) / theta**2
+    its = (d - sum_ts - s * ts_log_tt.sum()) / theta
+    iss = -d / s**2 - (ts_log_tt * log_tt).sum()
     h = np.array([[itt, its], [its, iss]])
     return -h if negate else h

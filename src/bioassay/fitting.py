@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit, kolmogorov
 
 from .exceptions import DomainError, SeparationError
-from .fisher import InfoMatrix, WeibullSample, info_at_estimate, weibull_observed_info
+from .fisher import InfoMatrix, WeibullSample, _weibull_powers, info_at_estimate, weibull_observed_info
 from .models import evaluate
 from .models.base import ModelDef, as_theta
 
@@ -39,6 +39,7 @@ __all__ = [
 SCORE_TOL = 1e-8
 SSE_REL_TOL = 1e-10
 _HALVINGS = 0.5 ** np.arange(25)  # Gauss-Newton step scales 1, 1/2, ..., 2^-24
+_LOGIT_SCALES = 0.5 ** np.arange(41)  # Newton logit step scales 1, 1/2, ..., 2^-40
 
 
 @dataclass(frozen=True)
@@ -157,41 +158,41 @@ def weibull_log_likelihood(sample: WeibullSample, theta: float, s: float) -> flo
     observations the survival exponent -(theta t)^s."""
     if not theta > 0 or not s > 0:
         raise DomainError("theta and s must both be > 0")
-    t = sample.times
-    log_t_events = np.log(t[sample.event_flags == 1])
+    log_k, w, log_t = _weibull_powers(sample, theta, s)
     with np.errstate(over="ignore"):
-        events = np.sum(np.log(s) + s * np.log(theta) + (s - 1.0) * log_t_events)
-        return float(events - theta**s * np.sum(t**s))
+        events = np.sum(np.log(s) + s * np.log(theta) + (s - 1.0) * log_t[sample.event_flags == 1])
+        return float(events - np.exp(log_k) * w.sum())
 
 
 def weibull_score(sample: WeibullSample, theta: float, s: float) -> np.ndarray:
     """Score vector (dl/dtheta, dl/ds) of the censored log-likelihood."""
     if not theta > 0 or not s > 0:
         raise DomainError("theta and s must both be > 0")
-    t = sample.times
     d = sample.d
+    log_k, w, log_t = _weibull_powers(sample, theta, s)
+    log_theta = math.log(theta)
     with np.errstate(over="ignore"):
-        ts = t**s
-        sum_ts = ts.sum()
-        u_theta = s * d / theta - s * theta ** (s - 1.0) * sum_ts
-        ev = sample.event_flags == 1
+        k = np.exp(log_k)
+        u_theta = s * (d - k * w.sum()) / theta
         u_s = (
             d / s
-            + d * math.log(theta)
-            + np.log(t[ev]).sum()
-            - theta**s * (ts * np.log(theta * t)).sum()
+            + d * log_theta
+            + log_t[sample.event_flags == 1].sum()
+            - k * (w * (log_theta + log_t)).sum()
         )
     return np.array([u_theta, u_s])
 
 
 def weibull_theta_star(sample: WeibullSample, s: float) -> float:
-    """Closed-form rate MLE at fixed shape: theta* = (d / sum t_i^s)^(1/s)."""
+    """Closed-form rate MLE at fixed shape: theta* = (d / sum t_i^s)^(1/s),
+    with log sum t_i^s taken as a log-sum-exp so that t^s never overflows."""
     if not s > 0:
         raise DomainError(f"shape s must be > 0, got {s}")
     d = sample.d
     if d < 1:
         raise DomainError("no events observed: the rate MLE is at the boundary")
-    return float((d / np.sum(sample.times**s)) ** (1.0 / s))
+    log_k, w, _ = _weibull_powers(sample, 1.0, s)
+    return math.exp((math.log(d) - log_k - math.log(w.sum())) / s)
 
 
 def weibull_mle(sample: WeibullSample, s_bounds: tuple[float, float] = (0.05, 50.0)) -> FitResult:
@@ -363,15 +364,25 @@ def fit_least_squares(
 
 # -- logistic regression ------------------------------------------------------
 
-def _logit_loglik(X, y, beta):
-    eta = X @ beta
-    # log(p) and log(1-p) in a numerically safe form
-    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+def _softplus(eta):
+    """log(1 + e^eta) elementwise, by the formula of ``np.logaddexp(0, eta)``."""
+    return np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
 
 
 def fit_logit(data: BinaryDataset, include_x2: bool = False, max_iter: int = 100) -> FitResult:
     """Newton maximum likelihood for the logistic regression of y on x1
     (and optionally x2).
+
+    Each Newton step halves its length (at most 40 times) until the
+    log-likelihood falls by no more than 1e-12.  Every candidate computes
+    its linear predictor eta = X beta once; the accepted one carries eta
+    and its softplus log(1 + e^eta) into the next step's fitted
+    probabilities and into the final information matrix.  The line
+    search compares the term-by-term change
+    sum(y (eta_new - eta) - (softplus_new - softplus)), whose rounding
+    stays near the size of the change itself; the difference of two
+    summed log-likelihoods carries rounding that grows with n and stalls
+    large fits near the optimum.
 
     Raises :class:`SeparationError` when the estimates diverge past
     |beta| = 30 with rising likelihood, and rejects rank-deficient
@@ -390,12 +401,13 @@ def fit_logit(data: BinaryDataset, include_x2: bool = False, max_iter: int = 100
         raise DomainError("design matrix is rank deficient (constant or collinear covariate)")
 
     beta = np.zeros(X.shape[1])
-    ll = _logit_loglik(X, y, beta)
+    eta = np.zeros(data.n)
+    sp = _softplus(eta)
     converged = False
     iters = 0
     for _ in range(max_iter):
         iters += 1
-        p = expit(X @ beta)
+        p = expit(eta)
         score = X.T @ (y - p)
         if np.linalg.norm(score) < SCORE_TOL:
             if np.all(np.abs(y - p) < 1e-6):
@@ -410,26 +422,27 @@ def fit_logit(data: BinaryDataset, include_x2: bool = False, max_iter: int = 100
             step = np.linalg.solve(hess, score)
         except np.linalg.LinAlgError:
             raise SeparationError("information matrix singular: classes are quasi-separable")
-        scale = 1.0
-        for _ in range(40):
+        # step halving; when no scale passes, the smallest, 2^-40, is taken anyway
+        for scale in _LOGIT_SCALES:
             cand = beta + scale * step
-            ll_new = _logit_loglik(X, y, cand)
-            if ll_new >= ll - 1e-12:
+            eta_new = X @ cand
+            sp_new = _softplus(eta_new)
+            gain = float(np.sum(y * (eta_new - eta) - (sp_new - sp)))
+            if gain >= -1e-12:
                 break
-            scale *= 0.5
-        beta = beta + scale * step
-        ll_prev, ll = ll, _logit_loglik(X, y, beta)
-        if np.max(np.abs(beta)) > 30.0 and ll >= ll_prev:
+        beta, eta, sp = cand, eta_new, sp_new
+        if np.max(np.abs(beta)) > 30.0 and gain >= 0.0:
             raise SeparationError(
                 "estimates diverging with rising likelihood: complete or quasi-complete separation"
             )
+    else:
+        p = expit(eta)
 
-    p = expit(X @ beta)
     w = p * (1.0 - p)
     info = InfoMatrix(X.T @ (X * w[:, None]), 1.0)
     return FitResult(
         theta_hat=beta,
-        objective=ll,
+        objective=float(np.sum(y * eta - sp)),
         s2=None,
         info=info,
         converged=converged,
@@ -459,9 +472,12 @@ class KSResult:
 def ks_test(sample, cdf) -> KSResult:
     """One-sample Kolmogorov-Smirnov test against a fully specified CDF.
 
-    ``cdf`` is a callable x -> F(x) or a (model, theta) pair.  The
-    statistic is the exact supremum over the order statistics; the
-    p-value is the limiting Kolmogorov law P(K > sqrt(n) D), from
+    ``cdf`` is a vectorized callable or a (model, theta) pair.  A callable
+    is called once, on the sorted sample, and must return one value per
+    point (an array of the sample's shape), else :class:`DomainError` is
+    raised; wrap a scalar-only function in ``np.vectorize``.  The
+    statistic is the exact supremum over the order statistics; the p-value
+    is the limiting Kolmogorov law P(K > sqrt(n) D), from
     :func:`scipy.special.kolmogorov`.
     """
     xs = np.sort(np.asarray(sample, dtype=float))
@@ -469,7 +485,9 @@ def ks_test(sample, cdf) -> KSResult:
     if n == 0:
         raise DomainError("sample must be nonempty")
     if callable(cdf):
-        f = np.asarray([cdf(x) for x in xs], dtype=float)
+        f = np.asarray(cdf(xs), dtype=float)
+        if f.shape != xs.shape:
+            raise DomainError(f"cdf must return one value per point: shape {f.shape}, sample shape {xs.shape}")
     else:
         model, theta = cdf
         f = np.asarray(evaluate(model, xs, theta), dtype=float)

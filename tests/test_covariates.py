@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from bioassay import covariates
 from bioassay.covariates import CorrelationPair, classify, efficiency, omission_experiment
 from bioassay.exceptions import DomainError
+from bioassay.fitting import fit_logit
 
 
 def test_efficiency_pinned_values():
@@ -91,6 +93,33 @@ def test_omission_experiment_deterministic():
     a = omission_experiment(500, (0.0, 1.0, 1.0), rho12=0.0, seed=99)
     b = omission_experiment(500, (0.0, 1.0, 1.0), rho12=0.0, seed=99)
     assert a == b
+
+
+# (beta1_full, beta1_restricted, var_ratio, se_full, se_restricted), fit_logit iterations
+# (full, restricted); recorded before fit_logit carried eta through its line search
+PINNED_OMISSION = {
+    1: ((0.6439415436717507, 0.9486814179099863, 0.8516518465735747, 0.0397443031244372, 0.036678024196736346), [6, 6]),
+    2: ((0.7191975572934654, 1.03010254551069, 0.8575718734171404, 0.040696995704293026, 0.03768752474517144), [6, 6]),
+    3: ((0.7443594836823973, 1.0677928055157089, 0.8487067941936038, 0.04146344469549531, 0.038198316159078705), [6, 6]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_OMISSION))
+def test_omission_experiment_pinned_results(seed, monkeypatch):
+    iterations = []
+
+    def counting_fit_logit(data, include_x2=False):
+        fit = fit_logit(data, include_x2=include_x2)
+        iterations.append(fit.iterations)
+        return fit
+
+    monkeypatch.setattr(covariates, "fit_logit", counting_fit_logit)
+    res = omission_experiment(5000, (-0.3, 0.7, 0.9), 0.5, seed)
+    want, want_iterations = PINNED_OMISSION[seed]
+    got = (res.beta1_full, res.beta1_restricted, res.var_ratio, res.se_full, res.se_restricted)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert res.resampled == 0
+    assert iterations == want_iterations
 
 
 def test_omission_experiment_null_covariate_agrees():

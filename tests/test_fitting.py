@@ -10,7 +10,7 @@ from scipy.optimize import minimize_scalar
 
 import bioassay as ba
 from bioassay.exceptions import DomainError, SeparationError
-from bioassay.fisher import WeibullSample
+from bioassay.fisher import WeibullSample, weibull_observed_info
 from bioassay.fitting import (
     BinaryDataset,
     FitResult,
@@ -134,6 +134,36 @@ def test_weibull_mle_is_free_of_the_time_unit(c):
             fit = weibull_mle(WeibullSample(c * sample.times, sample.event_flags))
         assert ref.converged and fit.converged, fit.message
         np.testing.assert_allclose(fit.theta_hat, [ref.theta_hat[0] / c, ref.theta_hat[1]], rtol=1e-12)
+
+
+def test_weibull_functions_finite_at_a_large_unit_fit():
+    # at s = 36.5 and times near 1e9, t^s and theta^s overflow on their own
+    times = np.random.default_rng(0).weibull(35, 200) * 1e9
+    sample = WeibullSample.all_events(times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = weibull_mle(sample)
+        theta, s = fit.theta_hat
+        assert fit.converged and s == pytest.approx(36.47, abs=0.01)
+        c = math.exp(np.log(times).mean())  # unit-free values on times / c
+        scaled = WeibullSample.all_events(times / c)
+        jac = np.array([theta, 1.0])  # theta dl/dtheta and dl/ds are unit-free
+        score = weibull_score(sample, theta, s) * jac
+        info = weibull_observed_info(sample, theta, s) * np.outer(jac, jac)
+        ll = weibull_log_likelihood(sample, theta, s)
+        star = weibull_theta_star(sample, s)
+        ref_jac = np.array([theta * c, 1.0])
+        ref_score = weibull_score(scaled, theta * c, s) * ref_jac
+        ref_info = weibull_observed_info(scaled, theta * c, s) * np.outer(ref_jac, ref_jac)
+        ref_ll = weibull_log_likelihood(scaled, theta * c, s)
+        ref_star = weibull_theta_star(scaled, s)
+    for v in (score, info, ll, star):
+        assert np.all(np.isfinite(v))
+    # the score vanishes at the fit; its terms are of order d
+    np.testing.assert_allclose(score, ref_score, rtol=0, atol=1e-10 * sample.d)
+    np.testing.assert_allclose(info, ref_info, rtol=1e-10)
+    assert ll + sample.d * math.log(c) == pytest.approx(ref_ll, rel=1e-10)
+    assert star * c == pytest.approx(ref_star, rel=1e-10)
 
 
 # -- Gauss-Newton least squares ---------------------------------------------------
@@ -274,6 +304,22 @@ def test_logit_both_classes_required():
         fit_logit(data)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_logit_converges_at_large_n(seed):
+    # near the optimum a Newton step gains about 1e-16, below the ~1e-11 rounding of
+    # a summed log-likelihood at n = 50 000; comparing two such sums stalled fits here
+    data = _logit_sim(np.random.default_rng(seed), 50_000, (-0.3, 0.7, 0.9), rho12=0.5)
+    for include_x2 in (True, False):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_logit(data, include_x2=include_x2)
+        assert fit.converged and fit.iterations <= 8, (fit.iterations, fit.message)
+        cols = [np.ones(data.n), data.x1] + ([data.x2] if include_x2 else [])
+        eta = np.column_stack(cols) @ fit.theta_hat
+        want = np.sum(data.y * eta - np.logaddexp(0.0, eta))
+        assert fit.objective == pytest.approx(want, rel=1e-12)
+
+
 def test_relative_risk():
     assert relative_risk(0.0) == 1.0
     assert relative_risk(math.log(2.0)) == pytest.approx(2.0, rel=1e-15)
@@ -318,6 +364,29 @@ def test_ks_rejects_empty():
 def test_ks_rejects_nan_cdf_values():
     with pytest.raises(DomainError):
         ks_test([0.1, 0.2, 0.3], lambda x: float("nan"))
+
+
+def test_ks_rejects_nan_from_a_vectorized_cdf():
+    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        ks_test([0.1, 0.2, 0.3], lambda x: np.full(x.shape, np.nan))
+
+
+def test_ks_rejects_a_cdf_without_one_value_per_point():
+    # a scalar would broadcast against every order statistic
+    with pytest.raises(DomainError, match="one value per point"):
+        ks_test([0.1, 0.2, 0.3], lambda x: 0.5)
+
+
+def test_ks_vectorized_callable_matches_model_form():
+    xs = np.random.default_rng(3).exponential(1.0 / 1.2, 200)
+    calls = []
+
+    def cdf(x):
+        calls.append(np.shape(x))
+        return -np.expm1(-x)
+
+    assert ks_test(xs, cdf) == ks_test(xs, ("one-hit", [1.0]))
+    assert calls == [xs.shape]  # one call, on the whole sorted sample
 
 
 def test_ks_exact_quantiles_have_p_value_one():
