@@ -45,8 +45,9 @@ class InfoMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DomainError(f"information matrix must be square, got {entries.shape}")
-        if not np.allclose(entries, entries.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(entries).max())):
-            raise DomainError("information matrix must be symmetric")
+        scale = np.abs(entries).max()  # NaN or inf unless every entry is finite
+        if not (scale < np.inf and np.abs(entries - entries.T).max() <= 1e-12 * max(1.0, scale)):
+            raise DomainError("information matrix must be finite and symmetric")
         if not self.sigma2 > 0:
             raise DomainError(f"sigma2 must be > 0, got {self.sigma2}")
         object.__setattr__(self, "entries", entries)

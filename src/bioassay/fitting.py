@@ -10,14 +10,16 @@ one-sample test.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, kolmogorov
 
 from .exceptions import DomainError, SeparationError
-from .fisher import InfoMatrix, WeibullSample, _weibull_powers, info_at_estimate, weibull_observed_info
+from .fisher import InfoMatrix, WeibullSample, _weibull_powers, weibull_observed_info
 from .models import evaluate
 from .models.base import ModelDef, as_theta
 
@@ -39,6 +41,8 @@ __all__ = [
 SCORE_TOL = 1e-8
 SSE_REL_TOL = 1e-10
 _HALVINGS = 0.5 ** np.arange(25)  # Gauss-Newton step scales 1, 1/2, ..., 2^-24
+# plain Gauss-Newton first, then Levenberg damping 1e-3, 1e-2, ..., 1e8 (tenfold on failure)
+_DAMPING = (0.0, *itertools.accumulate(itertools.repeat(10.0, 11), operator.mul, initial=1e-3))
 _LOGIT_SCALES = 0.5 ** np.arange(41)  # Newton logit step scales 1, 1/2, ..., 2^-40
 
 
@@ -105,6 +109,7 @@ class FitResult:
     model: str | None = None
     objective_kind: str = "sse"
     message: str = ""
+    active_bounds: tuple[int, ...] = ()  # slots held on a closed bound at the estimate
 
     def standard_errors(self) -> np.ndarray:
         if self.info is None:
@@ -122,6 +127,7 @@ class FitResult:
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
             "message": self.message,
+            "active_bounds": [int(i) for i in self.active_bounds],
         }
 
     @classmethod
@@ -146,6 +152,7 @@ class FitResult:
                 model=report.get("model"),
                 objective_kind=report.get("objective_kind", "sse"),
                 message=report.get("message", ""),
+                active_bounds=tuple(int(i) for i in report.get("active_bounds", ())),
             )
         except (TypeError, ValueError) as exc:
             raise DomainError(f"malformed fit report: {exc}") from None
@@ -261,18 +268,44 @@ def weibull_mle(sample: WeibullSample, s_bounds: tuple[float, float] = (0.05, 50
 
 # -- Gauss-Newton least squares ---------------------------------------------
 
+def _box(m: ModelDef, p: int):
+    """The closed bounds (lo, hi) of the p parameter slots, -inf/inf where a
+    slot has none; None when no slot has one.  Strict bounds are left to
+    :meth:`ModelDef.admits`, and frozen integer slots never move."""
+    specs = m.params if m.params is not None else (m.variadic_param,) * p
+    lo, hi = np.full(p, -np.inf), np.full(p, np.inf)
+    for i, spec in enumerate(specs):
+        if spec.strict or spec.integer:
+            continue
+        if spec.low is not None:
+            lo[i] = spec.low
+        if spec.high is not None:
+            hi[i] = spec.high
+    if np.isinf(lo).all() and np.isinf(hi).all():
+        return None
+    return lo, hi
+
+
 def fit_least_squares(
     model: ModelDef | str,
     data: RegressionDataset,
     theta0,
     max_iter: int = 500,
 ) -> FitResult:
-    """Gauss-Newton nonlinear least squares with step halving.
+    """Projected Gauss-Newton nonlinear least squares with step halving.
 
-    Accepted steps never increase the SSE.  Singular normal equations
-    fall back to Levenberg damping (lambda from 1e-3, tenfold on
-    failure); persistent singularity yields a non-converged report.
-    Integer-constrained parameter slots are held fixed.
+    A slot is binding when it sits on a closed (non-strict) bound of its
+    domain and the descent direction J^T r points out of the box; frozen
+    integer slots always bind.  Each iteration solves the normal equations
+    on the other slots; a singular or unusable solve falls back to
+    Levenberg damping (lambda from 1e-3, tenfold on failure).  The step is
+    halved until the SSE does not increase, each candidate clipped to the
+    closed bounds and filtered by the strict ones (Bertsekas 1982), so a
+    fit on a bound lands there instead of crawling toward it.  The fit
+    converges when the norm of the projected gradient (binding slots
+    zeroed) falls below ``SCORE_TOL`` or the relative SSE drop below
+    ``SSE_REL_TOL``; persistent singularity yields a non-converged report.
+    ``active_bounds`` lists the binding slots at the estimate.
     """
     from .models import get_model
 
@@ -281,74 +314,85 @@ def fit_least_squares(
     p = len(theta)
     if data.n < p:
         raise DomainError(f"need at least {p} observations to fit {m.id}, got {data.n}")
-    active = [i for i in range(p) if i not in m.frozen_slots]
+    frozen = np.zeros(p, dtype=bool)
+    frozen[list(m.frozen_slots)] = True
+    free = np.flatnonzero(~frozen)
+    box = _box(m, p)
     # inputs are validated once here; the iterations call fn/grad directly
     u = m.check_input(data.u)
     m.check_input(u, for_gradient=True)
 
     def residuals(th):
-        with np.errstate(over="ignore", under="ignore"):
-            return data.y - np.asarray(m.fn(u, th), dtype=float)
+        return data.y - np.asarray(m.fn(u, th), dtype=float)
 
-    r = residuals(theta)
-    sse = float(r @ r)
+    def jacobian(th):
+        jac = np.asarray(m.grad(u, th), dtype=float)
+        if not np.isfinite(jac).all():
+            return m.finite_grad(u, th)  # raises, naming the first bad point
+        return jac
+
+    def binding(th, grad):
+        lo, hi = box
+        return ((th == lo) & (grad < 0.0)) | ((th == hi) & (grad > 0.0))
+
     converged = False
     message = ""
     iters = 0
-    for _ in range(max_iter):
-        iters += 1
-        jac = np.atleast_2d(m.finite_grad(u, theta))
-        ja = jac[:, active]
-        g = ja.T @ r
-        if np.linalg.norm(2.0 * jac.T @ r) < SCORE_TOL:
-            converged = True
-            break
-        jtj = ja.T @ ja
-
-        def step_candidates():
-            # plain Gauss-Newton first, then the Levenberg damping ladder
-            # (also engages when an ill-conditioned solve yields a bad step)
-            try:
-                yield np.linalg.solve(jtj, g)
-            except np.linalg.LinAlgError:
-                pass
-            lam = 1e-3
-            for _ in range(12):
-                try:
-                    yield np.linalg.solve(jtj + lam * np.eye(len(active)), g)
-                except np.linalg.LinAlgError:
-                    pass
-                lam *= 10.0
-
-        improved = False
-        for step_a in step_candidates():
-            if not np.all(np.isfinite(step_a)):
-                continue
-            step = np.zeros(p)
-            step[active] = step_a
-            # step halving; candidates outside the domain are skipped in one test
-            cands = theta + _HALVINGS[:, None] * step
-            for cand in cands[m.admits(cands)]:
-                r_new = residuals(cand)
-                sse_new = float(r_new @ r_new)
-                if np.isfinite(sse_new) and sse_new <= sse:
-                    improved = True
-                    break
-            if improved:
+    with np.errstate(over="ignore", under="ignore"):
+        r = residuals(theta)
+        sse = float(r @ r)
+        jac = jacobian(theta)
+        for _ in range(max_iter):
+            iters += 1
+            grad = jac.T @ r  # minus half the SSE gradient
+            if box is not None:
+                bind = frozen | binding(theta, grad)
+                grad[bind] = 0.0
+                free = np.flatnonzero(~bind)
+            if np.linalg.norm(2.0 * grad) < SCORE_TOL:
+                converged = True
                 break
-        if not improved:
-            message = "no descent step found: normal equations persistently singular or stalled"
-            break
-        rel_drop = (sse - sse_new) / max(sse, 1e-300)
-        theta, r, sse = cand, r_new, sse_new
-        if rel_drop < SSE_REL_TOL:
-            converged = True
-            break
+            ja = jac[:, free]
+            g = ja.T @ r
+            jtj = ja.T @ ja
+            step = np.zeros(p)
+            improved = False
+            # the damping ladder also engages when an ill-conditioned solve yields a bad step
+            for lam in _DAMPING:
+                try:
+                    step_a = np.linalg.solve(jtj + lam * np.eye(len(free)) if lam else jtj, g)
+                except np.linalg.LinAlgError:
+                    continue
+                if not np.isfinite(step_a).all():
+                    continue
+                step[free] = step_a
+                # step halving; candidates outside the domain are skipped in one test
+                cands = theta + _HALVINGS[:, None] * step
+                if box is not None:
+                    cands = np.clip(cands, *box)
+                for cand in cands[m.admits(cands)]:
+                    r_new = residuals(cand)
+                    sse_new = float(r_new @ r_new)
+                    if np.isfinite(sse_new) and sse_new <= sse:
+                        improved = True
+                        break
+                if improved:
+                    break
+            if not improved:
+                message = "no descent step found: normal equations persistently singular or stalled"
+                break
+            rel_drop = (sse - sse_new) / max(sse, 1e-300)
+            theta, r, sse = cand, r_new, sse_new
+            jac = jacobian(theta)
+            if rel_drop < SSE_REL_TOL:
+                converged = True
+                break
 
     s2 = sse / (data.n - p) if data.n > p else None
     info = None
     if s2 is not None and s2 > 0:
-        info = info_at_estimate(m, data.u, theta, s2)
+        info = InfoMatrix(jac.T @ jac / s2, s2)
+    active_bounds = () if box is None else tuple(int(i) for i in np.flatnonzero(binding(theta, jac.T @ r)))
     return FitResult(
         theta_hat=theta,
         objective=sse,
@@ -359,6 +403,7 @@ def fit_least_squares(
         model=m.id,
         objective_kind="sse",
         message=message,
+        active_bounds=active_bounds,
     )
 
 

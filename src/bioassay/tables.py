@@ -13,7 +13,7 @@ separators are globally consistent (Vorob'ev 1962): the join-tree
 product prod n_C / prod n_S is a witness, and the sharp upper bound of a
 universal cell is the smallest table cell containing it (Dobra &
 Fienberg 2000).  Everything else (cyclic schemes, structural zeros) is a
-linear program for HiGHS (``scipy.optimize.linprog``).  An optional exact
+linear program for HiGHS (``scipy.optimize.milp``).  An optional exact
 mode decides integer feasibility for integer-typed variables: by a
 northwest-corner fill along the join tree, or by enumeration on the LP
 path.
@@ -494,10 +494,16 @@ def _row_label(p: Polyptych, row: int) -> str:
 
 
 def _linprog(c, A, b):
-    """min c.x subject to A x = b, x >= 0, by HiGHS; raises unless solved or infeasible."""
-    from scipy.optimize import linprog  # deferred: importing scipy.optimize costs ~0.3 s
+    """min c.x subject to A x = b, x >= 0, by HiGHS; raises unless solved or infeasible.
 
-    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    Calls :func:`scipy.optimize.milp` with no integrality, the same HiGHS
+    LP solve behind a thinner wrapper than ``linprog``'s.
+    """
+    # deferred: importing scipy.optimize costs ~0.3 s
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array
+
+    res = milp(c, constraints=LinearConstraint(csr_array(A), b, b), bounds=Bounds(0.0, np.inf))
     if res.status not in (0, 2):
         raise NotConvergedError(f"HiGHS did not decide the linear program: {res.message}")
     return res

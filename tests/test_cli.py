@@ -583,14 +583,15 @@ def test_main_reuses_one_parser_without_leaking_state(tmp_path, capsys, monkeypa
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported inside the LP path only: it would add
-    # about 0.3 s to every process that imports the package
+    # scipy.optimize (and scipy.sparse, for the LP's constraint matrix) are
+    # imported inside the LP path only: they would add about 0.3 s to every
+    # process that imports the package
     import subprocess
     import sys
 
     src = os.path.dirname(os.path.dirname(ba.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, bioassay, bioassay.cli; print('scipy.optimize' in sys.modules)"
+    code = "import sys, bioassay, bioassay.cli; print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"

@@ -269,3 +269,21 @@ def test_info_matrix_validation():
     singular = InfoMatrix(np.zeros((2, 2)), 1.0)
     with pytest.raises(DomainError, match="singular"):
         singular.covariance()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_info_matrix_symmetry_tolerance_edge(scale):
+    # the tolerance is 1e-12 times the largest entry (at least 1)
+    atol = 1e-12 * scale
+    InfoMatrix(np.array([[scale, 0.9 * atol], [0.0, 1.0]]), 1.0)
+    with pytest.raises(DomainError, match="symmetric"):
+        InfoMatrix(np.array([[scale, 1.1 * atol], [0.0, 1.0]]), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_info_matrix_rejects_non_finite_entries(bad, where):
+    entries = np.eye(2)
+    entries[where] = entries[where[::-1]] = bad
+    with pytest.raises(DomainError, match="finite and symmetric"):
+        InfoMatrix(entries, 1.0)

@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.optimize import minimize_scalar
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares, minimize_scalar
 
 import bioassay as ba
 from bioassay.exceptions import DomainError, SeparationError
@@ -232,6 +234,105 @@ def test_least_squares_halves_steps_at_a_parameter_bound():
     assert fit.objective < float(r0 @ r0)
 
 
+def _sse_and_score(model, xs, y, theta):
+    r = y - np.asarray(ba.evaluate(model, xs, theta))
+    return float(r @ r), np.atleast_2d(ba.gradient(model, xs, theta)).T @ r
+
+
+def _trf_sse(model, xs, y, start, lows):
+    ref = least_squares(
+        lambda th: y - np.asarray(ba.evaluate(model, xs, th)), start,
+        bounds=(lows, np.inf), method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+    )
+    return _sse_and_score(model, xs, y, ref.x)[0]
+
+
+def _assert_bound_kkt(fit, model, xs, y, lows):
+    """Projected gradient about 0; every binding slot on its bound, pushed outward."""
+    sse, score = _sse_and_score(model, xs, y, fit.theta_hat)  # score = J^T r, minus half the SSE gradient
+    assert fit.objective == sse
+    free = [i for i in range(score.size) if i not in fit.active_bounds]
+    assert np.all(np.abs(score[free]) <= 1e-5)
+    for i in fit.active_bounds:
+        assert fit.theta_hat[i] == lows[i] and score[i] < 0.0
+    assert np.all(fit.theta_hat >= lows)
+
+
+def test_least_squares_reaches_the_optimum_on_a_bound():
+    # the case of test_least_squares_halves_steps_at_a_parameter_bound: the
+    # intercept wants to go negative, and projected steps hold it at 0
+    xs = np.linspace(0.0, 3.0, 20)
+    y = np.asarray(ba.evaluate("multistage", xs, [0.0, 0.3, 0.2])) - 0.01
+    start = np.array([0.05, 0.3, 0.2])
+    fit = fit_least_squares("multistage", RegressionDataset(xs, y), start)
+    assert fit.converged
+    assert fit.active_bounds == (0,)
+    assert fit.theta_hat[0] == 0.0
+    ref = _trf_sse("multistage", xs, y, start, 0.0)
+    assert abs(fit.objective - ref) <= 1e-9 * ref
+    _assert_bound_kkt(fit, "multistage", xs, y, np.zeros(3))
+    back = FitResult.from_dict(fit.to_dict())
+    assert back.active_bounds == (0,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stages=st.integers(2, 3), offset=st.floats(0.0, 0.05))
+def test_multistage_bound_fit_matches_trf_and_kkt(seed, stages, offset):
+    rng = np.random.default_rng(seed)
+    truth = np.where(rng.random(stages) < 0.4, 0.0, rng.uniform(0.0, 0.5, stages))
+    xs = np.linspace(0.0, 3.0, int(rng.integers(10, 40)))
+    y = np.asarray(ba.evaluate("multistage", xs, truth)) - offset + 0.01 * rng.standard_normal(xs.size)
+    start = truth + rng.uniform(0.01, 0.3, stages)
+    fit = fit_least_squares("multistage", RegressionDataset(xs, y), start)
+    assert fit.converged
+    assert fit.objective <= _trf_sse("multistage", xs, y, start, 0.0) * (1.0 + 1e-9)
+    _assert_bound_kkt(fit, "multistage", xs, y, np.zeros(stages))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), offset=st.floats(0.0, 0.3))
+def test_leaf_response_bound_fit_matches_trf_and_kkt(seed, offset):
+    # respiration >= 0 is the one closed bound; a positive offset pushes it there
+    rng = np.random.default_rng(seed)
+    truth = np.array([rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0), rng.uniform(0.0, 0.2)])
+    xs = np.linspace(0.0, 5.0, int(rng.integers(10, 40)))
+    y = np.asarray(ba.evaluate("leaf-response", xs, truth)) + offset + 0.01 * rng.standard_normal(xs.size)
+    start = truth * rng.uniform(0.8, 1.25, 3) + [0.0, 0.0, 0.05]
+    fit = fit_least_squares("leaf-response", RegressionDataset(xs, y), start)
+    assert fit.converged
+    lows = np.array([0.0, 0.0, 0.0])
+    assert fit.objective <= _trf_sse("leaf-response", xs, y, start, lows) * (1.0 + 1e-9)
+    _assert_bound_kkt(fit, "leaf-response", xs, y, lows)
+    assert set(fit.active_bounds) <= {2}
+
+
+# model, truth, start, dose range, noise seed; then theta_hat, SSE (as float.hex) and
+# iterations, recorded before bound projection: a fit that never reaches a bound
+# takes the same steps
+INTERIOR_FITS = [
+    (("logit-cdf", (-2.0, 1.5), (-1.8, 1.3), (0.0, 3.0), 21),
+     (("-0x1.043d772bad0ebp+1", "0x1.88bcdc8e92df4p+0"), "0x1.86586df4b1782p-7", 5)),
+    (("probit-cdf", (-1.5, 1.0), (-1.3, 1.1), (0.0, 3.0), 22),
+     (("-0x1.7c7532f36970dp+0", "0x1.fc352a9839423p-1"), "0x1.9631f11e2c078p-7", 5)),
+    (("weibull-cdf", (1.0, 1.5), (0.9, 1.7), (0.1, 3.0), 23),
+     (("0x1.feb0f6c33e73bp-1", "0x1.864671b9117ebp+0"), "0x1.f50889f94c830p-8", 6)),
+    (("mm", (2.0, 1.0), (1.5, 1.5), (0.2, 6.0), 24),
+     (("0x1.ffa5d795a4053p+0", "0x1.002eb1cec3356p+0"), "0x1.1123567c52599p-7", 6)),
+]
+
+
+@pytest.mark.parametrize("case, pinned", INTERIOR_FITS, ids=[c[0][0] for c in INTERIOR_FITS])
+def test_interior_fits_take_pinned_steps(case, pinned):
+    model, truth, start, (a, b), seed = case
+    xs = np.linspace(a, b, 25)
+    y = np.asarray(ba.evaluate(model, xs, truth)) + 0.02 * np.random.default_rng(seed).standard_normal(xs.size)
+    fit = fit_least_squares(model, RegressionDataset(xs, y), start)
+    theta_hex, sse_hex, iterations = pinned
+    assert fit.converged and fit.active_bounds == ()
+    assert [v.hex() for v in fit.theta_hat.tolist()] == list(theta_hex)
+    assert (fit.objective.hex(), fit.iterations) == (sse_hex, iterations)
+
+
 def test_least_squares_requires_enough_points():
     with pytest.raises(DomainError, match="at least 2"):
         fit_least_squares("mm", RegressionDataset([1.0], [0.5]), [1.0, 1.0])
@@ -436,3 +537,12 @@ def test_fit_report_round_trip(make_fit):
     assert back.info.sigma2 == fit.info.sigma2
     assert (back.converged, back.iterations, back.model) == (fit.converged, fit.iterations, fit.model)
     assert (back.objective_kind, back.message) == (fit.objective_kind, fit.message)
+    assert back.active_bounds == fit.active_bounds
+
+
+def test_fit_report_without_active_bounds_reads_as_none_binding():
+    report = _gn_fit().to_dict()
+    del report["active_bounds"]
+    assert FitResult.from_dict(report).active_bounds == ()
+    with pytest.raises(DomainError, match="malformed"):
+        FitResult.from_dict({**report, "active_bounds": 3})

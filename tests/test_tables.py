@@ -515,8 +515,8 @@ def test_grand_total_tables_are_decomposable():
 
 def test_structural_zeros_route_to_highs(monkeypatch):
     calls = []
-    real_linprog = scipy.optimize.linprog
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: calls.append(1) or real_linprog(*a, **k))
+    real_milp = scipy.optimize.milp
+    monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: calls.append(1) or real_milp(*a, **k))
     p = Polyptych(tables=(row_table([3, 1]), row_table([2, 2], attr=COL)))
     assert check_consistency(p).consistent
     assert classify_empty(p, ("r1", "c1")) == "occupied"
@@ -531,7 +531,7 @@ def test_highs_failure_is_not_converged(monkeypatch):
     class Stalled:
         status, message = 4, "numerical difficulties"
 
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: Stalled())
+    monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: Stalled())
     _attrs, p = three_way(np.ones((2, 2, 2), dtype=int))
     with pytest.raises(NotConvergedError, match="numerical difficulties"):
         check_consistency(p)
