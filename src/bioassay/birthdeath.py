@@ -50,8 +50,8 @@ class BirthDeathSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.b < 0 or self.d < 0:
-            raise DomainError("rates must be nonnegative")
+        if not (0 <= self.b < np.inf and 0 <= self.d < np.inf):
+            raise DomainError(f"rates must be finite and nonnegative, got b={self.b}, d={self.d}")
         if self.b == 0 and self.d == 0:
             raise DomainError("at least one of b, d must be positive")
         if self.i0 < 1 or self.i0 != int(self.i0):

@@ -58,6 +58,7 @@ CURVE_GALLERY: tuple[tuple[str, ...], ...] = (
 )
 
 DEFAULT_GRID = (0.01, 10.0, 500)
+MAX_GRID_POINTS = 1_000_000  # --grid n cap (memory guard)
 
 
 class CsvError(ValueError):
@@ -95,6 +96,8 @@ def _parse_grid(raw: str):
         raise DomainError(f"bad --grid {raw!r}: {exc}") from None
     if not hi > lo or n < 2:
         raise DomainError(f"--grid needs hi > lo and n >= 2, got {raw!r}")
+    if n > MAX_GRID_POINTS:
+        raise DomainError(f"--grid n is capped at {MAX_GRID_POINTS} points, got {n}")
     return lo, hi, n
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "WeibullSample",
     "per_obs_info",
     "total_info",
-    "info_at_estimate",
     "weibull_observed_info",
 ]
 
@@ -103,13 +102,6 @@ def total_info(model: ModelDef | str, design, theta, sigma2: float = 1.0) -> Inf
         raise DomainError(f"{m.id}: design must have shape {want}, got {design.shape}")
     jac = m.finite_grad(m.check_input(design, for_gradient=True), theta)
     return InfoMatrix(jac.T @ jac / sigma2, sigma2)
-
-
-def info_at_estimate(model: ModelDef | str, design, theta_hat, s2: float) -> InfoMatrix:
-    """Total information at the fitted parameters with s^2 plugged in for sigma^2."""
-    if s2 is None or not s2 > 0:
-        raise DomainError("a positive residual variance estimate s2 is required")
-    return total_info(model, design, theta_hat, s2)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,10 @@ universal cell is the smallest table cell containing it (Dobra &
 Fienberg 2000).  Everything else (cyclic schemes, structural zeros) is a
 linear program for HiGHS (``scipy.optimize.milp``).  An optional exact
 mode decides integer feasibility for integer-typed variables: by a
-northwest-corner fill along the join tree, or by enumeration on the LP
-path.
+northwest-corner fill along the join tree, or on the HiGHS path by the
+same system with integer cells, one mixed-integer program.  Integer
+feasibility of cyclic schemes is NP-complete (Irving & Jerrum 1994), so
+every HiGHS call stops after ``MAX_HIGHS_SECONDS``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ __all__ = [
 VARIABLE_TYPES = ("real", "integer", "nonneg-real", "nonneg-integer")
 _MAX_DOMAIN = 10_000
 _MAX_UNIVERSAL_CELLS = 1_000_000
-_MAX_ENUM_CELLS = 10_000
+MAX_HIGHS_SECONDS = 10.0  # wall-clock limit of one HiGHS call (time guard)
 _EQ_TOL = 1e-9
 
 
@@ -493,19 +495,29 @@ def _row_label(p: Polyptych, row: int) -> str:
         row -= size
 
 
-def _linprog(c, A, b):
+def _linprog(c, A, b, integrality=None):
     """min c.x subject to A x = b, x >= 0, by HiGHS; raises unless solved or infeasible.
 
-    Calls :func:`scipy.optimize.milp` with no integrality, the same HiGHS
-    LP solve behind a thinner wrapper than ``linprog``'s.
+    Calls :func:`scipy.optimize.milp`, an LP solve behind a thinner
+    wrapper than ``linprog``'s; ``integrality=1`` makes every x integer.
+    The solve stops after ``MAX_HIGHS_SECONDS``.
     """
     # deferred: importing scipy.optimize costs ~0.3 s
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
     from scipy.sparse import csr_array
 
-    res = milp(c, constraints=LinearConstraint(csr_array(A), b, b), bounds=Bounds(0.0, np.inf))
+    if not c.size:  # no cells (every one a structural zero): milp takes no empty problem
+        return OptimizeResult(x=c, fun=0.0, status=2 if b.any() else 0)
+    res = milp(
+        c,
+        integrality=integrality,
+        constraints=LinearConstraint(csr_array(A), b, b),
+        bounds=Bounds(0.0, np.inf),
+        options={"time_limit": MAX_HIGHS_SECONDS},
+    )
     if res.status not in (0, 2):
-        raise NotConvergedError(f"HiGHS did not decide the linear program: {res.message}")
+        kind = "linear" if integrality is None else "integer"
+        raise NotConvergedError(f"HiGHS did not decide the {kind} program: {res.message}")
     return res
 
 
@@ -533,7 +545,9 @@ def check_consistency(p: Polyptych, integer_exact: bool = False) -> ConsistencyV
     Real-valued feasibility is the primary semantics.  With
     ``integer_exact`` (integer-typed variables only) integer feasibility
     is decided instead: by a northwest-corner fill on decomposable
-    polyptychs, by exhaustive search otherwise.
+    polyptychs, otherwise by one HiGHS mixed-integer program once the
+    phase-1 LP has found a real table.  A HiGHS call that runs out of
+    ``MAX_HIGHS_SECONDS`` raises :class:`NotConvergedError`.
     """
     bad, scale = _totals_certificate(p)
     if bad is not None:
@@ -542,15 +556,24 @@ def check_consistency(p: Polyptych, integer_exact: bool = False) -> ConsistencyV
         raise DomainError("integer_exact applies to integer-typed variables only")
     edges = _join_tree(p)
     if edges is None:
-        if integer_exact:
-            return _check_integer(p)
         A, b, cols = _constraint_system(p)
         x, bad = _phase1(p, A, b)
         if bad is not None:
             return ConsistencyVerdict(consistent=False, certificate=bad)
+        variable = _real_variable(p.variable)
+        if integer_exact:
+            res = _linprog(np.zeros(cols.size), A, b, integrality=1)
+            if res.status == 2:
+                return ConsistencyVerdict(
+                    consistent=False,
+                    certificate="a real universal table exists but no nonnegative integer one",
+                )
+            x, variable = np.rint(res.x), p.variable
+            if not np.array_equal(A @ x, b):
+                raise NotConvergedError("HiGHS returned an integer table that misses the marginals")
         flat = np.zeros(p.universal_size())
         flat[cols] = x
-        return ConsistencyVerdict(consistent=True, witness=_witness(p, _real_variable(p.variable), flat))
+        return ConsistencyVerdict(consistent=True, witness=_witness(p, variable, flat))
     dense = _dense_tables(p)
     bad = _tree_certificate(p, dense, edges, 0.0 if integer_exact else _EQ_TOL * scale)
     if bad is not None:
@@ -560,84 +583,6 @@ def check_consistency(p: Polyptych, integer_exact: bool = False) -> ConsistencyV
     else:
         witness = _witness(p, _real_variable(p.variable), _product_fill(dense, edges))
     return ConsistencyVerdict(consistent=True, witness=witness)
-
-
-def _check_integer(p: Polyptych) -> ConsistencyVerdict:
-    if p.universal_size() > _MAX_ENUM_CELLS:
-        raise DomainError(
-            f"integer enumeration capped at {_MAX_ENUM_CELLS} cells, got {p.universal_size()}"
-        )
-    universal = p.universal_scheme
-    names = [a.name for a in universal]
-    cells = [c for c in itertools.product(*(a.domain for a in universal)) if c not in p.structural_zeros]
-    # constraints: (cells involved, target value)
-    constraints: list[tuple[list[int], float]] = []
-    per_cell: list[list[int]] = [[] for _ in cells]
-    for t in p.tables:
-        positions = [names.index(a.name) for a in t.scheme]
-        groups: dict[tuple, list[int]] = {}
-        for j, c in enumerate(cells):
-            groups.setdefault(tuple(c[i] for i in positions), []).append(j)
-        for coords in t.coordinates():
-            members = groups.get(coords, [])
-            target = t.value(coords)
-            if target != int(target) or target < 0:
-                return ConsistencyVerdict(
-                    consistent=False,
-                    certificate=f"marginal value {target} at {coords} admits no nonnegative integer table",
-                )
-            k = len(constraints)
-            constraints.append((members, int(target)))
-            for j in members:
-                per_cell[j].append(k)
-
-    remaining = [v for _, v in constraints]
-    open_count = [len(members) for members, _ in constraints]
-    values = [0] * len(cells)
-
-    def assign(j: int) -> bool:
-        if j == len(cells):
-            return all(r == 0 for r in remaining)
-        cap = min(remaining[k] for k in per_cell[j]) if per_cell[j] else 0
-        # a constraint down to its last open cell pins this value exactly
-        forced = None
-        for k in per_cell[j]:
-            if open_count[k] == 1:
-                if forced is not None and forced != remaining[k]:
-                    return False
-                forced = remaining[k]
-        if forced is not None:
-            candidates = (forced,) if forced <= cap else ()
-        else:
-            candidates = range(cap, -1, -1)
-        for v in candidates:
-            ok = True
-            for k in per_cell[j]:
-                remaining[k] -= v
-                open_count[k] -= 1
-                if remaining[k] < 0 or (open_count[k] == 0 and remaining[k] != 0):
-                    ok = False
-            if ok:
-                values[j] = v
-                if assign(j + 1):
-                    return True
-            for k in per_cell[j]:
-                remaining[k] += v
-                open_count[k] += 1
-        values[j] = 0
-        return False
-
-    if assign(0):
-        witness = SummaryTable(
-            scheme=universal,
-            variable=p.variable,
-            cells={c: v for c, v in zip(cells, values) if v != 0},
-        )
-        return ConsistencyVerdict(consistent=True, witness=witness)
-    return ConsistencyVerdict(
-        consistent=False,
-        certificate="exhaustive search: no nonnegative integer table matches all marginals",
-    )
 
 
 def chi_square_independence(table: SummaryTable) -> tuple[float, int]:

@@ -220,6 +220,12 @@ def test_spec_validation():
         BirthDeathSpec(b=1.0, d=1.0, t_end=0.0)
 
 
+@pytest.mark.parametrize("b, d", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf), (-np.inf, 1.0)])
+def test_spec_rejects_non_finite_rates(b, d):
+    with pytest.raises(DomainError, match="rates must be finite and nonnegative"):
+        BirthDeathSpec(b=b, d=d)
+
+
 # -- empirical hazard ---------------------------------------------------------
 
 def test_flat_hazard_for_exponential_times():

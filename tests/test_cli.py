@@ -331,6 +331,18 @@ def test_fisher_two_input_pairs(capsys, model, theta):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [("curves", "--model", "one-hit"), ("fisher", "--model", "one-hit", "--theta", "1")],
+    ids=["curves", "fisher"],
+)
+def test_huge_grid_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--grid", "0:1:99999999999")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and f"capped at {cli.MAX_GRID_POINTS} points" in err
+
+
+@pytest.mark.parametrize(
     "flags, named",
     [(("--grid", "0.1:4:5"), "--at"), (("--at", "1:2,3"), "x1:x2"), (("--at", "1:x"), "--at")],
     ids=["grid", "unpaired", "text"],
@@ -392,6 +404,33 @@ def test_tables_inconsistent_still_exit_0(tmp_path, capsys):
     assert "grand totals differ" in report["certificate"]
 
 
+def test_tables_integer_exact_time_limit_exit_3(tmp_path, capsys, monkeypatch):
+    # the three two-way margins of a 10x10x10 count table: cyclic, so HiGHS decides it
+    counts = np.random.default_rng(0).poisson(10, (10, 10, 10))
+    codes = {n: [f"{n}{i}" for i in range(10)] for n in "abc"}
+    obj = {
+        "attributes": [{"name": n, "domain": d} for n, d in codes.items()],
+        "variable": {"name": "count", "type": "nonneg-integer"},
+        "tables": [
+            {
+                "scheme": list(pair),
+                "cells": [
+                    {"coords": [codes[pair[0]][i], codes[pair[1]][j]], "value": int(v)}
+                    for (i, j), v in np.ndenumerate(counts.sum(axis="abc".index(drop)))
+                ],
+            }
+            for pair, drop in ((("a", "b"), "c"), (("a", "c"), "b"), (("b", "c"), "a"))
+        ],
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(obj))
+    monkeypatch.setattr("bioassay.tables.MAX_HIGHS_SECONDS", 1e-6)
+    code, out, err = run_cli(capsys, "tables", "--input", str(path), "--integer-exact")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("failure: HiGHS did not decide")
+
+
 def test_tables_malformed_exit_2(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text("{not json")
@@ -439,6 +478,16 @@ def test_simulate_bd_replicates_and_env_seed(capsys, monkeypatch):
 def test_simulate_bd_invalid_rates_exit_2(capsys):
     code, _, err = run_cli(capsys, "simulate-bd", "--birth", "0", "--death", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("birth, death", [("nan", "1"), ("1", "inf")])
+def test_simulate_bd_non_finite_rates_exit_2(capsys, birth, death):
+    code, out, err = run_cli(
+        capsys, "simulate-bd", "--birth", birth, "--death", death, "--replicates", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "finite" in err
 
 
 def test_simulate_bd_binned_hazard(capsys):

@@ -10,7 +10,6 @@ from bioassay.exceptions import DomainError
 from bioassay.fisher import (
     InfoMatrix,
     WeibullSample,
-    info_at_estimate,
     per_obs_info,
     total_info,
     weibull_observed_info,
@@ -225,20 +224,19 @@ def test_weibull_observed_info_rejects_bad_params():
 # -- info at the estimate ------------------------------------------------------
 
 def test_info_at_estimate_equals_total_info():
-    a = info_at_estimate("mm", [0.5, 1.0, 2.0], [2.0, 1.0], s2=0.25)
-    b = total_info("mm", [0.5, 1.0, 2.0], [2.0, 1.0], sigma2=0.25)
-    assert np.array_equal(a.entries, b.entries)
+    # the information at a fit plugs s^2 in for sigma^2: J^T J / s^2 at theta_hat
+    design, theta_hat = np.array([0.5, 1.0, 2.0]), [2.0, 1.0]
+    jac = np.array([ba.gradient("mm", u, theta_hat) for u in design])
+    b = total_info("mm", design, theta_hat, sigma2=0.25)
+    assert np.allclose(b.entries, jac.T @ jac / 0.25, rtol=1e-14)
 
 
 def test_info_scales_inversely_with_s2():
-    a = info_at_estimate("mm", [0.5, 1.0], [2.0, 1.0], s2=1.0)
-    b = info_at_estimate("mm", [0.5, 1.0], [2.0, 1.0], s2=4.0)
+    a = total_info("mm", [0.5, 1.0], [2.0, 1.0], sigma2=1.0)
+    b = total_info("mm", [0.5, 1.0], [2.0, 1.0], sigma2=4.0)
     assert np.allclose(b.entries, a.entries / 4.0, rtol=1e-14)
-
-
-def test_info_at_estimate_requires_s2():
-    with pytest.raises(DomainError):
-        info_at_estimate("mm", [0.5], [2.0, 1.0], s2=None)
+    with pytest.raises(DomainError, match="sigma2 must be > 0"):
+        total_info("mm", [0.5], [2.0, 1.0], sigma2=0.0)
 
 
 def test_inverse_info_tracks_monte_carlo_variance():

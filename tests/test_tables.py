@@ -1,6 +1,7 @@
 """Summary tables: marginals, homogeneity, consistency, chi-square, emptiness."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -445,7 +446,7 @@ def test_cyclic_inconsistent_classify_names_unsatisfied_rows():
 
 
 def test_cyclic_integer_exact_gives_an_exact_integer_witness(rng):
-    # all two-way margins of a three-way r=3 table: cyclic, decided by exhaustive search
+    # all two-way margins of a three-way r=3 table: cyclic, decided by one HiGHS MIP
     _attrs, p = three_way(rng.integers(0, 4, (3, 3, 3)))
     verdict = check_consistency(p, integer_exact=True)
     assert verdict.consistent
@@ -456,24 +457,143 @@ def test_cyclic_integer_exact_gives_an_exact_integer_witness(rng):
 
 
 def test_integer_exact_structural_zero_infeasible_by_exhaustive_search():
+    # no real table either: phase 1 rejects it and names the rows it cannot meet
     p = Polyptych(
         tables=(row_table([1, 0]), row_table([0, 1], attr=COL)),
         structural_zeros=frozenset({("r1", "c2")}),
     )
     verdict = check_consistency(p, integer_exact=True)
     assert not verdict.consistent
-    assert verdict.certificate.startswith("exhaustive search")
+    assert verdict.certificate.startswith("no nonnegative universal table satisfies: table")
 
 
 def test_integer_exact_enumeration_cap():
+    # 10,100 cells, one MIP: no cell count is capped
     rows = CategoryAttribute("big-row", tuple(f"r{i}" for i in range(101)))
     cols = CategoryAttribute("big-col", tuple(f"c{i}" for i in range(100)))
     p = Polyptych(
         tables=(row_table([1] + [0] * 100, attr=rows), row_table([1] + [0] * 99, attr=cols)),
         structural_zeros=frozenset({("r0", "c1")}),
     )
-    with pytest.raises(DomainError, match="integer enumeration capped at 10000 cells, got 10100"):
+    verdict = check_consistency(p, integer_exact=True)
+    assert verdict.consistent
+    assert verdict.witness.cells == {("r0", "c0"): 1}
+
+
+def test_every_cell_structural():
+    row, col = CategoryAttribute("row", ("r1",)), CategoryAttribute("col", ("c1",))
+    empty = Polyptych(
+        tables=(row_table([0], attr=row), row_table([0], attr=col)),
+        structural_zeros=frozenset({("r1", "c1")}),
+    )
+    for integer_exact in (False, True):
+        verdict = check_consistency(empty, integer_exact=integer_exact)
+        assert verdict.consistent and verdict.witness.cells == {}
+    assert classify_empty(empty, ("r1", "c1")) == "structural"
+    full = Polyptych(tables=(row_table([1], attr=row), row_table([1], attr=col)), structural_zeros=empty.structural_zeros)
+    assert not check_consistency(full, integer_exact=True).consistent
+    with pytest.raises(DomainError, match="inconsistent: no nonnegative universal table satisfies: table 1"):
+        classify_empty(full, ("r1", "c1"))
+
+
+def test_integer_exact_poisson_4x4x4_has_an_exact_integer_witness():
+    # cell-by-cell backtracking takes more than 20 s on this instance; one MIP takes ~20 ms
+    _attrs, p = three_way(np.random.default_rng(5).poisson(10, (4, 4, 4)))
+    verdict = check_consistency(p, integer_exact=True)
+    assert verdict.consistent
+    assert verdict.witness.variable == p.variable
+    assert all(v > 0 and v == int(v) for v in verdict.witness.cells.values())
+    assert_witness_marginals(p, verdict.witness, exact=True)
+
+
+# A 3x3x3 support on which every nonempty line holds exactly two cells.  With
+# margins 1 on those lines, half a unit in every cell is a real table; an
+# integer one would pick one cell of each line, and the lines form an odd cycle.
+HALF_SUPPORT = (
+    (0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2), (1, 0, 1), (1, 0, 2), (1, 1, 0), (1, 1, 1),
+    (1, 2, 0), (1, 2, 2), (2, 0, 1), (2, 0, 2), (2, 1, 0), (2, 1, 2), (2, 2, 0), (2, 2, 1),
+)
+
+
+def test_integer_exact_real_but_no_integer_table():
+    support = np.zeros((3, 3, 3), dtype=int)
+    support[tuple(np.array(HALF_SUPPORT).T)] = 1
+    attrs, p = three_way(support)
+    halved = tuple(
+        SummaryTable(scheme=t.scheme, variable=t.variable, cells={k: v // 2 for k, v in t.cells.items()})
+        for t in p.tables
+    )
+    cells = list(itertools.product(*(a.domain for a in attrs)))
+    zeros = frozenset(c for c, n in zip(cells, support.ravel()) if n == 0)
+    p = Polyptych(tables=halved, structural_zeros=zeros)
+    assert highs_consistent(p)
+    # test-side proof: no 0/1 choice over the support meets every line once
+    A, b, kept = highs_system(p)
+    choices = (np.arange(2 ** len(kept))[:, None] >> np.arange(len(kept))) & 1
+    assert not np.any(np.all(choices @ A.T == b, axis=1))
+    verdict = check_consistency(p, integer_exact=True)
+    assert not verdict.consistent
+    assert verdict.certificate == "a real universal table exists but no nonnegative integer one"
+    assert check_consistency(p).consistent
+
+
+def test_integer_exact_time_limit_is_not_converged(monkeypatch):
+    _attrs, p = three_way(np.random.default_rng(0).poisson(10, (10, 10, 10)))
+    monkeypatch.setattr("bioassay.tables.MAX_HIGHS_SECONDS", 1e-6)
+    with pytest.raises(NotConvergedError, match="Time limit reached"):
         check_consistency(p, integer_exact=True)
+
+
+@st.composite
+def small_integer_polyptychs(draw):
+    """Cyclic or structural-zero polyptychs on 2x2x2 / 2x2x3 holding at most 4 units.
+
+    Each table is a margin of one of two integer tables with the same total,
+    and the structural zeros are empty cells of the first, so the polyptych
+    is consistent when every table comes from the first.
+    """
+    shape = (2, 2, draw(st.sampled_from((2, 3))))
+    attrs = tuple(CategoryAttribute(n, tuple(f"{n}{i}" for i in range(r))) for n, r in zip("abc", shape))
+    total = draw(st.integers(0, 4))
+    sources = []
+    for _ in range(2):
+        counts = np.zeros(shape, dtype=int)
+        for i in draw(st.lists(st.integers(0, counts.size - 1), min_size=total, max_size=total)):
+            counts.flat[i] += 1
+        sources.append(counts)
+    cyclic = draw(st.booleans())
+    schemes = (("a", "b"), ("a", "c"), ("b", "c")) if cyclic else (("a", "b"), ("b", "c"))
+    tables = tuple(margin_table(attrs, sources[draw(st.integers(0, 1))], s) for s in schemes)
+    cells = list(itertools.product(*(a.domain for a in attrs)))
+    empty = [c for c, n in zip(cells, sources[0].ravel()) if n == 0]
+    zeros = draw(st.sets(st.sampled_from(empty), min_size=0 if cyclic else 1, max_size=3))
+    return Polyptych(tables=tables, structural_zeros=frozenset(zeros))
+
+
+def integer_table_matches(p):
+    """Brute force: does some nonnegative integer universal table have every table as a marginal?"""
+    names = [a.name for a in p.universal_scheme]
+    cells = [c for c in itertools.product(*(a.domain for a in p.universal_scheme)) if c not in p.structural_zeros]
+    targets = [
+        ([names.index(n) for n in t.attribute_names], {k: v for k, v in t.cells.items() if v}) for t in p.tables
+    ]
+    for units in itertools.combinations_with_replacement(cells, int(p.tables[0].grand_total())):
+        if all(Counter(tuple(c[i] for i in pos) for c in units) == want for pos, want in targets):
+            return True
+    return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_integer_polyptychs())
+def test_integer_exact_agrees_with_brute_force_on_small_cyclic_polyptychs(p):
+    verdict = check_consistency(p, integer_exact=True)
+    assert verdict.consistent == integer_table_matches(p)
+    if verdict.consistent:
+        w = verdict.witness
+        assert w.variable == p.variable
+        assert all(v > 0 and v == int(v) for v in w.cells.values())
+        assert not set(w.cells) & p.structural_zeros
+        assert_witness_marginals(p, w, exact=True)
 
 
 def test_negative_real_cell_is_inconsistent():
