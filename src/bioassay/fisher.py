@@ -9,8 +9,8 @@ outer product grad f . grad f^T / sigma^2.  For the censored Weibull fit
 the module also provides the closed-form second-derivative matrix of the
 log-likelihood.
 
-:mod:`bioassay.fisher_reference` holds hand-tabulated closed forms that
-cross-check the outer-product computation.
+The test suite's ``tests/fisher_reference.py`` holds hand-tabulated
+closed forms that cross-check the outer-product computation.
 """
 
 from __future__ import annotations

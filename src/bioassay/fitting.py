@@ -16,7 +16,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, kolmogorov
 
 from .exceptions import DomainError, SeparationError
 from .fisher import InfoMatrix, WeibullSample, _weibull_powers, weibull_observed_info
@@ -81,12 +80,16 @@ class BinaryDataset:
         y = np.asarray(self.y, dtype=float)
         if x1.shape != y.shape or y.ndim != 1 or y.size == 0:
             raise DomainError("x1 and y must be nonempty 1-D sequences of equal length")
+        if not np.all(np.isfinite(x1)):
+            raise DomainError("x1 must be finite")
         if not np.all((y == 0) | (y == 1)):
             raise DomainError("y must be 0/1")
         if self.x2 is not None:
             x2 = np.asarray(self.x2, dtype=float)
             if x2.shape != y.shape:
                 raise DomainError("x2 must match y in length (present for all rows or none)")
+            if not np.all(np.isfinite(x2)):
+                raise DomainError("x2 must be finite")
             object.__setattr__(self, "x2", x2)
         object.__setattr__(self, "x1", x1)
         object.__setattr__(self, "y", y)
@@ -410,8 +413,18 @@ def fit_least_squares(
 # -- logistic regression ------------------------------------------------------
 
 def _softplus(eta):
-    """log(1 + e^eta) elementwise, by the formula of ``np.logaddexp(0, eta)``."""
-    return np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+    """log(1 + e^eta) elementwise, by the formula of ``np.logaddexp(0, eta)``,
+    and the e^-|eta| it is formed from."""
+    e = np.exp(-np.abs(eta))
+    return np.maximum(eta, 0.0) + np.log1p(e), e
+
+
+def _logistic(eta, e):
+    """Fitted probabilities 1 / (1 + e^-eta) and their variances p (1 - p),
+    from e = e^-|eta|.  No exponential can overflow, and the variance
+    e / (1 + e)^2 stays positive where 1 - p rounds to 0."""
+    r = 1.0 / (1.0 + e)
+    return np.where(eta >= 0.0, r, e * r), e * r * r
 
 
 def fit_logit(data: BinaryDataset, include_x2: bool = False, max_iter: int = 100) -> FitResult:
@@ -436,24 +449,24 @@ def fit_logit(data: BinaryDataset, include_x2: bool = False, max_iter: int = 100
     y = data.y
     if y.min() == y.max():
         raise DomainError("both outcome classes must be present")
-    cols = [np.ones(data.n), data.x1]
+    rows = [np.ones(data.n), data.x1]
     if include_x2:
         if data.x2 is None:
             raise DomainError("include_x2 requested but the dataset has no x2 column")
-        cols.append(data.x2)
-    X = np.column_stack(cols)
-    if np.linalg.matrix_rank(X) < X.shape[1]:
+        rows.append(data.x2)
+    XT = np.array(rows)  # the design transposed: one row per coefficient
+    if np.linalg.matrix_rank(XT.T) < XT.shape[0]:
         raise DomainError("design matrix is rank deficient (constant or collinear covariate)")
 
-    beta = np.zeros(X.shape[1])
+    beta = np.zeros(XT.shape[0])
     eta = np.zeros(data.n)
-    sp = _softplus(eta)
+    sp, e = _softplus(eta)
     converged = False
     iters = 0
     for _ in range(max_iter):
         iters += 1
-        p = expit(eta)
-        score = X.T @ (y - p)
+        p, w = _logistic(eta, e)
+        score = XT @ (y - p)
         if np.linalg.norm(score) < SCORE_TOL:
             if np.all(np.abs(y - p) < 1e-6):
                 raise SeparationError(
@@ -461,8 +474,7 @@ def fit_logit(data: BinaryDataset, include_x2: bool = False, max_iter: int = 100
                 )
             converged = True
             break
-        w = p * (1.0 - p)
-        hess = X.T @ (X * w[:, None])
+        hess = (XT * w) @ XT.T
         try:
             step = np.linalg.solve(hess, score)
         except np.linalg.LinAlgError:
@@ -470,21 +482,20 @@ def fit_logit(data: BinaryDataset, include_x2: bool = False, max_iter: int = 100
         # step halving; when no scale passes, the smallest, 2^-40, is taken anyway
         for scale in _LOGIT_SCALES:
             cand = beta + scale * step
-            eta_new = X @ cand
-            sp_new = _softplus(eta_new)
+            eta_new = cand @ XT
+            sp_new, e_new = _softplus(eta_new)
             gain = float(np.sum(y * (eta_new - eta) - (sp_new - sp)))
             if gain >= -1e-12:
                 break
-        beta, eta, sp = cand, eta_new, sp_new
+        beta, eta, sp, e = cand, eta_new, sp_new, e_new
         if np.max(np.abs(beta)) > 30.0 and gain >= 0.0:
             raise SeparationError(
                 "estimates diverging with rising likelihood: complete or quasi-complete separation"
             )
     else:
-        p = expit(eta)
+        p, w = _logistic(eta, e)
 
-    w = p * (1.0 - p)
-    info = InfoMatrix(X.T @ (X * w[:, None]), 1.0)
+    info = InfoMatrix((XT * w) @ XT.T, 1.0)
     return FitResult(
         theta_hat=beta,
         objective=float(np.sum(y * eta - sp)),
@@ -525,6 +536,8 @@ def ks_test(sample, cdf) -> KSResult:
     is the limiting Kolmogorov law P(K > sqrt(n) D), from
     :func:`scipy.special.kolmogorov`.
     """
+    from scipy.special import kolmogorov  # deferred: scipy.special is slow to import
+
     xs = np.sort(np.asarray(sample, dtype=float))
     n = xs.size
     if n == 0:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .exceptions import DomainError, UnattainableRiskError
 from .fisher import InfoMatrix
@@ -209,6 +208,8 @@ def vsd_upper_limit(query: PercentileQuery, fit: FitResult, confidence: float) -
     ``fit.info``.  The lower dose bound is the conservative direction
     and is clamped at zero (flagged) if the interval crosses it.
     """
+    from scipy.special import ndtri  # deferred: scipy.special is slow to import
+
     if not 0.5 <= confidence < 1.0:
         raise DomainError(f"confidence must lie in [0.5, 1), got {confidence}")
     if fit.info is None:

@@ -6,6 +6,11 @@ Curves with a closed-form percentile carry it as ``inverse(target, theta)``.
 
 The hit-count family is the regularized lower incomplete gamma function
 P(k, lambda * x), evaluated by :func:`scipy.special.gammainc`.
+
+The kernels reach scipy.special through the module global ``special``,
+which imports it on first use: importing it about doubles the package's
+import time, and most processes that import the package evaluate no curve
+that needs it.
 """
 
 from __future__ import annotations
@@ -13,11 +18,29 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit, gammainc, gammaln, logit, ndtr, ndtri, xlogy
 
 from .base import ModelDef, ParamSpec, box_sampler, input_sampler
 
 __all__ = ["DOSE_RESPONSE_MODELS"]
+
+
+class _DeferredSpecial:
+    """Stand-in for :mod:`scipy.special` until a kernel first needs it.
+
+    The first attribute lookup imports the module and rebinds the global
+    ``special`` to it, so later kernel calls pay one module-attribute
+    lookup and never come back here.
+    """
+
+    def __getattr__(self, name):
+        global special
+        import scipy.special
+
+        special = scipy.special
+        return getattr(special, name)
+
+
+special = _DeferredSpecial()
 
 
 # -- single-event exponential -------------------------------------------
@@ -36,14 +59,14 @@ def _one_hit_inverse(target, th):
 
 def _multi_hit(x, th):
     k, lam = th
-    return gammainc(k, lam * x)
+    return special.gammainc(k, lam * x)
 
 def _multi_hit_grad(x, th):
     k, lam = th
     z = lam * x
     # x z^(k-1) e^-z / Gamma(k) in log space: Gamma(k) overflows past k = 171,
     # and xlogy keeps z = 0 with k = 1 exact
-    dp_dlam = x * np.exp(xlogy(k - 1.0, z) - z - gammaln(k))
+    dp_dlam = x * np.exp(special.xlogy(k - 1.0, z) - z - special.gammaln(k))
     # the hit count is structurally integer: no continuous derivative
     return np.stack([np.zeros_like(dp_dlam), dp_dlam], axis=-1)
 
@@ -81,19 +104,19 @@ def _multistage_grad(x, th):
 # -- tolerance-distribution curves ----------------------------------------
 
 def _logit_cdf(x, th):
-    return expit(th[0] + th[1] * x)
+    return special.expit(th[0] + th[1] * x)
 
 def _logit_cdf_grad(x, th):
-    p = expit(th[0] + th[1] * x)
+    p = special.expit(th[0] + th[1] * x)
     w = p * (1.0 - p)
     return np.stack([w, w * x], axis=-1)
 
 def _logit_cdf_inverse(target, th):
-    return (logit(target) - th[0]) / th[1]
+    return (special.logit(target) - th[0]) / th[1]
 
 
 def _probit_cdf(x, th):
-    return ndtr(th[0] + th[1] * x)
+    return special.ndtr(th[0] + th[1] * x)
 
 def _probit_cdf_grad(x, th):
     z = th[0] + th[1] * x
@@ -101,7 +124,7 @@ def _probit_cdf_grad(x, th):
     return np.stack([phi, phi * x], axis=-1)
 
 def _probit_cdf_inverse(target, th):
-    return (ndtri(target) - th[0]) / th[1]
+    return (special.ndtri(target) - th[0]) / th[1]
 
 
 def _theta_multi_hit(rng):

@@ -1,8 +1,14 @@
-"""Shared test utilities: finite-difference oracles and samplers."""
+"""Shared test utilities: finite-difference oracles, samplers and a
+fresh-interpreter runner."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bioassay
 from bioassay.models import REGISTRY
 
 
@@ -47,6 +53,18 @@ def sample_point(model, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def run_python(*args, **kwargs):
+    """Run ``python *args`` in a fresh interpreter that imports the
+    ``bioassay`` under test (its ``src`` directory leads ``PYTHONPATH``).
+
+    Returns the completed process with text stdout and stderr captured;
+    keyword arguments go to :func:`subprocess.run`.
+    """
+    src = os.path.dirname(os.path.dirname(bioassay.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kwargs)
 
 
 def all_models():

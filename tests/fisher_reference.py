@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models.base import as_theta
+from bioassay.models.base import as_theta
 
 __all__ = [
     "power_law_info",

@@ -16,17 +16,17 @@ from bioassay.birthdeath import BirthDeathSpec, simulate_bd, simulate_replicates
 from bioassay.cli import CURVE_GALLERY, main as cli_main
 from bioassay.covariates import CorrelationPair, efficiency, omission_experiment
 from bioassay.fisher import WeibullSample, per_obs_info
-from bioassay.fisher_reference import (
-    power_law_info,
-    saturating_exp_info,
-    weibull_recon_tabulated_gradient,
-    weibull_recon_tabulated_info,
-)
 from bioassay.fitting import RegressionDataset, fit_least_squares, weibull_mle, weibull_score, weibull_theta_star
 from bioassay.lowdose import PercentileQuery, percentile, vsd_upper_limit
 from bioassay.models import MONOMOLECULAR, REGISTRY, get_model
 
 from conftest import fd_gradient, integer_table_exists, rel_err, sample_point
+from fisher_reference import (
+    power_law_info,
+    saturating_exp_info,
+    weibull_recon_tabulated_gradient,
+    weibull_recon_tabulated_info,
+)
 
 
 def criterion(number, description):

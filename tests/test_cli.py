@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -10,6 +9,8 @@ import pytest
 import bioassay as ba
 from bioassay import birthdeath, cli
 from bioassay.cli import CURVE_GALLERY, CsvError, main
+
+from conftest import run_python
 
 
 def run_cli(capsys, *argv):
@@ -42,21 +43,13 @@ def test_fit_weibull_survival(tmp_path, capsys):
 def test_fit_weibull_survival_in_large_time_units(tmp_path, shape, seed):
     # with times near 1e9, t^s overflows at shape 30 (a RuntimeWarning, then exit 2)
     # and an absolute score tolerance fails at shape 1.5 (exit 3) unless the fit rescales
-    import subprocess
-    import sys
-
     rng = np.random.default_rng(seed)
     times = 1e9 * rng.weibull(shape, 60)
     censor = 1e9 * rng.exponential(2.0, 60)
     rows = [f"{t:.10g},{int(t <= c)}" for t, c in zip(np.minimum(times, censor), censor)]
     csv_path = tmp_path / "surv.csv"
     csv_path.write_text("time,event\n" + "\n".join(rows) + "\n")
-    src = os.path.dirname(os.path.dirname(ba.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bioassay", "fit", "--model", "weibull-cdf", "--input", str(csv_path)],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_python("-m", "bioassay", "fit", "--model", "weibull-cdf", "--input", str(csv_path))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["converged"]
 
@@ -579,17 +572,7 @@ def test_non_utf8_input_exit_2(tmp_path, capsys, argv):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
-    src = os.path.dirname(os.path.dirname(ba.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bioassay", "eff", "--rho12", "0", "--rhoy21", "0"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = run_python("-m", "bioassay", "eff", "--rho12", "0", "--rhoy21", "0")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["eff"] == 1.0
 
@@ -633,14 +616,83 @@ def test_main_reuses_one_parser_without_leaking_state(tmp_path, capsys, monkeypa
 
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize (and scipy.sparse, for the LP's constraint matrix) are
-    # imported inside the LP path only: they would add about 0.3 s to every
-    # process that imports the package
-    import subprocess
-    import sys
-
-    src = os.path.dirname(os.path.dirname(ba.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, bioassay, bioassay.cli; print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    # imported inside the LP path only, and scipy.special on first use: together
+    # they would add about 0.6 s to every process that imports the package
+    code = (
+        "import sys, bioassay, bioassay.cli; print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules,"
+        " 'scipy' in sys.modules, 'scipy.special' in sys.modules)"
+    )
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "False False False False"
+
+
+def _scipy_imports(importtime_report):
+    """Names of the scipy modules listed in a ``python -X importtime`` report."""
+    names = (line.rsplit("|", 1)[-1].strip() for line in importtime_report.splitlines())
+    return [name for name in names if name.split(".")[0] == "scipy"]
+
+
+SCIPY_FREE_COMMANDS = {
+    "eff": ["eff", "--rho12", "0", "--rhoy21", "0.6"],
+    "simulate-bd": ["simulate-bd", "--birth", "1", "--death", "1", "--t-end", "1", "--seed", "7"],
+    "curves": ["curves", "--model", "tanh"],
+    "fit": ["fit", "--model", "one-hit", "--data-format", "regression", "--input", "reg.csv", "--theta", "0.5"],
+    "tables": ["tables", "--input", "diptych.json"],  # a decomposable scheme: the join tree, no LP
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCIPY_FREE_COMMANDS))
+def test_subcommand_runs_without_scipy(command, tmp_path):
+    xs = np.linspace(0.0, 4.0, 20)
+    y = np.asarray(ba.evaluate("one-hit", xs, [1.2]))
+    (tmp_path / "reg.csv").write_text("u,y\n" + "\n".join(f"{x:.10g},{v:.10g}" for x, v in zip(xs, y)) + "\n")
+    (tmp_path / "diptych.json").write_text(json.dumps(DIPTYCH))
+    proc = run_python("-X", "importtime", "-m", "bioassay", *SCIPY_FREE_COMMANDS[command], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert _scipy_imports(proc.stderr) == []
+
+
+FIRST_USE_IMPORTS = """\
+import numpy as np
+from bioassay.fitting import FitResult, ks_test
+from bioassay.lowdose import PercentileQuery, percentile, vsd_upper_limit
+from bioassay.models import evaluate, get_model, gradient
+"""
+
+# every call site that imports scipy.special on first use (the probit-cdf
+# gradient is the normal density in numpy and has none)
+FIRST_USE = {
+    "multi-hit evaluate": "evaluate('multi-hit', [0.0, 0.5, 2.0], [3.0, 1.5])",
+    "multi-hit gradient": "gradient('multi-hit', [0.5, 2.0], [3.0, 1.5])",
+    "multi-hit inverse": "percentile(PercentileQuery('multi-hit', (3.0, 1.5), 0.1))",  # no closed form: Brent
+    "logit-cdf evaluate": "evaluate('logit-cdf', [-1.0, 0.0, 2.0], [-0.5, 1.2])",
+    "logit-cdf gradient": "gradient('logit-cdf', [-1.0, 2.0], [-0.5, 1.2])",
+    "logit-cdf inverse": "get_model('logit-cdf').inverse(0.1, (-0.5, 1.2))",
+    "probit-cdf evaluate": "evaluate('probit-cdf', [-1.0, 0.0, 2.0], [-0.5, 1.2])",
+    "probit-cdf inverse": "get_model('probit-cdf').inverse(0.1, (-0.5, 1.2))",
+    "vsd_upper_limit": (
+        "vsd_upper_limit(PercentileQuery('one-hit', (1.0,), 0.1),"
+        " FitResult.from_dict({'theta_hat': [1.0], 'info': [[400.0]]}), 0.975).vsd"
+    ),
+    "ks_test": "ks_test([0.1, 0.4, 0.7, 1.3, 2.2], ('one-hit', [1.0])).p_value",
+}
+
+
+@pytest.mark.parametrize("site", sorted(FIRST_USE))
+def test_first_scipy_special_use_in_a_fresh_process(site):
+    expr = FIRST_USE[site]
+    script = (
+        FIRST_USE_IMPORTS
+        + "import json, sys\n"
+        + "before = 'scipy.special' in sys.modules\n"
+        + f"value = np.asarray({expr}, dtype=float).tolist()\n"
+        + "print(json.dumps([before, value, 'scipy.special' in sys.modules]))\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    scope = {}
+    exec(FIRST_USE_IMPORTS, scope)
+    in_process = np.asarray(eval(expr, scope), dtype=float).tolist()
+    assert json.loads(proc.stdout) == [False, in_process, True]

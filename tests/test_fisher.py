@@ -14,16 +14,16 @@ from bioassay.fisher import (
     total_info,
     weibull_observed_info,
 )
-from bioassay.fisher_reference import (
+from bioassay.fitting import RegressionDataset, fit_least_squares, weibull_log_likelihood
+from bioassay.models import MONOMOLECULAR, get_model
+
+from conftest import all_models, fd_gradient, sample_point
+from fisher_reference import (
     power_law_info,
     saturating_exp_info,
     weibull_recon_tabulated_gradient,
     weibull_recon_tabulated_info,
 )
-from bioassay.fitting import RegressionDataset, fit_least_squares, weibull_log_likelihood
-from bioassay.models import MONOMOLECULAR, get_model
-
-from conftest import all_models, fd_gradient, sample_point
 
 
 def test_per_obs_info_power_law_at_unit_input():

@@ -405,6 +405,17 @@ def test_logit_both_classes_required():
         fit_logit(data)
 
 
+@pytest.mark.parametrize("column", ["x1", "x2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_binary_dataset_rejects_non_finite_covariates(column, bad):
+    # unchecked, a NaN reached fit_logit's rank check as numpy's "SVD did not
+    # converge" and an inf was reported as a rank-deficient design
+    cols = {"x1": np.array([-1.0, 0.5, 1.0, 0.0]), "x2": np.array([0.2, 0.1, -0.3, 0.4])}
+    cols[column][1] = bad
+    with pytest.raises(DomainError, match=f"{column} must be finite"):
+        BinaryDataset(y=np.array([0.0, 1.0, 1.0, 0.0]), **cols)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_logit_converges_at_large_n(seed):
     # near the optimum a Newton step gains about 1e-16, below the ~1e-11 rounding of
