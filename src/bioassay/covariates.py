@@ -23,6 +23,8 @@ from .fitting import BinaryDataset, fit_logit
 
 __all__ = ["CorrelationPair", "OmissionResult", "efficiency", "classify", "omission_experiment"]
 
+MAX_RESAMPLE = 20  # separated draws one omission experiment replaces before it gives up
+
 
 @dataclass(frozen=True)
 class CorrelationPair:
@@ -78,7 +80,6 @@ def omission_experiment(
     beta: tuple[float, float, float],
     rho12: float,
     seed: int,
-    max_resample: int = 20,
 ) -> OmissionResult:
     """Simulate the logistic model and fit it with and without the covariate.
 
@@ -92,7 +93,7 @@ def omission_experiment(
         raise DomainError(f"rho12 must lie strictly inside (-1, 1), got {rho12}")
     b0, b1, b2 = (float(v) for v in beta)
     resampled = 0
-    for attempt in range(max_resample + 1):
+    for attempt in range(MAX_RESAMPLE + 1):
         rng = np.random.default_rng((int(seed), attempt))
         x1, x2 = _correlated_pair(rng, n, rho12)
         eta = b0 + b1 * x1 + b2 * x2
@@ -117,4 +118,4 @@ def omission_experiment(
             se_restricted=math.sqrt(var_restr),
             resampled=resampled,
         )
-    raise SeparationError(f"all {max_resample + 1} replicate draws separated")
+    raise SeparationError(f"all {MAX_RESAMPLE + 1} replicate draws separated")

@@ -39,6 +39,9 @@ __all__ = [
 
 SCORE_TOL = 1e-8
 SSE_REL_TOL = 1e-10
+MAX_GN_ITER = 500  # Gauss-Newton iterations of one least-squares fit
+MAX_LOGIT_ITER = 100  # Newton iterations of one logistic fit
+WEIBULL_SHAPE_BOUNDS = (0.05, 50.0)  # bracket of the Weibull profile-score root
 _HALVINGS = 0.5 ** np.arange(25)  # Gauss-Newton step scales 1, 1/2, ..., 2^-24
 # plain Gauss-Newton first, then Levenberg damping 1e-3, 1e-2, ..., 1e8 (tenfold on failure)
 _DAMPING = (0.0, *itertools.accumulate(itertools.repeat(10.0, 11), operator.mul, initial=1e-3))
@@ -205,26 +208,27 @@ def weibull_theta_star(sample: WeibullSample, s: float) -> float:
     return math.exp((math.log(d) - log_k - math.log(w.sum())) / s)
 
 
-def weibull_mle(sample: WeibullSample, s_bounds: tuple[float, float] = (0.05, 50.0)) -> FitResult:
+def weibull_mle(sample: WeibullSample) -> FitResult:
     """Two-parameter Weibull MLE by profiling the rate out of the shape.
 
     At fixed shape s the rate maximizer theta*(s) is closed-form, and the
     shape score there, divided by the event count d, is the strictly
     decreasing profile score
     g(s) = 1/s + mean(event log t) - sum t^s log t / sum t^s.
-    Its root in ``s_bounds`` is found by Brent's method on the times
-    divided by their geometric mean c (the MLE does not depend on the time
-    unit), and the rate, log-likelihood and information are mapped back
-    to the data's unit.  Convergence requires the unit-free score
-    (theta dl/dtheta, dl/ds) below 1e-8.  When g does not change sign
-    over ``s_bounds`` the shape is pinned at the bound and reported as
-    non-converged.  ``iterations`` counts profile-score evaluations.
+    Its root in ``WEIBULL_SHAPE_BOUNDS`` is found by Brent's method on
+    the times divided by their geometric mean c (the MLE does not depend
+    on the time unit), and the rate, log-likelihood and information are
+    mapped back to the data's unit.  Convergence requires the unit-free
+    score (theta dl/dtheta, dl/ds) below 1e-8.  When g does not change
+    sign over ``WEIBULL_SHAPE_BOUNDS`` the shape is pinned at the bound
+    and reported as non-converged.  ``iterations`` counts profile-score
+    evaluations.
     """
     from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
 
     if sample.d < 2:
         raise DomainError("need at least two events to estimate (theta, s)")
-    lo, hi = s_bounds
+    lo, hi = WEIBULL_SHAPE_BOUNDS
     d = sample.d
     log_t = np.log(sample.times)
     log_c = log_t.mean()  # c, the geometric mean of the times
@@ -293,7 +297,6 @@ def fit_least_squares(
     model: ModelDef | str,
     data: RegressionDataset,
     theta0,
-    max_iter: int = 500,
 ) -> FitResult:
     """Projected Gauss-Newton nonlinear least squares with step halving.
 
@@ -345,7 +348,7 @@ def fit_least_squares(
         r = residuals(theta)
         sse = float(r @ r)
         jac = jacobian(theta)
-        for _ in range(max_iter):
+        for _ in range(MAX_GN_ITER):
             iters += 1
             grad = jac.T @ r  # minus half the SSE gradient
             if box is not None:
@@ -427,7 +430,7 @@ def _logistic(eta, e):
     return np.where(eta >= 0.0, r, e * r), e * r * r
 
 
-def fit_logit(data: BinaryDataset, include_x2: bool = False, max_iter: int = 100) -> FitResult:
+def fit_logit(data: BinaryDataset, include_x2: bool = False) -> FitResult:
     """Newton maximum likelihood for the logistic regression of y on x1
     (and optionally x2).
 
@@ -463,7 +466,7 @@ def fit_logit(data: BinaryDataset, include_x2: bool = False, max_iter: int = 100
     sp, e = _softplus(eta)
     converged = False
     iters = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_LOGIT_ITER):
         iters += 1
         p, w = _logistic(eta, e)
         score = XT @ (y - p)

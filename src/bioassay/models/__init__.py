@@ -7,7 +7,7 @@ is immutable after import; all operations are pure functions.
 
 from .base import ModelDef, ParamSpec, Registry, as_theta, evaluate, gradient
 from .doseresponse import DOSE_RESPONSE_MODELS
-from .growth import GROWTH_MODELS, MONOMOLECULAR
+from .growth import GROWTH_MODELS
 from .hazards import HazardSpec, hazard_ad, hazard_cox
 from .kinetics import (
     KINETICS_MODELS,
@@ -42,7 +42,6 @@ __all__ = [
     "Registry",
     "HazardSpec",
     "KineticConstants",
-    "MONOMOLECULAR",
     "as_theta",
     "evaluate",
     "gradient",

@@ -24,8 +24,6 @@ __all__ = [
     "ModelDef",
     "Registry",
     "as_theta",
-    "box_sampler",
-    "input_sampler",
 ]
 
 
@@ -35,27 +33,6 @@ def as_theta(theta) -> np.ndarray:
     if arr.ndim != 1:
         raise DomainError(f"parameter vector must be 1-D, got shape {arr.shape}")
     return arr
-
-
-def box_sampler(lows, highs) -> Callable:
-    """Parameter sampler ``rng -> theta`` uniform on the box [lows, highs]."""
-    lows = np.asarray(lows, dtype=float)
-    highs = np.asarray(highs, dtype=float)
-
-    def sample(rng):
-        return lows + (highs - lows) * rng.random(len(lows))
-
-    return sample
-
-
-def input_sampler(lo: float, hi: float, size: int | None = None) -> Callable:
-    """Input sampler ``(rng, theta) -> u`` uniform on [lo, hi]; ``size=2``
-    draws a pair for two-input models."""
-
-    def sample(rng, theta):
-        return lo + (hi - lo) * rng.random(size)
-
-    return sample
 
 
 @dataclass(frozen=True)
@@ -116,6 +93,9 @@ class ModelDef:
     variadic models (polynomial-exponent families), in which case
     ``variadic_param`` describes every slot.  ``inverse(target, theta)``,
     where set, is the closed-form dose at which ``fn`` reaches ``target``.
+    The fields hold only what the package computes with; the parameter
+    boxes and input intervals the test suite draws from live with the
+    tests.
     """
 
     id: str
@@ -128,8 +108,6 @@ class ModelDef:
     input_low: float | None = None
     input_low_strict: bool = False
     grad_input_low_strict: bool = False  # gradient needs u strictly above input_low
-    theta_sampler: Callable | None = None
-    input_sampler: Callable | None = None
     inverse: Callable | None = None
     doc: str = ""
 

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .base import ModelDef, ParamSpec, box_sampler, input_sampler
+from .base import ModelDef, ParamSpec
 
 __all__ = ["DOSE_RESPONSE_MODELS"]
 
@@ -127,13 +127,6 @@ def _probit_cdf_inverse(target, th):
     return (special.ndtri(target) - th[0]) / th[1]
 
 
-def _theta_multi_hit(rng):
-    return np.array([float(rng.integers(1, 6)), 0.3 + 2.0 * rng.random()])
-
-
-_theta_tolerance = box_sampler([-2.0, 0.3], [1.0, 2.3])
-
-
 DOSE_RESPONSE_MODELS = [
     ModelDef(
         id="one-hit",
@@ -142,8 +135,6 @@ DOSE_RESPONSE_MODELS = [
         grad=_one_hit_grad,
         params=(ParamSpec("rate", low=0.0),),
         input_low=0.0,
-        theta_sampler=box_sampler([0.2], [2.5]),
-        input_sampler=input_sampler(0.0, 4.0),
         inverse=_one_hit_inverse,
         doc="1 - exp(-theta * x)",
     ),
@@ -157,8 +148,6 @@ DOSE_RESPONSE_MODELS = [
             ParamSpec("dose-scale", low=0.0),
         ),
         input_low=0.0,
-        theta_sampler=_theta_multi_hit,
-        input_sampler=input_sampler(0.0, 6.0),
         doc="regularized lower incomplete gamma P(k, lambda * x)",
     ),
     ModelDef(
@@ -169,8 +158,6 @@ DOSE_RESPONSE_MODELS = [
         params=(ParamSpec("rate", low=0.0), ParamSpec("shape", low=0.0)),
         input_low=0.0,
         grad_input_low_strict=True,  # ln(theta*x) in the shape derivative
-        theta_sampler=box_sampler([0.3, 0.4], [2.3, 2.4]),
-        input_sampler=input_sampler(0.1, 4.0),
         inverse=_weibull_cdf_inverse,
         doc="1 - exp(-(theta * x)**s)",
     ),
@@ -182,9 +169,6 @@ DOSE_RESPONSE_MODELS = [
         params=None,
         variadic_param=ParamSpec("stage-coefficient", low=0.0, strict=False),
         input_low=0.0,
-        # three stages by default; variadic models accept any length >= 1
-        theta_sampler=box_sampler([0.05] * 3, [0.55, 1.55, 1.05]),
-        input_sampler=input_sampler(0.0, 3.0),
         doc="1 - exp(-(theta0 + theta1*x + ... + thetak*x^k))",
     ),
     ModelDef(
@@ -193,8 +177,6 @@ DOSE_RESPONSE_MODELS = [
         fn=_logit_cdf,
         grad=_logit_cdf_grad,
         params=(ParamSpec("location"), ParamSpec("slope", low=0.0)),
-        theta_sampler=_theta_tolerance,
-        input_sampler=input_sampler(-3.0, 3.0),
         inverse=_logit_cdf_inverse,
         doc="logistic tolerance curve 1 / (1 + exp(-(theta0 + theta1*x)))",
     ),
@@ -204,8 +186,6 @@ DOSE_RESPONSE_MODELS = [
         fn=_probit_cdf,
         grad=_probit_cdf_grad,
         params=(ParamSpec("location"), ParamSpec("slope", low=0.0)),
-        theta_sampler=_theta_tolerance,
-        input_sampler=input_sampler(-3.0, 3.0),
         inverse=_probit_cdf_inverse,
         doc="standard normal tolerance curve Phi(theta0 + theta1*x)",
     ),

@@ -5,15 +5,19 @@ functions and are validated against central finite differences in the
 test suite.  Values may overflow to IEEE inf at extreme inputs (e.g. the
 double exponential for large ``u``); the effective domain is where the
 result is finite.
+
+The saturating exponential theta0 - theta1 * exp(-theta2 * u) is not a
+registry entry: the test suite defines it beside its closed-form
+information matrix, as an oracle for the outer-product computation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelDef, ParamSpec, box_sampler, input_sampler
+from .base import ModelDef, ParamSpec
 
-__all__ = ["GROWTH_MODELS", "MONOMOLECULAR"]
+__all__ = ["GROWTH_MODELS"]
 
 
 def _free(name):
@@ -194,8 +198,6 @@ GROWTH_MODELS = [
         fn=_gompertz,
         grad=_gompertz_grad,
         params=(_free("scale"), _free("shape"), _free("rate")),
-        theta_sampler=box_sampler([0.4, 0.3, 0.2], [2.0, 1.2, 0.8]),
-        input_sampler=input_sampler(0.1, 2.5),
         doc="double exponential: theta0 * exp(theta1 * exp(theta2 * u))",
     ),
     ModelDef(
@@ -206,8 +208,6 @@ GROWTH_MODELS = [
         params=(_free("offset"), _free("scale"), _free("rate"), _free("power")),
         input_low=0.0,
         input_low_strict=True,
-        theta_sampler=box_sampler([-1.0, 0.4, 0.2, 0.5], [2.0, 2.0, 1.0, 2.0]),
-        input_sampler=input_sampler(0.2, 3.0),
         doc="theta0 + theta1 * exp(theta2 * u**theta3)",
     ),
     ModelDef(
@@ -216,8 +216,6 @@ GROWTH_MODELS = [
         fn=_logistic,
         grad=_logistic_grad,
         params=(_free("asymptote"), ParamSpec("shape", low=0.0), _free("rate")),
-        theta_sampler=box_sampler([0.5, 0.3, -1.5], [2.5, 2.5, 1.5]),
-        input_sampler=input_sampler(-2.0, 4.0),
         doc="theta0 / (1 + theta1 * exp(theta2 * u)); shape > 0 keeps the denominator positive",
     ),
     ModelDef(
@@ -226,8 +224,6 @@ GROWTH_MODELS = [
         fn=_bertalanffy,
         grad=_bertalanffy_grad,
         params=(_free("offset"), _free("scale"), _free("rate")),
-        theta_sampler=box_sampler([0.3, 0.3, -0.8], [2.0, 2.0, 0.8]),
-        input_sampler=input_sampler(0.0, 3.0),
         doc="(theta0 + theta1 * exp(theta2 * u))**3",
     ),
     ModelDef(
@@ -236,8 +232,6 @@ GROWTH_MODELS = [
         fn=_tanh4p,
         grad=_tanh4p_grad,
         params=(_free("level"), _free("amplitude"), _free("steepness"), _free("center")),
-        theta_sampler=box_sampler([-2.0, 0.3, 0.3, -1.0], [2.0, 2.0, 2.0, 1.0]),
-        input_sampler=input_sampler(-3.0, 3.0),
         doc="theta0 + theta1 * tanh(theta2 * (u - theta3))",
     ),
     ModelDef(
@@ -246,8 +240,6 @@ GROWTH_MODELS = [
         fn=_atan3p,
         grad=_atan3p_grad,
         params=(_free("asymptote"), _free("steepness"), _free("center")),
-        theta_sampler=box_sampler([0.3, 0.3, -1.0], [2.5, 2.0, 1.0]),
-        input_sampler=input_sampler(-3.0, 3.0),
         doc="(theta0/2) * (1 + (2/pi) * arctan(theta1 * (u - theta2)))",
     ),
     ModelDef(
@@ -256,8 +248,6 @@ GROWTH_MODELS = [
         fn=_atan4p,
         grad=_atan4p_grad,
         params=(_free("level"), _free("amplitude"), _free("steepness"), _free("center")),
-        theta_sampler=box_sampler([-2.0, 0.3, 0.3, -1.0], [2.0, 2.0, 2.0, 1.0]),
-        input_sampler=input_sampler(-3.0, 3.0),
         doc="theta0 + (2/pi) * theta1 * arctan(theta2 * (u - theta3))",
     ),
     ModelDef(
@@ -268,8 +258,6 @@ GROWTH_MODELS = [
         params=(_free("scale"), _free("power")),
         input_low=0.0,
         input_low_strict=True,
-        theta_sampler=box_sampler([0.3, -1.5], [2.5, 2.5]),
-        input_sampler=input_sampler(0.2, 4.0),
         doc="theta0 * u**theta1",
     ),
     ModelDef(
@@ -280,8 +268,6 @@ GROWTH_MODELS = [
         params=(_free("level"), _free("scale"), _free("rate")),
         input_low=0.0,
         input_low_strict=True,
-        theta_sampler=box_sampler([0.0, 0.3, 0.2], [2.5, 2.5, 2.0]),
-        input_sampler=input_sampler(0.2, 4.0),
         doc="theta0 - theta1 * exp(-theta2 * ln u)",
     ),
     ModelDef(
@@ -297,8 +283,6 @@ GROWTH_MODELS = [
         ),
         input_low=0.0,
         grad_input_low_strict=True,  # ln(theta2*u) in the shape derivative
-        theta_sampler=box_sampler([1.0, -0.5, 0.3, 0.5], [3.0, 0.8, 2.0, 2.5]),
-        input_sampler=input_sampler(0.2, 3.0),
         doc="theta0 - (theta0 - theta1) * exp(-(theta2 * u)**theta3)",
     ),
     ModelDef(
@@ -313,8 +297,6 @@ GROWTH_MODELS = [
             _free("c2"),
             _free("c3"),
         ),
-        theta_sampler=box_sampler([0.5, -1.0, -0.8, -0.5, -0.3], [2.5, 1.0, 0.8, 0.5, 0.3]),
-        input_sampler=input_sampler(-1.5, 1.5),
         doc="theta0 / (1 + exp(theta1 + theta2*u + theta3*u^2 + theta4*u^3))",
     ),
     ModelDef(
@@ -330,32 +312,6 @@ GROWTH_MODELS = [
         ),
         input_low=0.0,
         input_low_strict=True,
-        theta_sampler=box_sampler([0.5, -1.0, -1.5, 0.3], [2.5, 1.0, 1.5, 2.0]),
-        input_sampler=input_sampler(0.2, 4.0),
         doc="theta0 / (1 + exp(theta1 + theta2 * (u**theta3 - 1)/theta3))",
     ),
 ]
-
-
-def _monomolecular(u, th):
-    return th[0] - th[1] * np.exp(-th[2] * u)
-
-def _monomolecular_grad(u, th):
-    e = np.exp(-th[2] * u)
-    one = np.ones_like(e)
-    return np.stack([one, -e, th[1] * u * e], axis=-1)
-
-
-# Saturating-exponential variant of the reparametrized time-power model
-# (exponent in u rather than ln u).  Not a registry entry; kept for the
-# closed-form information-matrix cross-checks.
-MONOMOLECULAR = ModelDef(
-    id="monomolecular",
-    family="growth",
-    fn=_monomolecular,
-    grad=_monomolecular_grad,
-    params=(_free("level"), _free("scale"), _free("rate")),
-    theta_sampler=box_sampler([0.0, 0.3, 0.2], [2.5, 2.5, 2.0]),
-    input_sampler=input_sampler(0.2, 4.0),
-    doc="theta0 - theta1 * exp(-theta2 * u)",
-)

@@ -24,7 +24,7 @@ class HazardSpec:
     The power-law hazard uses ``c`` (rate scale > 0), ``k`` (integer
     stage count >= 1) and ``t0`` (tumour-growth lag >= 0).  The
     proportional-hazards form uses ``baseline`` (t -> positive rate) and
-    ``beta`` (coefficients); ``w`` holds default covariates.
+    ``beta`` (coefficients).
     """
 
     c: float | None = None
@@ -32,7 +32,6 @@ class HazardSpec:
     t0: float = 0.0
     baseline: Callable[[float], float] | None = None
     beta: Sequence[float] | None = None
-    w: Sequence[float] | None = None
 
     def __post_init__(self):
         if self.c is not None and not self.c > 0:
@@ -60,8 +59,6 @@ def hazard_cox(t: float, w, spec: HazardSpec) -> float:
     """
     if spec.baseline is None or spec.beta is None:
         raise DomainError("proportional hazard needs a baseline function and coefficients")
-    if w is None:
-        w = spec.w
     if w is None:
         raise DomainError("no covariate vector supplied")
     beta = np.asarray(spec.beta, dtype=float)

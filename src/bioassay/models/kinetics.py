@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import DomainError
-from .base import ModelDef, ParamSpec, box_sampler, input_sampler
+from .base import ModelDef, ParamSpec
 
 __all__ = [
     "KINETICS_MODELS",
@@ -140,9 +140,11 @@ def _mm_two_substrate_grad(u, th):
 
 
 def _hill(x, th):
+    # v x^n / (kc^n + x^n) divided through by x^n, which stays finite where
+    # x^n and kc^n overflow together; at x = 0, (kc/x)^n = inf gives 0
     v, kc, n = th
-    xn = x**n
-    return v * xn / (kc**n + xn)
+    with np.errstate(divide="ignore"):
+        return v / (1.0 + (kc / x) ** n)
 
 def _hill_grad(x, th):
     v, kc, n = th
@@ -179,8 +181,9 @@ def _hill_decreasing_grad(x, th):
 
 
 def _mmf(x, th):
-    w = x ** th[1]
-    return (th[0] * w + th[2] * th[3]) / (w + th[3])
+    # (theta0 w + theta2 theta3) / (w + theta3) with w = x^theta1, written so
+    # that w = inf gives theta0
+    return th[0] - (th[0] - th[2]) * th[3] / (x ** th[1] + th[3])
 
 def _mmf_grad(x, th):
     w = x ** th[1]
@@ -266,8 +269,6 @@ KINETICS_MODELS = [
         grad=_mm_grad,
         params=(_p("vmax"), _p("km")),
         input_low=0.0,
-        theta_sampler=box_sampler([0.3, 0.3], [3.0, 3.0]),
-        input_sampler=input_sampler(0.0, 5.0),
         doc="rectangular hyperbola vmax * s / (km + s)",
     ),
     ModelDef(
@@ -280,8 +281,6 @@ KINETICS_MODELS = [
                 ParamSpec("c3", low=0.0, strict=False)),
         input_dim=2,
         input_low=0.0,
-        theta_sampler=box_sampler([0.3, 0.1, 0.1, 0.1], [3.0, 1.5, 1.5, 1.5]),
-        input_sampler=input_sampler(0.1, 4.0, size=2),
         doc="k*x1*x2 / (1 + c1*x1 + c2*x2 + c3*x1*x2)",
     ),
     ModelDef(
@@ -292,8 +291,6 @@ KINETICS_MODELS = [
         params=(_p("vmax"), _p("half-max"), _p("exponent")),
         input_low=0.0,
         grad_input_low_strict=True,  # ln x in the exponent derivative
-        theta_sampler=box_sampler([0.3, 0.3, 0.5], [3.0, 3.0, 3.0]),
-        input_sampler=input_sampler(0.1, 5.0),
         doc="sigmoidal response v * x^n / (kc^n + x^n)",
     ),
     ModelDef(
@@ -304,8 +301,6 @@ KINETICS_MODELS = [
         params=(_p("vmax"), _p("half-max"), _p("exponent")),
         input_low=0.0,
         grad_input_low_strict=True,
-        theta_sampler=box_sampler([0.3, 0.3, 0.5], [3.0, 3.0, 3.0]),
-        input_sampler=input_sampler(0.1, 5.0),
         doc="complementary sigmoid v / (1 + (x/kc)^n)",
     ),
     ModelDef(
@@ -316,8 +311,6 @@ KINETICS_MODELS = [
         params=(ParamSpec("upper"), _p("power"), ParamSpec("lower"), _p("scale")),
         input_low=0.0,
         input_low_strict=True,
-        theta_sampler=box_sampler([0.5, 0.4, -0.5, 0.3], [3.0, 2.5, 0.5, 3.0]),
-        input_sampler=input_sampler(0.2, 5.0),
         doc="Morgan-Mercer-Flodin form (theta0*x^theta1 + theta2*theta3)/(x^theta1 + theta3)",
     ),
     ModelDef(
@@ -327,8 +320,6 @@ KINETICS_MODELS = [
         grad=_mm_parallel_grad,
         params=(_p("v1"), _p("k1"), _p("v2"), _p("k2")),
         input_low=0.0,
-        theta_sampler=box_sampler([0.3, 0.3, 0.3, 0.3], [3.0, 3.0, 3.0, 3.0]),
-        input_sampler=input_sampler(0.0, 5.0),
         doc="sum of two independent hyperbolas",
     ),
     ModelDef(
@@ -339,8 +330,6 @@ KINETICS_MODELS = [
         params=(_p("e0"), _p("k1"), _p("k2"), _p("k3"), _p("k4")),
         input_dim=2,
         input_low=0.0,
-        theta_sampler=box_sampler([0.3] * 5, [3.0] * 5),
-        input_sampler=input_sampler(0.1, 4.0, size=2),
         doc="chained transport e0*(k1*k3*s - k2*k4*i)/(k2 + k3 + k1*s + k4*i)",
     ),
     ModelDef(
@@ -350,8 +339,6 @@ KINETICS_MODELS = [
         grad=_photo_pmax_grad,
         params=(_p("p0"), _p("efficiency")),
         input_low=0.0,
-        theta_sampler=box_sampler([0.3, 0.3], [3.0, 3.0]),
-        input_sampler=input_sampler(0.0, 5.0),
         doc="saturating photosynthetic response p0*eta*c / (p0 + eta*c)",
     ),
     ModelDef(
@@ -361,8 +348,6 @@ KINETICS_MODELS = [
         grad=_leaf_response_grad,
         params=(_p("efficiency"), _p("pmax"), ParamSpec("respiration", low=0.0, strict=False)),
         input_low=0.0,
-        theta_sampler=box_sampler([0.3, 0.3, 0.0], [3.0, 3.0, 1.0]),
-        input_sampler=input_sampler(0.0, 5.0),
         doc="light-flux response a*I*pmax/(a*I + pmax) - rd",
     ),
 ]

@@ -216,9 +216,17 @@ def is_homogeneous(tables) -> bool:
     v0 = tables[0].variable
     if any(t.variable != v0 for t in tables[1:]):
         return False
+    return _grand_totals(tables)[2]
+
+
+def _grand_totals(tables) -> tuple[list[float], float, bool]:
+    """The tables' grand totals, their scale max(1, |total|), and whether
+    every total lies within ``_EQ_TOL * scale`` of the first."""
     totals = [t.grand_total() for t in tables]
     scale = max(1.0, max(abs(t) for t in totals))
-    return all(abs(t - totals[0]) <= _EQ_TOL * scale for t in totals[1:])
+    if not math.isfinite(scale):
+        raise DomainError("a grand total overflows the float range")
+    return totals, scale, all(abs(t - totals[0]) <= _EQ_TOL * scale for t in totals[1:])
 
 
 @dataclass(frozen=True)
@@ -298,9 +306,8 @@ def _totals_certificate(p: Polyptych) -> tuple[str | None, float]:
         raise DomainError(
             f"universal scheme too large: {p.universal_size()} cells exceed {_MAX_UNIVERSAL_CELLS}"
         )
-    totals = [t.grand_total() for t in p.tables]
-    scale = max(1.0, max(abs(t) for t in totals))
-    if any(abs(t - totals[0]) > _EQ_TOL * scale for t in totals[1:]):
+    totals, scale, agree = _grand_totals(p.tables)
+    if not agree:
         pretty = ", ".join(f"{t:g}" for t in totals)
         return f"grand totals differ ({pretty}): additivity over the shared population fails", scale
     return None, scale
@@ -458,12 +465,16 @@ def _witness(p: Polyptych, variable: SummaryVariable, flat: np.ndarray) -> Summa
 
 
 def _constraint_system(p: Polyptych):
-    """Dense equality system A x = b over the non-structural universal cells.
+    """Sparse equality system A x = b over the non-structural universal cells.
 
     Table t owns one row per cell of its scheme, in C order, and tables
     follow each other; column j is universal cell ``cols[j]`` (a flat C
-    index).  Returns (A, b, cols).
+    index) and holds a 1 in the row of each table cell that contains it.
+    A is built as a CSC array straight from those row indices, so its size
+    is one entry per table and cell.  Returns (A, b, cols).
     """
+    from scipy.sparse import csc_array  # deferred, as in _linprog
+
     universal = p.universal_scheme
     names = [a.name for a in universal]
     shape = tuple(len(a.domain) for a in universal)
@@ -475,13 +486,15 @@ def _constraint_system(p: Polyptych):
     cols = np.flatnonzero(keep)
     index = np.indices(shape).reshape(len(shape), size)[:, cols]
     b = np.concatenate([t.to_array().ravel() for t in p.tables])
-    A = np.zeros((b.size, cols.size))
+    rows = np.empty((cols.size, len(p.tables)), dtype=np.intp)  # column j's row in each table
     offset = 0
-    for t in p.tables:
+    for k, t in enumerate(p.tables):
         pos = [names.index(n) for n in t.attribute_names]
         t_shape = tuple(shape[i] for i in pos)
-        A[offset + np.ravel_multi_index(tuple(index[pos]), t_shape), np.arange(cols.size)] = 1.0
+        rows[:, k] = offset + np.ravel_multi_index(tuple(index[pos]), t_shape)
         offset += math.prod(t_shape)
+    indptr = np.arange(0, rows.size + 1, len(p.tables))
+    A = csc_array((np.ones(rows.size), rows.ravel(), indptr), shape=(b.size, cols.size))
     return A, b, cols
 
 
@@ -504,14 +517,13 @@ def _linprog(c, A, b, integrality=None):
     """
     # deferred: importing scipy.optimize costs ~0.3 s
     from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
-    from scipy.sparse import csr_array
 
     if not c.size:  # no cells (every one a structural zero): milp takes no empty problem
         return OptimizeResult(x=c, fun=0.0, status=2 if b.any() else 0)
     res = milp(
         c,
         integrality=integrality,
-        constraints=LinearConstraint(csr_array(A), b, b),
+        constraints=LinearConstraint(A, b, b),
         bounds=Bounds(0.0, np.inf),
         options={"time_limit": MAX_HIGHS_SECONDS},
     )
@@ -528,9 +540,15 @@ def _phase1(p: Polyptych, A, b):
     (None, certificate), the certificate naming the rows whose artificials
     stay positive.
     """
+    from scipy.sparse import csc_array  # deferred, as in _linprog
+
     m, n = A.shape
     sign = np.where(b < 0, -1.0, 1.0)
-    res = _linprog(np.r_[np.zeros(n), np.ones(m)], np.hstack([A * sign[:, None], np.eye(m)]), b * sign)
+    # the columns of A, each row times the sign of its b, then one 1 per artificial
+    data = np.r_[A.data * sign[A.indices], np.ones(m)]
+    indptr = np.r_[A.indptr, A.indptr[-1] + np.arange(1, m + 1)]
+    phase1 = csc_array((data, np.r_[A.indices, np.arange(m)], indptr), shape=(m, n + m))
+    res = _linprog(np.r_[np.zeros(n), np.ones(m)], phase1, b * sign)
     scale = max(1.0, float(np.abs(b).max()))
     art = res.x[n:]
     if art.sum() <= _EQ_TOL * scale * m:

@@ -1,5 +1,5 @@
-"""Shared test utilities: finite-difference oracles, samplers and a
-fresh-interpreter runner."""
+"""Shared test utilities: finite-difference oracles, the per-model sampling
+boxes and a fresh-interpreter runner."""
 
 import os
 import subprocess
@@ -43,11 +43,60 @@ def rel_err(a, b):
     return np.abs(a - b) / scale
 
 
+# model id -> (theta box lows, theta box highs, input low, input high): the
+# uniform boxes the tests draw parameters and inputs from.  multi-hit draws
+# its integer hit count in sample_theta instead of from a box.
+SAMPLE_BOXES = {
+    "gompertz": ([0.4, 0.3, 0.2], [2.0, 1.2, 0.8], 0.1, 2.5),
+    "janoschek": ([-1.0, 0.4, 0.2, 0.5], [2.0, 2.0, 1.0, 2.0], 0.2, 3.0),
+    "logistic": ([0.5, 0.3, -1.5], [2.5, 2.5, 1.5], -2.0, 4.0),
+    "bertalanffy": ([0.3, 0.3, -0.8], [2.0, 2.0, 0.8], 0.0, 3.0),
+    "tanh": ([-2.0, 0.3, 0.3, -1.0], [2.0, 2.0, 2.0, 1.0], -3.0, 3.0),
+    "tanh3": ([0.3, 0.3, -1.0], [2.5, 2.0, 1.0], -3.0, 3.0),
+    "tanh4": ([-2.0, 0.3, 0.3, -1.0], [2.0, 2.0, 2.0, 1.0], -3.0, 3.0),
+    "exp-time-power": ([0.3, -1.5], [2.5, 2.5], 0.2, 4.0),
+    "exp-time-power-repar": ([0.0, 0.3, 0.2], [2.5, 2.5, 2.0], 0.2, 4.0),
+    "weibull-reconstructed": ([1.0, -0.5, 0.3, 0.5], [3.0, 0.8, 2.0, 2.5], 0.2, 3.0),
+    "gen-logistic-i": ([0.5, -1.0, -0.8, -0.5, -0.3], [2.5, 1.0, 0.8, 0.5, 0.3], -1.5, 1.5),
+    "gen-logistic-ii": ([0.5, -1.0, -1.5, 0.3], [2.5, 1.0, 1.5, 2.0], 0.2, 4.0),
+    "monomolecular": ([0.0, 0.3, 0.2], [2.5, 2.5, 2.0], 0.2, 4.0),
+    "one-hit": ([0.2], [2.5], 0.0, 4.0),
+    "multi-hit": (None, None, 0.0, 6.0),
+    "weibull-cdf": ([0.3, 0.4], [2.3, 2.4], 0.1, 4.0),
+    "multistage": ([0.05] * 3, [0.55, 1.55, 1.05], 0.0, 3.0),
+    "logit-cdf": ([-2.0, 0.3], [1.0, 2.3], -3.0, 3.0),
+    "probit-cdf": ([-2.0, 0.3], [1.0, 2.3], -3.0, 3.0),
+    "mm": ([0.3, 0.3], [3.0, 3.0], 0.0, 5.0),
+    "mm-two-substrate": ([0.3, 0.1, 0.1, 0.1], [3.0, 1.5, 1.5, 1.5], 0.1, 4.0),
+    "hill": ([0.3, 0.3, 0.5], [3.0, 3.0, 3.0], 0.1, 5.0),
+    "hill-decreasing": ([0.3, 0.3, 0.5], [3.0, 3.0, 3.0], 0.1, 5.0),
+    "mmf": ([0.5, 0.4, -0.5, 0.3], [3.0, 2.5, 0.5, 3.0], 0.2, 5.0),
+    "mm-parallel": ([0.3] * 4, [3.0] * 4, 0.0, 5.0),
+    "mm-series": ([0.3] * 5, [3.0] * 5, 0.1, 4.0),
+    "photo-pmax": ([0.3, 0.3], [3.0, 3.0], 0.0, 5.0),
+    "leaf-response": ([0.3, 0.3, 0.0], [3.0, 3.0, 1.0], 0.0, 5.0),
+}
+
+
+def sample_theta(model, rng):
+    """Parameter vector uniform on the model's box (hit count 1-5 for multi-hit)."""
+    if model.id == "multi-hit":
+        return np.array([float(rng.integers(1, 6)), 0.3 + 2.0 * rng.random()])
+    lows, highs, _lo, _hi = SAMPLE_BOXES[model.id]
+    lows = np.asarray(lows, dtype=float)
+    return lows + (np.asarray(highs, dtype=float) - lows) * rng.random(len(lows))
+
+
+def sample_input(model, rng):
+    """Input uniform on the model's interval; a pair for two-input models."""
+    _lows, _highs, lo, hi = SAMPLE_BOXES[model.id]
+    return lo + (hi - lo) * rng.random(2 if model.input_dim == 2 else None)
+
+
 def sample_point(model, rng):
     """Random admissible (u, theta) pair for a registry model."""
-    theta = model.theta_sampler(rng)
-    u = model.input_sampler(rng, theta)
-    return u, theta
+    theta = sample_theta(model, rng)
+    return sample_input(model, rng), theta
 
 
 @pytest.fixture

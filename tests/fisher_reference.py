@@ -2,7 +2,10 @@
 
 These are independently typed entry-by-entry formulas used by the test
 suite to cross-check the outer-product computation in
-:mod:`bioassay.fisher`.
+:mod:`bioassay.fisher`.  :data:`MONOMOLECULAR`, the saturating-exponential
+curve behind :func:`saturating_exp_info`, is defined here as a
+:class:`~bioassay.models.ModelDef` outside the registry, so that the same
+computation can be run on it.
 
 Note on the reconstructed-Weibull table: the tabulated partial
 derivatives below are kept exactly as derived for this table, and they
@@ -17,9 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from bioassay.models.base import as_theta
+from bioassay.models.base import ModelDef, ParamSpec, as_theta
 
 __all__ = [
+    "MONOMOLECULAR",
     "power_law_info",
     "saturating_exp_info",
     "weibull_recon_tabulated_gradient",
@@ -53,6 +57,28 @@ def saturating_exp_info(u: float, theta, sigma2: float = 1.0) -> np.ndarray:
             [t1u * e, -t1u * e2, t1u**2 * e2],
         ]
     )
+
+
+def _monomolecular(u, th):
+    return th[0] - th[1] * np.exp(-th[2] * u)
+
+
+def _monomolecular_grad(u, th):
+    e = np.exp(-th[2] * u)
+    one = np.ones_like(e)
+    return np.stack([one, -e, th[1] * u * e], axis=-1)
+
+
+# Saturating-exponential variant of the reparametrized time-power model
+# (exponent in u rather than ln u).
+MONOMOLECULAR = ModelDef(
+    id="monomolecular",
+    family="growth",
+    fn=_monomolecular,
+    grad=_monomolecular_grad,
+    params=(ParamSpec("level"), ParamSpec("scale"), ParamSpec("rate")),
+    doc="theta0 - theta1 * exp(-theta2 * u)",
+)
 
 
 def weibull_recon_tabulated_gradient(u: float, theta) -> np.ndarray:

@@ -15,10 +15,11 @@ from bioassay.fisher import (
     weibull_observed_info,
 )
 from bioassay.fitting import RegressionDataset, fit_least_squares, weibull_log_likelihood
-from bioassay.models import MONOMOLECULAR, get_model
+from bioassay.models import get_model
 
-from conftest import all_models, fd_gradient, sample_point
+from conftest import all_models, fd_gradient, sample_input, sample_point, sample_theta
 from fisher_reference import (
+    MONOMOLECULAR,
     power_law_info,
     saturating_exp_info,
     weibull_recon_tabulated_gradient,
@@ -69,8 +70,8 @@ def test_total_info_equals_sum_of_per_obs_info(rng):
     # the stacked J^T J against the per-point outer products, every model
     for model in all_models():
         for _ in range(5):
-            theta = model.theta_sampler(rng)
-            design = np.array([model.input_sampler(rng, theta) for _ in range(12)])
+            theta = sample_theta(model, rng)
+            design = np.array([sample_input(model, rng) for _ in range(12)])
             got = total_info(model, design, theta, sigma2=0.7).entries
             want = sum(per_obs_info(model, u, theta, sigma2=0.7).entries for u in design)
             scale = max(1e-300, np.abs(want).max())
@@ -167,8 +168,7 @@ def test_tabulated_weibull_gradient_second_component():
 def test_additive_level_block_independent_of_theta0(rng):
     for model_id in ("tanh", "tanh4"):
         for _ in range(20):
-            theta = get_model(model_id).theta_sampler(rng)
-            u = get_model(model_id).input_sampler(rng, theta)
+            u, theta = sample_point(get_model(model_id), rng)
             blocks = []
             for theta0 in (-5.0, 0.0, 7.0):
                 th = theta.copy()

@@ -1,6 +1,8 @@
 """Registry models: values, analytic gradients, domains, reductions."""
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +10,10 @@ from scipy import integrate
 
 import bioassay as ba
 from bioassay.exceptions import DomainError
-from bioassay.models import MONOMOLECULAR, get_model
+from bioassay.models import get_model
 
-from conftest import all_models, fd_gradient, rel_err, sample_point
+from conftest import SAMPLE_BOXES, all_models, fd_gradient, rel_err, sample_point, sample_theta
+from fisher_reference import MONOMOLECULAR
 
 E_INV = math.exp(-1.0)
 
@@ -104,6 +107,24 @@ def test_gradients_match_finite_differences(rng):
         assert worst <= 1e-6, f"{model.id}: worst fd mismatch {worst:.3e}"
 
 
+# sha256 of the first 25 sample_point draws of every registry model, in
+# registry order, then of MONOMOLECULAR, all from one default_rng(612)
+SAMPLE_DRAWS_SHA256 = "a06516a6e4eed0ea7013312e9cefeb77c98f3174c263bb0ab306950a06853b5c"
+
+
+def test_sample_draws_are_pinned():
+    assert set(SAMPLE_BOXES) == set(ba.list_models()) | {MONOMOLECULAR.id}
+    h = hashlib.sha256()
+    rng = np.random.default_rng(612)
+    for model in [*all_models(), MONOMOLECULAR]:
+        h.update(model.id.encode())
+        for _ in range(25):
+            u, theta = sample_point(model, rng)
+            h.update(np.asarray(u, dtype=float).tobytes())
+            h.update(np.asarray(theta, dtype=float).tobytes())
+    assert h.hexdigest() == SAMPLE_DRAWS_SHA256
+
+
 def test_monomolecular_gradient_matches_fd(rng):
     for _ in range(100):
         u, theta = sample_point(MONOMOLECULAR, rng)
@@ -128,7 +149,7 @@ def test_cdf_family_monotone_bounded(rng):
             continue
         xs = tolerance_grid if model.input_low is None else grid
         for _ in range(50):
-            theta = model.theta_sampler(rng)
+            theta = sample_theta(model, rng)
             vals = ba.evaluate(model, xs, theta)
             assert np.all(vals >= 0.0), model.id
             assert np.all(vals <= 1.0 + 1e-12), model.id
@@ -163,6 +184,17 @@ def test_hill_forms_are_complementary(rng):
         up = ba.evaluate("hill", xs, [v, kc, n]) / v
         down = ba.evaluate("hill-decreasing", xs, [v, kc, n]) / v
         assert np.max(np.abs(up + down - 1.0)) < 1e-12
+
+
+def test_hill_and_mmf_finite_where_the_powers_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # (kc/x)^n underflows and x^n overflows: the value is v, not inf/inf
+        assert ba.evaluate("hill", 446.9, [8.2e-5, 1.5e-6, 25474]) == 8.2e-5
+        assert ba.evaluate("mmf", 19724, [7.39, 1787, 1.48e-7, 2.53e-8]) == 7.39
+        assert ba.evaluate("hill", 0.0, [2.0, 1.0, 1.5]) == 0.0
+        vals = ba.evaluate("hill", np.array([0.0, 1.0]), [2.0, 1.0, 1.5])
+    assert vals.tolist() == [0.0, 1.0]
 
 
 def test_mm_passes_through_origin():

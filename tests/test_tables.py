@@ -1,6 +1,7 @@
 """Summary tables: marginals, homogeneity, consistency, chi-square, emptiness."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -120,6 +121,16 @@ def test_single_table_consistent_with_self_witness():
     assert verdict.consistent
     for coords in t.coordinates():
         assert verdict.witness.value(coords) == pytest.approx(t.value(coords), abs=1e-9)
+
+
+def test_overflowing_grand_total_is_a_domain_error():
+    # each cell is finite, their sum is not: no tolerance can compare such totals
+    huge = SummaryVariable("mass", "nonneg-real")
+    tables = (row_table([1e308, 1e308], variable=huge), row_table([1e308, 1e308], attr=COL, variable=huge))
+    with pytest.raises(DomainError, match="grand total overflows"):
+        is_homogeneous(tables)
+    with pytest.raises(DomainError, match="grand total overflows"):
+        check_consistency(Polyptych(tables=tables))
 
 
 def test_total_mismatch_certificate():
@@ -542,6 +553,20 @@ def test_integer_exact_time_limit_is_not_converged(monkeypatch):
     monkeypatch.setattr("bioassay.tables.MAX_HIGHS_SECONDS", 1e-6)
     with pytest.raises(NotConvergedError, match="Time limit reached"):
         check_consistency(p, integer_exact=True)
+
+
+def test_cyclic_constraint_system_memory_is_bounded(monkeypatch):
+    # r = 20: 1200 marginal rows over 8000 cells; a dense system alone is 77 MB
+    _attrs, p = three_way(np.random.default_rng(0).poisson(2, (20, 20, 20)))
+    monkeypatch.setattr("bioassay.tables.MAX_HIGHS_SECONDS", 1e-6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotConvergedError, match="Time limit reached"):
+            check_consistency(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @st.composite
