@@ -54,8 +54,9 @@ class BirthDeathSpec:
             raise DomainError(f"rates must be finite and nonnegative, got b={self.b}, d={self.d}")
         if self.b == 0 and self.d == 0:
             raise DomainError("at least one of b, d must be positive")
-        if self.i0 < 1 or self.i0 != int(self.i0):
-            raise DomainError(f"initial population must be an integer >= 1, got {self.i0}")
+        # populations are int64, with room above i0 for a block of births
+        if not 1 <= self.i0 <= 2**62 or self.i0 != int(self.i0):
+            raise DomainError(f"initial population must be an integer in [1, 2**62], got {self.i0}")
         if not self.t_end > 0:
             raise DomainError(f"t_end must be > 0, got {self.t_end}")
 
@@ -79,6 +80,13 @@ class Trajectory:
         return int(self.populations[-1])
 
 
+def _step_budget_error(spec: BirthDeathSpec, n: int) -> NotConvergedError:
+    return NotConvergedError(
+        f"simulation passed {MAX_REPLICATE_STEPS} steps over {n} clones before t = {spec.t_end}; "
+        "shorten the horizon, lower max_population or simulate fewer replicates"
+    )
+
+
 def _run(spec: BirthDeathSpec, n: int, threshold: int | None, max_population: int, record: bool = False):
     """Exact jump chains of ``n`` independent clones, drawn in blocks of steps.
 
@@ -92,6 +100,9 @@ def _run(spec: BirthDeathSpec, n: int, threshold: int | None, max_population: in
     Returns the stop times (t_end when censored) and outcome codes; with
     ``record`` (n = 1) also the event times and populations from (0, i0).
     """
+    # a first block of more than the budget would be allocated only to be refused
+    if n > MAX_REPLICATE_STEPS:
+        raise _step_budget_error(spec, n)
     rng = np.random.default_rng(spec.seed)
     total = spec.b + spec.d
     p_birth = spec.b / total
@@ -110,10 +121,7 @@ def _run(spec: BirthDeathSpec, n: int, threshold: int | None, max_population: in
         k = min(2 * k, _BLOCK_CELLS)
         drawn += m * width
         if drawn > MAX_REPLICATE_STEPS:
-            raise NotConvergedError(
-                f"simulation passed {MAX_REPLICATE_STEPS} steps over {n} clones before t = {spec.t_end}; "
-                "shorten the horizon, lower max_population or simulate fewer replicates"
-            )
+            raise _step_budget_error(spec, n)
         rows = np.arange(m)
         pops = pop[live, None] + np.where(rng.random((m, width)) < p_birth, 1, -1).cumsum(axis=1)
         before = np.empty_like(pops)

@@ -196,12 +196,7 @@ def _default_theta(model) -> list[float]:
 
 def _curve_values(model, grid, theta):
     """Evaluate on the grid, clipping points outside the model's domain."""
-    lo = model.input_low
-    strict = model.input_low_strict
-    if lo is None:
-        mask = np.ones(grid.shape, dtype=bool)
-    else:
-        mask = (grid > lo) if strict else (grid >= lo)
+    mask = model.admits_input(grid)
     if not np.all(mask):
         print(
             f"warning: {np.sum(~mask)} grid points outside the domain of {model.id}; clipped",

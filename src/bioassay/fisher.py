@@ -100,7 +100,7 @@ def total_info(model: ModelDef | str, design, theta, sigma2: float = 1.0) -> Inf
     if design.ndim != m.input_dim:
         want = "(n,)" if m.input_dim == 1 else "(n, 2)"
         raise DomainError(f"{m.id}: design must have shape {want}, got {design.shape}")
-    jac = m.finite_grad(m.check_input(design, for_gradient=True), theta)
+    jac = m.finite_grad(m.check_input(design), theta)
     return InfoMatrix(jac.T @ jac / sigma2, sigma2)
 
 

@@ -62,6 +62,8 @@ class RegressionDataset:
             raise DomainError("responses must be a nonempty 1-D sequence")
         if u.shape[0] != y.shape[0]:
             raise DomainError("inputs and responses must have equal length")
+        if not np.all(np.isfinite(y)):
+            raise DomainError("responses must be finite")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
 
@@ -275,24 +277,6 @@ def weibull_mle(sample: WeibullSample) -> FitResult:
 
 # -- Gauss-Newton least squares ---------------------------------------------
 
-def _box(m: ModelDef, p: int):
-    """The closed bounds (lo, hi) of the p parameter slots, -inf/inf where a
-    slot has none; None when no slot has one.  Strict bounds are left to
-    :meth:`ModelDef.admits`, and frozen integer slots never move."""
-    specs = m.params if m.params is not None else (m.variadic_param,) * p
-    lo, hi = np.full(p, -np.inf), np.full(p, np.inf)
-    for i, spec in enumerate(specs):
-        if spec.strict or spec.integer:
-            continue
-        if spec.low is not None:
-            lo[i] = spec.low
-        if spec.high is not None:
-            hi[i] = spec.high
-    if np.isinf(lo).all() and np.isinf(hi).all():
-        return None
-    return lo, hi
-
-
 def fit_least_squares(
     model: ModelDef | str,
     data: RegressionDataset,
@@ -323,10 +307,9 @@ def fit_least_squares(
     frozen = np.zeros(p, dtype=bool)
     frozen[list(m.frozen_slots)] = True
     free = np.flatnonzero(~frozen)
-    box = _box(m, p)
+    box = m.closed_box(p)
     # inputs are validated once here; the iterations call fn/grad directly
     u = m.check_input(data.u)
-    m.check_input(u, for_gradient=True)
 
     def residuals(th):
         return data.y - np.asarray(m.fn(u, th), dtype=float)

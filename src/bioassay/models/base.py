@@ -4,6 +4,8 @@ A :class:`ModelDef` bundles a mean-response function with its analytic
 parameter gradient and domain metadata.  Parameter vectors are plain
 1-D float arrays; models declare per-parameter bounds (and integrality,
 for hit-count style parameters) through :class:`ParamSpec` entries.
+The domain rules live here alone: callers ask the :class:`ModelDef` which
+inputs and parameters it admits, and value and gradient share one domain.
 
 Evaluation is vectorized over the input ``u``: scalars give scalars,
 arrays give arrays of the same leading shape.  Two-input models
@@ -63,24 +65,18 @@ class ParamSpec:
         return ok
 
     def check(self, value: float, index: int, model_id: str) -> None:
+        """Raise DomainError, naming the slot and the rule, where
+        :meth:`admits` rejects ``value``."""
+        if self.admits(value):
+            return
+        slot = f"{model_id}: parameter '{self.name}' (theta[{index}])"
         if not np.isfinite(value):
-            raise DomainError(f"{model_id}: parameter '{self.name}' (theta[{index}]) must be finite")
+            raise DomainError(f"{slot} must be finite")
         if self.integer and value != int(value):
-            raise DomainError(
-                f"{model_id}: parameter '{self.name}' (theta[{index}]) must be an integer, got {value}"
-            )
-        if self.low is not None:
-            if value < self.low or (self.strict and value == self.low):
-                op = ">" if self.strict else ">="
-                raise DomainError(
-                    f"{model_id}: parameter '{self.name}' (theta[{index}]) must be {op} {self.low}, got {value}"
-                )
-        if self.high is not None:
-            if value > self.high or (self.strict and value == self.high):
-                op = "<" if self.strict else "<="
-                raise DomainError(
-                    f"{model_id}: parameter '{self.name}' (theta[{index}]) must be {op} {self.high}, got {value}"
-                )
+            raise DomainError(f"{slot} must be an integer, got {value}")
+        if self.low is not None and (value < self.low or (self.strict and value == self.low)):
+            raise DomainError(f"{slot} must be {'>' if self.strict else '>='} {self.low}, got {value}")
+        raise DomainError(f"{slot} must be {'<' if self.strict else '<='} {self.high}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +84,11 @@ class ModelDef:
     """One registry entry: mean function, analytic gradient, and domains.
 
     ``fn(u, theta)`` and ``grad(u, theta)`` receive pre-validated
-    arguments.  ``grad`` returns shape ``(arity,)`` for a scalar input and
-    ``(n, arity)`` for an array of inputs.  ``params`` is None for
+    arguments, and both are defined on the one input domain of
+    :meth:`admits_input`: where a power of u multiplying ln u vanishes at
+    u = 0, ``grad`` floors the log's argument and so returns the limit.
+    ``grad`` returns shape ``(arity,)`` for a scalar input and ``(n, arity)``
+    for an array of inputs.  ``params`` is None for
     variadic models (polynomial-exponent families), in which case
     ``variadic_param`` describes every slot.  ``inverse(target, theta)``,
     where set, is the closed-form dose at which ``fn`` reaches ``target``.
@@ -107,7 +106,6 @@ class ModelDef:
     input_dim: int = 1
     input_low: float | None = None
     input_low_strict: bool = False
-    grad_input_low_strict: bool = False  # gradient needs u strictly above input_low
     inverse: Callable | None = None
     doc: str = ""
 
@@ -119,56 +117,66 @@ class ModelDef:
     @property
     def frozen_slots(self) -> tuple[int, ...]:
         """Indices of integer-constrained parameters (not differentiable)."""
-        if self.params is None:
-            return ()
-        return tuple(i for i, p in enumerate(self.params) if p.integer)
+        return tuple(i for i, spec in enumerate(self.params or ()) if spec.integer)
 
     # -- validation ---------------------------------------------------
 
+    def param_specs(self, p: int) -> tuple[ParamSpec, ...]:
+        """The spec of each of ``p`` parameter slots (``variadic_param`` for every
+        slot of a variadic model); DomainError if the model takes no p parameters."""
+        if self.arity is None:
+            if p < 1:
+                raise DomainError(f"{self.id}: at least one parameter required")
+            return (self.variadic_param,) * p
+        if p != self.arity:
+            raise DomainError(f"{self.id}: expected {self.arity} parameters, got {p}")
+        return self.params
+
     def check_theta(self, theta) -> np.ndarray:
         theta = as_theta(theta)
-        if self.params is not None:
-            if len(theta) != len(self.params):
-                raise DomainError(
-                    f"{self.id}: expected {len(self.params)} parameters, got {len(theta)}"
-                )
-            for i, (spec, value) in enumerate(zip(self.params, theta)):
-                spec.check(value, i, self.id)
-        else:
-            if len(theta) < 1:
-                raise DomainError(f"{self.id}: at least one parameter required")
-            for i, value in enumerate(theta):
-                self.variadic_param.check(value, i, self.id)
+        for i, (spec, value) in enumerate(zip(self.param_specs(len(theta)), theta)):
+            spec.check(value, i, self.id)
         return theta
 
     def admits(self, thetas: np.ndarray) -> np.ndarray:
-        """Which rows of ``thetas`` (k x p, p a valid parameter count)
-        :meth:`check_theta` accepts; the cheap test for a batch of line-search
-        candidates, most of which may lie outside the domain."""
-        if self.params is None:
-            return np.all(self.variadic_param.admits(thetas), axis=-1)
-        ok = self.params[0].admits(thetas[..., 0])
-        for i, spec in enumerate(self.params[1:], start=1):
-            ok &= spec.admits(thetas[..., i])
+        """Which rows of ``thetas`` (k x p) :meth:`check_theta` accepts: the cheap
+        test for a batch of line-search candidates, most of them outside the domain."""
+        specs = self.param_specs(thetas.shape[-1])
+        return np.logical_and.reduce([spec.admits(thetas[..., i]) for i, spec in enumerate(specs)])
+
+    def closed_box(self, p: int):
+        """The closed bounds (lo, hi) of the ``p`` parameter slots, -inf/inf where a
+        slot has none; None when no slot has one.  Clipping to them honours every
+        bound but the strict ones, left to :meth:`admits`, and integer slots."""
+        lo, hi = np.full(p, -np.inf), np.full(p, np.inf)
+        for i, spec in enumerate(self.param_specs(p)):
+            if not (spec.strict or spec.integer):
+                lo[i] = -np.inf if spec.low is None else spec.low
+                hi[i] = np.inf if spec.high is None else spec.high
+        if np.isinf(lo).all() and np.isinf(hi).all():
+            return None
+        return lo, hi
+
+    def admits_input(self, u: np.ndarray) -> np.ndarray:
+        """Elementwise: which input values lie in the model's input domain
+        (finite, and above ``input_low`` where the model has one)."""
+        ok = np.isfinite(u)
+        if self.input_low is not None:
+            ok &= (u > self.input_low) if self.input_low_strict else (u >= self.input_low)
         return ok
 
-    def check_input(self, u, for_gradient: bool = False):
+    def check_input(self, u):
+        """``u`` as a float array, checked for shape and by :meth:`admits_input`."""
         u = np.asarray(u, dtype=float)
         if self.input_dim == 2:
             if u.shape[-1:] != (2,):
                 raise DomainError(f"{self.id}: input must be a pair (x1, x2), got shape {u.shape}")
         elif u.ndim > 1:
             raise DomainError(f"{self.id}: input must be scalar or 1-D, got shape {u.shape}")
-        if not np.all(np.isfinite(u)):
-            raise DomainError(f"{self.id}: input must be finite")
-        low = self.input_low
-        if low is not None:
-            strict = self.input_low_strict or (for_gradient and self.grad_input_low_strict)
-            bad = (u <= low) if strict else (u < low)
-            if np.any(bad):
-                op = ">" if strict else ">="
-                what = "gradient input" if for_gradient else "input"
-                raise DomainError(f"{self.id}: {what} must be {op} {low}")
+        if not np.all(self.admits_input(u)):
+            if not np.all(np.isfinite(u)):
+                raise DomainError(f"{self.id}: input must be finite")
+            raise DomainError(f"{self.id}: input must be {'>' if self.input_low_strict else '>='} {self.input_low}")
         return u
 
     # -- evaluation ---------------------------------------------------
@@ -267,4 +275,4 @@ def gradient(model, u, theta):
     """
     m = _resolve(model)
     theta = m.check_theta(theta)
-    return m.finite_grad(m.check_input(u, for_gradient=True), theta)
+    return m.finite_grad(m.check_input(u), theta)

@@ -81,8 +81,9 @@ def _weibull_cdf_grad(x, th):
     theta, s = th
     z = theta * x
     e = np.exp(-(z**s))
+    # z^s ln z -> 0 at z = 0; the floor 5e-324, the least positive double, leaves z > 0 as is
     return np.stack(
-        [s * theta ** (s - 1.0) * x**s * e, (z**s) * np.log(z) * e], axis=-1
+        [s * theta ** (s - 1.0) * x**s * e, (z**s) * np.log(np.maximum(z, 5e-324)) * e], axis=-1
     )
 
 def _weibull_cdf_inverse(target, th):
@@ -157,7 +158,6 @@ DOSE_RESPONSE_MODELS = [
         grad=_weibull_cdf_grad,
         params=(ParamSpec("rate", low=0.0), ParamSpec("shape", low=0.0)),
         input_low=0.0,
-        grad_input_low_strict=True,  # ln(theta*x) in the shape derivative
         inverse=_weibull_cdf_inverse,
         doc="1 - exp(-(theta * x)**s)",
     ),

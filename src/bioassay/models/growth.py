@@ -153,7 +153,7 @@ def _weibull_recon_grad(u, th):
             1.0 - e,
             e,
             (th[0] - th[1]) * th[3] * u ** th[3] * th[2] ** (th[3] - 1.0) * e,
-            (th[0] - th[1]) * (z ** th[3]) * np.log(z) * e,
+            (th[0] - th[1]) * (z ** th[3]) * np.log(np.maximum(z, 5e-324)) * e,  # 0 at z = 0
         ],
         axis=-1,
     )
@@ -282,7 +282,6 @@ GROWTH_MODELS = [
             ParamSpec("shape", low=0.0),
         ),
         input_low=0.0,
-        grad_input_low_strict=True,  # ln(theta2*u) in the shape derivative
         doc="theta0 - (theta0 - theta1) * exp(-(theta2 * u)**theta3)",
     ),
     ModelDef(

@@ -139,6 +139,14 @@ def _mm_two_substrate_grad(u, th):
     )
 
 
+def _sigmoid_parts(r, up):
+    """sigma(t), sigma(-t) and sigma'(t) of the logistic 1/(1 + e^-t), from
+    r = e^-|t| in [0, 1] and up = (t >= 0); r = 0 gives the limits 1, 0, 0."""
+    a = 1.0 / (1.0 + r)
+    b = r * a
+    return np.where(up, a, b), np.where(up, b, a), a * b
+
+
 def _hill(x, th):
     # v x^n / (kc^n + x^n) divided through by x^n, which stays finite where
     # x^n and kc^n overflow together; at x = 0, (kc/x)^n = inf gives 0
@@ -147,15 +155,15 @@ def _hill(x, th):
         return v / (1.0 + (kc / x) ** n)
 
 def _hill_grad(x, th):
+    # v sigma(t), t = n ln(x/kc): e^-|t| = (min/max)^n, finite where x^n overflows
     v, kc, n = th
-    xn = x**n
-    kn = kc**n
-    den = kn + xn
+    up, _down, slope = _sigmoid_parts((np.minimum(x, kc) / np.maximum(x, kc)) ** n, x >= kc)
+    # slope * ln x -> 0 at x = 0; 5e-324 is the least positive double
     return np.stack(
         [
-            xn / den,
-            -v * xn * n * kc ** (n - 1.0) / den**2,
-            v * kn * xn * (np.log(x) - np.log(kc)) / den**2,
+            up,
+            -v * n * slope / kc,
+            v * slope * (np.log(np.maximum(x, 5e-324)) - np.log(kc)),
         ],
         axis=-1,
     )
@@ -168,13 +176,12 @@ def _hill_decreasing(x, th):
 
 def _hill_decreasing_grad(x, th):
     v, kc, n = th
-    r = (x / kc) ** n
-    den2 = (1.0 + r) ** 2
+    _up, down, slope = _sigmoid_parts((np.minimum(x, kc) / np.maximum(x, kc)) ** n, x >= kc)
     return np.stack(
         [
-            1.0 / (1.0 + r),
-            v * n * r / (kc * den2),
-            -v * r * np.log(x / kc) / den2,
+            down,
+            v * n * slope / kc,
+            -v * slope * np.log(np.maximum(x / kc, 5e-324)),
         ],
         axis=-1,
     )
@@ -186,14 +193,15 @@ def _mmf(x, th):
     return th[0] - (th[0] - th[2]) * th[3] / (x ** th[1] + th[3])
 
 def _mmf_grad(x, th):
+    # w / (w + theta3) = sigma(t) with e^t = w / theta3, finite where w = inf
     w = x ** th[1]
-    den = w + th[3]
+    up, down, slope = _sigmoid_parts(np.minimum(w, th[3]) / np.maximum(w, th[3]), w >= th[3])
     return np.stack(
         [
-            w / den,
-            w * np.log(x) * th[3] * (th[0] - th[2]) / den**2,
-            th[3] / den,
-            w * (th[2] - th[0]) / den**2,
+            up,
+            slope * np.log(x) * (th[0] - th[2]),
+            down,
+            slope * (th[2] - th[0]) / th[3],
         ],
         axis=-1,
     )
@@ -290,7 +298,6 @@ KINETICS_MODELS = [
         grad=_hill_grad,
         params=(_p("vmax"), _p("half-max"), _p("exponent")),
         input_low=0.0,
-        grad_input_low_strict=True,  # ln x in the exponent derivative
         doc="sigmoidal response v * x^n / (kc^n + x^n)",
     ),
     ModelDef(
@@ -300,7 +307,6 @@ KINETICS_MODELS = [
         grad=_hill_decreasing_grad,
         params=(_p("vmax"), _p("half-max"), _p("exponent")),
         input_low=0.0,
-        grad_input_low_strict=True,
         doc="complementary sigmoid v / (1 + (x/kc)^n)",
     ),
     ModelDef(

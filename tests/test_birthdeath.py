@@ -1,6 +1,7 @@
 """Birth-death simulation: exactness properties, oracles, hazard estimation."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -209,6 +210,20 @@ def test_replicate_step_budget(monkeypatch):
         simulate_replicates(BirthDeathSpec(b=2.0, d=1.0, i0=20, t_end=100.0, seed=67), 2)
 
 
+def test_replicate_step_budget_checked_before_allocating(monkeypatch):
+    # a study of more clones than the budget raises before its ~25 bytes per clone are allocated
+    monkeypatch.setattr(birthdeath, "MAX_REPLICATE_STEPS", 1000)
+    spec = BirthDeathSpec(b=1.0, d=1.0, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotConvergedError, match="1000 steps over 1000000 clones"):
+            simulate_replicates(spec, 1_000_000)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_spec_validation():
     with pytest.raises(DomainError):
         BirthDeathSpec(b=-1.0, d=1.0)
@@ -216,6 +231,8 @@ def test_spec_validation():
         BirthDeathSpec(b=0.0, d=0.0)
     with pytest.raises(DomainError):
         BirthDeathSpec(b=1.0, d=1.0, i0=0)
+    with pytest.raises(DomainError, match="initial population"):
+        BirthDeathSpec(b=1.0, d=1.0, i0=10**20)  # past int64
     with pytest.raises(DomainError):
         BirthDeathSpec(b=1.0, d=1.0, t_end=0.0)
 

@@ -84,6 +84,29 @@ def test_fit_quantal_schema(tmp_path, capsys):
     assert report["theta_hat"][0] == pytest.approx(1.0, abs=0.1)
 
 
+def test_fit_quantal_with_control_group(tmp_path, capsys):
+    # a dose-0 control row: the weibull-cdf gradient there is its limit (0, 0)
+    csv_path = tmp_path / "quantal.csv"
+    csv_path.write_text("dose,n,events\n0,50,1\n0.5,50,9\n1,50,21\n2,50,38\n4,50,49\n")
+    code, out, err = run_cli(
+        capsys, "fit", "--model", "weibull-cdf", "--data-format", "quantal", "--input", str(csv_path),
+        "--theta", "0.5,1.5",
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["converged"] and all(math.isfinite(v) for v in report["theta_hat"])
+
+
+def test_fit_non_finite_response_exit_2(tmp_path, capsys):
+    # unchecked, the fit printed "objective": NaN, which is not JSON, and exited 3
+    csv_path = tmp_path / "reg.csv"
+    csv_path.write_text("u,y\n1,0.5\n2,nan\n3,inf\n4,0.8\n")
+    code, out, err = run_cli(
+        capsys, "fit", "--model", "mm", "--input", str(csv_path), "--theta", "1,1"
+    )
+    assert (code, out, err) == (2, "", "error: responses must be finite\n")
+
+
 def test_fit_wrong_arity_exit_2(tmp_path, capsys):
     csv_path = tmp_path / "reg.csv"
     csv_path.write_text("u,y\n1,0.5\n2,0.6\n3,0.7\n")
@@ -306,6 +329,16 @@ def test_fisher_command_row_major(capsys):
     assert report["info"] == [[1.0, 0.0], [0.0, 0.0]]
 
 
+def test_fisher_design_with_a_control_dose(capsys):
+    # the dose-0 row of the gradient is (0, 0): it adds no information
+    code, out, err = run_cli(
+        capsys, "fisher", "--model", "weibull-cdf", "--theta", "1,1.5", "--at", "0,0.5,1,2"
+    )
+    assert (code, err) == (0, "")
+    expected = ba.fisher.total_info("weibull-cdf", [0.5, 1.0, 2.0], [1.0, 1.5]).entries
+    assert np.allclose(json.loads(out)["info"], expected, rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize(
     "model, theta",
     [("mm-two-substrate", [2.0, 1.0, 1.0, 1.0]), ("mm-series", [1.0, 2.0, 0.5, 1.5, 0.8])],
@@ -481,6 +514,14 @@ def test_simulate_bd_non_finite_rates_exit_2(capsys, birth, death):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "finite" in err
+
+
+def test_simulate_bd_i0_past_int64_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate-bd", "--birth", "1", "--death", "1", "--i0", "100000000000000000000"
+    )
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "initial population" in err
 
 
 def test_simulate_bd_binned_hazard(capsys):

@@ -81,10 +81,10 @@ def test_total_info_equals_sum_of_per_obs_info(rng):
 def test_total_info_out_of_domain_point_message():
     theta = [1.0, 1.5]
     with pytest.raises(DomainError) as single:
-        per_obs_info("weibull-cdf", 0.0, theta)
+        per_obs_info("weibull-cdf", -0.5, theta)
     with pytest.raises(DomainError) as design:
-        total_info("weibull-cdf", [0.5, 1.0, 0.0, 2.0], theta)
-    assert str(design.value) == str(single.value) == "weibull-cdf: gradient input must be > 0.0"
+        total_info("weibull-cdf", [0.5, 1.0, -0.5, 2.0], theta)
+    assert str(design.value) == str(single.value) == "weibull-cdf: input must be >= 0.0"
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -416,6 +416,12 @@ def test_binary_dataset_rejects_non_finite_covariates(column, bad):
         BinaryDataset(y=np.array([0.0, 1.0, 1.0, 0.0]), **cols)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_regression_dataset_rejects_non_finite_responses(bad):
+    with pytest.raises(DomainError, match="responses must be finite"):
+        RegressionDataset([1.0, 2.0, 3.0], [0.5, bad, 0.7])
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_logit_converges_at_large_n(seed):
     # near the optimum a Newton step gains about 1e-16, below the ~1e-11 rounding of

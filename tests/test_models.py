@@ -12,7 +12,15 @@ import bioassay as ba
 from bioassay.exceptions import DomainError
 from bioassay.models import get_model
 
-from conftest import SAMPLE_BOXES, all_models, fd_gradient, rel_err, sample_point, sample_theta
+from conftest import (
+    SAMPLE_BOXES,
+    all_models,
+    fd_gradient,
+    rel_err,
+    sample_input,
+    sample_point,
+    sample_theta,
+)
 from fisher_reference import MONOMOLECULAR
 
 E_INV = math.exp(-1.0)
@@ -107,6 +115,27 @@ def test_gradients_match_finite_differences(rng):
         assert worst <= 1e-6, f"{model.id}: worst fd mismatch {worst:.3e}"
 
 
+def test_gradient_at_the_closed_lower_input_bound(rng):
+    """The gradient is defined wherever the value is: at a closed lower input
+    bound (each coordinate of a pair in turn, then both) it is finite and
+    agrees with central differences of the value."""
+    for model in all_models():
+        if model.input_low is None or model.input_low_strict:
+            continue
+        low = model.input_low
+        for _ in range(20):
+            theta = sample_theta(model, rng)
+            if model.input_dim == 2:
+                x1, x2 = sample_input(model, rng)
+                points = [(low, x2), (x1, low), (low, low)]
+            else:
+                points = [low]
+            for u in points:
+                a = ba.gradient(model, u, theta)
+                assert np.isfinite(a).all(), (model.id, u, theta)
+                assert np.max(rel_err(a, fd_gradient(model, u, theta))) <= 1e-6, (model.id, u, theta)
+
+
 # sha256 of the first 25 sample_point draws of every registry model, in
 # registry order, then of MONOMOLECULAR, all from one default_rng(612)
 SAMPLE_DRAWS_SHA256 = "a06516a6e4eed0ea7013312e9cefeb77c98f3174c263bb0ab306950a06853b5c"
@@ -194,6 +223,10 @@ def test_hill_and_mmf_finite_where_the_powers_overflow():
         assert ba.evaluate("mmf", 19724, [7.39, 1787, 1.48e-7, 2.53e-8]) == 7.39
         assert ba.evaluate("hill", 0.0, [2.0, 1.0, 1.5]) == 0.0
         vals = ba.evaluate("hill", np.array([0.0, 1.0]), [2.0, 1.0, 1.5])
+        # the gradients take the same limits: 1 in the weight of the upper level, 0 elsewhere
+        assert ba.gradient("hill", 446.9, [8.2e-5, 1.5e-6, 25474]).tolist() == [1.0, 0.0, 0.0]
+        assert ba.gradient("hill-decreasing", 446.9, [8.2e-5, 1.5e-6, 25474]).tolist() == [0.0, 0.0, 0.0]
+        assert ba.gradient("mmf", 19724, [7.39, 1787, 1.48e-7, 2.53e-8]).tolist() == [1.0, 0.0, 0.0, 0.0]
     assert vals.tolist() == [0.0, 1.0]
 
 
@@ -270,11 +303,12 @@ def test_time_power_needs_positive_input():
         ba.evaluate("exp-time-power", 0.0, [1.0, 1.0])
 
 
-def test_gradient_rejects_non_differentiable_point():
-    # ln(theta2 * u) appears in the shape derivative
-    with pytest.raises(DomainError, match="gradient input"):
-        ba.gradient("weibull-reconstructed", 0.0, [1.0, 0.0, 1.0, 1.0])
-    ba.evaluate("weibull-reconstructed", 0.0, [1.0, 0.0, 1.0, 1.0])  # evaluate is fine
+def test_gradient_at_zero_dose_is_the_limit():
+    # z^s ln z -> 0: the ln factors of the shape and exponent derivatives vanish
+    assert ba.gradient("weibull-cdf", 0.0, [1.0, 1.5]).tolist() == [0.0, 0.0]
+    assert ba.gradient("weibull-reconstructed", 0.0, [1.0, 0.0, 1.0, 1.0]).tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert ba.gradient("hill", 0.0, [2.0, 1.0, 1.5]).tolist() == [0.0, 0.0, 0.0]
+    assert ba.gradient("hill-decreasing", 0.0, [2.0, 1.0, 1.5]).tolist() == [1.0, 0.0, 0.0]
 
 
 def test_nonpositive_rate_named():
