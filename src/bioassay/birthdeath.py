@@ -33,6 +33,7 @@ __all__ = [
 MAX_POPULATION = 100_000_000
 MAX_TRAJECTORY_EVENTS = 10_000_000  # recorded events of one trajectory (memory guard)
 MAX_REPLICATE_STEPS = 200_000_000  # steps drawn by one call, over all clones (time guard)
+MAX_REPLICATES = 1_000_000  # clones of one replicate study, at about 200 bytes each (memory guard)
 _BLOCK_CELLS = 1 << 16  # steps drawn per block, over all running clones
 
 _RUNNING, _CENSORED, _EXTINCT, _ONSET, _TRUNCATED = range(5)
@@ -201,10 +202,16 @@ def simulate_replicates(
     it is the first time the population reaches the threshold.  Runs
     that see neither by the horizon are censored at t_end.  A study that
     draws more than ``MAX_REPLICATE_STEPS`` steps over all clones raises
-    NotConvergedError (time guard).
+    NotConvergedError (time guard).  A study of more than
+    ``MAX_REPLICATES`` clones raises DomainError before it allocates
+    anything (memory guard): at its peak a call holds about 200 bytes per
+    clone (the clone's state, its share of the first block of steps and
+    its Replicate), so the cap bounds it near 200 MB.
     """
     if n_replicates < 1:
         raise DomainError("n_replicates must be >= 1")
+    if n_replicates > MAX_REPLICATES:
+        raise DomainError(f"{n_replicates} replicates exceed the cap of {MAX_REPLICATES} per study")
     if threshold is not None and threshold < 1:
         raise DomainError("threshold must be >= 1")
     t, state = _run(spec, n_replicates, threshold, max_population)

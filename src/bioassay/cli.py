@@ -16,10 +16,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
 import sys
-from itertools import chain
+import warnings
 
 import numpy as np
 
@@ -114,7 +115,13 @@ def _seed(args, default: int = 0) -> int:
 
 
 def _read_csv(path: str, columns: tuple[str, ...]):
-    """Read the named numeric columns; errors carry the 1-based line number."""
+    """Read the named numeric columns; errors carry the 1-based line number.
+
+    ``np.loadtxt`` parses the body in C.  On any error there, or a result
+    other than one row of ``len(columns)`` values per line, the csv module
+    walks the rows again: it skips blank rows, accepts what Python's
+    ``float`` accepts, and names the first bad line.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -130,16 +137,18 @@ def _read_csv(path: str, columns: tuple[str, ...]):
             raise CsvError(
                 f"{path}: line 1: expected header {','.join(columns)}, got {','.join(header)}"
             )
-        rows = list(reader)
+        body = fh.read()
     width = len(columns)
-    if rows and all(len(row) == width for row in rows):
-        try:
-            return np.array(list(map(float, chain.from_iterable(rows)))).reshape(-1, width)
-        except ValueError:
-            pass
-    # a blank row to skip or a bad field: walk the rows to find the line
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on an empty body
+            data = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] == width:
+            return data
+    except Exception:  # whatever loadtxt rejects, the row walk reads or names
+        pass
     data = []
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != width:

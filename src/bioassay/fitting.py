@@ -430,7 +430,14 @@ def fit_logit(data: BinaryDataset, include_x2: bool = False) -> FitResult:
 
     Raises :class:`SeparationError` when the estimates diverge past
     |beta| = 30 with rising likelihood, and rejects rank-deficient
-    designs (e.g. a constant covariate) as unidentifiable.
+    designs (e.g. a constant covariate) as unidentifiable.  The rank is
+    that of the k x k Hessian at beta = 0, X^T X / 4, whose singular values
+    are the squares of those of X; at numpy's rank tolerance it rejects a
+    design whose condition number exceeds about (k eps)^(-1/2), 4e7 for
+    k = 3.  An SVD of the n x k design itself would accept condition
+    numbers up to about 1 / (n eps), 1e12 at n = 5000, but there X^T W X
+    has a condition number past 1e15 and the Newton solve on it carries
+    no reliable digit.
     """
     y = data.y
     if y.min() == y.max():
@@ -441,17 +448,17 @@ def fit_logit(data: BinaryDataset, include_x2: bool = False) -> FitResult:
             raise DomainError("include_x2 requested but the dataset has no x2 column")
         rows.append(data.x2)
     XT = np.array(rows)  # the design transposed: one row per coefficient
-    if np.linalg.matrix_rank(XT.T) < XT.shape[0]:
-        raise DomainError("design matrix is rank deficient (constant or collinear covariate)")
-
     beta = np.zeros(XT.shape[0])
     eta = np.zeros(data.n)
     sp, e = _softplus(eta)
+    p, w = _logistic(eta, e)
+    hess = (XT * w) @ XT.T  # X^T X / 4 at beta = 0: the Gram matrix's rank is the design's
+    if np.linalg.matrix_rank(hess, hermitian=True) < XT.shape[0]:
+        raise DomainError("design matrix is rank deficient (constant or collinear covariate)")
     converged = False
     iters = 0
     for _ in range(MAX_LOGIT_ITER):
         iters += 1
-        p, w = _logistic(eta, e)
         score = XT @ (y - p)
         if np.linalg.norm(score) < SCORE_TOL:
             if np.all(np.abs(y - p) < 1e-6):
@@ -460,7 +467,6 @@ def fit_logit(data: BinaryDataset, include_x2: bool = False) -> FitResult:
                 )
             converged = True
             break
-        hess = (XT * w) @ XT.T
         try:
             step = np.linalg.solve(hess, score)
         except np.linalg.LinAlgError:
@@ -478,10 +484,10 @@ def fit_logit(data: BinaryDataset, include_x2: bool = False) -> FitResult:
             raise SeparationError(
                 "estimates diverging with rising likelihood: complete or quasi-complete separation"
             )
-    else:
         p, w = _logistic(eta, e)
+        hess = (XT * w) @ XT.T
 
-    info = InfoMatrix((XT * w) @ XT.T, 1.0)
+    info = InfoMatrix(hess, 1.0)
     return FitResult(
         theta_hat=beta,
         objective=float(np.sum(y * eta - sp)),

@@ -12,13 +12,18 @@ reduction, tables that agree on the marginals of their join-tree
 separators are globally consistent (Vorob'ev 1962): the join-tree
 product prod n_C / prod n_S is a witness, and the sharp upper bound of a
 universal cell is the smallest table cell containing it (Dobra &
-Fienberg 2000).  Everything else (cyclic schemes, structural zeros) is a
-linear program for HiGHS (``scipy.optimize.milp``).  An optional exact
-mode decides integer feasibility for integer-typed variables: by a
-northwest-corner fill along the join tree, or on the HiGHS path by the
-same system with integer cells, one mixed-integer program.  Integer
-feasibility of cyclic schemes is NP-complete (Irving & Jerrum 1994), so
-every HiGHS call stops after ``MAX_HIGHS_SECONDS``.
+Fienberg 2000).  Everything else (cyclic schemes, structural zeros) is the
+linear system A x = b, x >= 0 over the universal cells.  Up to
+``MAX_NNLS_ENTRIES`` dense entries, Lawson-Hanson non-negative least
+squares (Lawson & Hanson 1974, ch. 23; ``scipy.optimize.nnls``) decides
+it: a zero residual leaves a witness, and a nonzero one is a Farkas
+certificate.  Larger systems, and the LP that classifies a cell, go to
+HiGHS (``scipy.optimize.milp``).  An optional exact mode decides integer
+feasibility for integer-typed variables: by a northwest-corner fill along
+the join tree, or off it by the same system with integer cells, one HiGHS
+mixed-integer program.  Integer feasibility of cyclic schemes is
+NP-complete (Irving & Jerrum 1994), so every HiGHS call stops after
+``MAX_HIGHS_SECONDS``.
 """
 
 from __future__ import annotations
@@ -52,6 +57,9 @@ VARIABLE_TYPES = ("real", "integer", "nonneg-real", "nonneg-integer")
 _MAX_DOMAIN = 10_000
 _MAX_UNIVERSAL_CELLS = 1_000_000
 MAX_HIGHS_SECONDS = 10.0  # wall-clock limit of one HiGHS call (time guard)
+# dense entries of A x = b up to which NNLS decides feasibility faster than a
+# HiGHS phase-1 LP: three-way r <= 6 (23 328 entries) below, r = 7 (50 421) break-even
+MAX_NNLS_ENTRIES = 1 << 15
 _EQ_TOL = 1e-9
 
 
@@ -513,7 +521,9 @@ def _linprog(c, A, b, integrality=None):
 
     Calls :func:`scipy.optimize.milp`, an LP solve behind a thinner
     wrapper than ``linprog``'s; ``integrality=1`` makes every x integer.
-    The solve stops after ``MAX_HIGHS_SECONDS``.
+    It serves the phase-1 LP of systems above ``MAX_NNLS_ENTRIES``, the
+    cell-classification LP and the integer program.  The solve stops
+    after ``MAX_HIGHS_SECONDS``.
     """
     # deferred: importing scipy.optimize costs ~0.3 s
     from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
@@ -533,12 +543,10 @@ def _linprog(c, A, b, integrality=None):
     return res
 
 
-def _phase1(p: Polyptych, A, b):
+def _phase1(A, b):
     """Phase-1 LP: min sum(a) subject to [A | I] (x, a) = |b|, (x, a) >= 0.
 
-    Returns (x, None) when A x = b has a nonnegative solution, otherwise
-    (None, certificate), the certificate naming the rows whose artificials
-    stay positive.
+    Returns x and the artificials a, which are |b - A x| row by row.
     """
     from scipy.sparse import csc_array  # deferred, as in _linprog
 
@@ -549,23 +557,72 @@ def _phase1(p: Polyptych, A, b):
     indptr = np.r_[A.indptr, A.indptr[-1] + np.arange(1, m + 1)]
     phase1 = csc_array((data, np.r_[A.indices, np.arange(m)], indptr), shape=(m, n + m))
     res = _linprog(np.r_[np.zeros(n), np.ones(m)], phase1, b * sign)
-    scale = max(1.0, float(np.abs(b).max()))
-    art = res.x[n:]
-    if art.sum() <= _EQ_TOL * scale * m:
-        return res.x[:n], None
-    bad = "; ".join(_row_label(p, i) for i in np.flatnonzero(art > _EQ_TOL * scale)) or "marginal constraints"
-    return None, f"no nonnegative universal table satisfies: {bad}"
+    return res.x[:n], res.x[n:]
+
+
+def _nonnegative_solution(p: Polyptych, A, b):
+    """Decide whether A x = b has a solution x >= 0.
+
+    A system with at most ``MAX_NNLS_ENTRIES`` dense entries goes first to
+    Lawson-Hanson non-negative least squares (``scipy.optimize.nnls``),
+    which minimizes ||b - A x|| over x >= 0 by an active-set method.
+    Entries of x within ``_EQ_TOL`` times the scale of b of 0 are rounding
+    dust and set to 0; when every residual row is then within that
+    tolerance, x is a solution.  Otherwise y = b - A x is a Farkas
+    certificate: at the optimum A^T y <= 0 and b^T y = ||y||^2 > 0, so no
+    x >= 0 has A x = b.  The certificate is checked, not assumed: every
+    such x would have b^T y = x^T A^T y <= sum(x) max(A^T y), and
+    sum(x) = sum(b) / (number of tables) <= sum|b| / (number of tables),
+    since each column holds one 1 per table.  NNLS stopping at
+    its limit of 3n iterations raises :class:`NotConvergedError`.  A larger
+    system, or one whose NNLS answer fails the check (nnls can stop at a
+    singular active set), goes to the HiGHS phase-1 LP, whose artificials
+    are |b - A x|.
+
+    Returns (x, None), or (None, certificate) naming the rows whose
+    residual stays above the tolerance.
+    """
+    m, n = A.shape
+    tol = _EQ_TOL * max(1.0, float(np.abs(b).max()))
+    if m * n <= MAX_NNLS_ENTRIES:
+        dense, x = A.toarray(), np.zeros(n)
+        if n:  # nnls takes no empty system (every cell a structural zero)
+            from scipy.optimize import nnls  # deferred, as in _linprog
+
+            try:
+                x = nnls(dense, b)[0]
+            except RuntimeError as exc:  # its iteration limit
+                raise NotConvergedError(f"NNLS did not decide the linear system: {exc}") from None
+            x[x <= tol] = 0.0  # rounding dust on cells the solve keeps in its active set
+        y = b - dense @ x
+        residual = np.abs(y)
+        if residual.max() <= tol:
+            return x, None
+        if b @ y > np.abs(b).sum() / len(p.tables) * (dense.T @ y).max(initial=0.0):
+            return None, _unsatisfied(p, residual, tol)
+    x, residual = _phase1(A, b)
+    if residual.sum() <= tol * m:
+        return x, None
+    return None, _unsatisfied(p, residual, tol)
+
+
+def _unsatisfied(p: Polyptych, residual, tol: float) -> str:
+    """The certificate of an infeasible system: the rows whose residual exceeds ``tol``."""
+    bad = "; ".join(_row_label(p, i) for i in np.flatnonzero(residual > tol))
+    return f"no nonnegative universal table satisfies: {bad}"
 
 
 def check_consistency(p: Polyptych, integer_exact: bool = False) -> ConsistencyVerdict:
     """Decide whether a universal table exists with the given marginals.
 
-    Real-valued feasibility is the primary semantics.  With
-    ``integer_exact`` (integer-typed variables only) integer feasibility
-    is decided instead: by a northwest-corner fill on decomposable
-    polyptychs, otherwise by one HiGHS mixed-integer program once the
-    phase-1 LP has found a real table.  A HiGHS call that runs out of
-    ``MAX_HIGHS_SECONDS`` raises :class:`NotConvergedError`.
+    Real-valued feasibility is the primary semantics: closed form on
+    decomposable polyptychs, otherwise NNLS up to ``MAX_NNLS_ENTRIES`` dense
+    entries and a HiGHS phase-1 LP above.  With ``integer_exact``
+    (integer-typed variables only) integer feasibility is decided instead:
+    by a northwest-corner fill on decomposable polyptychs, otherwise by one
+    HiGHS mixed-integer program once a real table is found.  NNLS at its
+    iteration limit, or a HiGHS call that runs out of ``MAX_HIGHS_SECONDS``,
+    raises :class:`NotConvergedError`.
     """
     bad, scale = _totals_certificate(p)
     if bad is not None:
@@ -575,7 +632,7 @@ def check_consistency(p: Polyptych, integer_exact: bool = False) -> ConsistencyV
     edges = _join_tree(p)
     if edges is None:
         A, b, cols = _constraint_system(p)
-        x, bad = _phase1(p, A, b)
+        x, bad = _nonnegative_solution(p, A, b)
         if bad is not None:
             return ConsistencyVerdict(consistent=False, certificate=bad)
         variable = _real_variable(p.variable)
@@ -631,7 +688,8 @@ def classify_empty(p: Polyptych, coords) -> str:
     largest value the cell takes subject to the marginal constraints is 0.
     On a decomposable polyptych that largest value is the smallest table
     cell containing it; otherwise one HiGHS LP maximizes the cell, and an
-    infeasible LP is explained by the phase-1 certificate.
+    infeasible LP is explained by the certificate of
+    :func:`check_consistency` (NNLS or the phase-1 LP, by size).
     """
     coords = tuple(coords)
     universal = p.universal_scheme
@@ -662,7 +720,7 @@ def classify_empty(p: Polyptych, coords) -> str:
             c[np.searchsorted(cols, np.ravel_multi_index(index, shape))] = -1.0  # maximize the cell
         res = _linprog(c, A, b)
         if res.status == 2:
-            _x, bad = _phase1(p, A, b)
+            _x, bad = _nonnegative_solution(p, A, b)
             raise DomainError(f"polyptych is inconsistent: {bad or 'HiGHS finds the marginals infeasible'}")
         if structural:
             return "structural"

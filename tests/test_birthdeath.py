@@ -224,6 +224,21 @@ def test_replicate_step_budget_checked_before_allocating(monkeypatch):
     assert peak < 1_000_000
 
 
+def test_replicate_cap_checked_before_allocating(monkeypatch):
+    # a study of more clones than the cap raises before its ~200 bytes per clone are allocated
+    monkeypatch.setattr(birthdeath, "MAX_REPLICATES", 1000)
+    spec = BirthDeathSpec(b=1.0, d=1.0, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="1000000 replicates exceed the cap of 1000 per study"):
+            simulate_replicates(spec, 1_000_000)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert len(simulate_replicates(spec, 1000)) == 1000
+
+
 def test_spec_validation():
     with pytest.raises(DomainError):
         BirthDeathSpec(b=-1.0, d=1.0)

@@ -159,6 +159,57 @@ def test_read_csv_errors_name_the_line(tmp_path, body, line):
         cli._read_csv(str(path), ("u", "y"))
 
 
+def row_walk(body, width):
+    """The csv-module reading of a body: blank rows skipped, ``float`` on every field."""
+    import csv
+    import io
+
+    rows = [r for r in csv.reader(io.StringIO(body, newline="")) if r and any(c.strip() for c in r)]
+    if not rows or any(len(r) != width for r in rows):
+        return None
+    try:
+        return np.array([[float(c) for c in r] for r in rows])
+    except ValueError:
+        return None
+
+
+CSV_BODIES = {
+    "underscore": "1_0,2\n3,4_5\n",
+    "quoted": '"1.5",2\n3,"4"\n',
+    "crlf": "1,2\r\n3,4\r\n",
+    "blank rows": "\n1,2\n\n \n3,4\n\n",
+    "trailing comma": "1,2,\n3,4,\n",
+    "nan and inf": "nan,inf\n-inf,NaN\n-nan,+Infinity\n",
+    "subnormal": "4.9e-324,2.2250738585072014e-308\n1e-320,-5e-324\n",
+    "lone cr in a field": "1\r5,2\n3,4\n",
+    "lone cr rows": "1,2\r3,4\r",
+    "padded": " 1 ,\t2 \n.5,-0.0\n",
+    "plain": "".join(f"{i / 7:.17g},{i}\n" for i in range(200)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_BODIES))
+def test_read_csv_matches_the_row_walk_bit_for_bit(tmp_path, case):
+    body = CSV_BODIES[case]
+    path = tmp_path / "body.csv"
+    path.write_bytes(("u,y\n" + body).encode())
+    want = row_walk(body, 2)
+    if want is None:
+        with pytest.raises(CsvError, match="line"):
+            cli._read_csv(str(path), ("u", "y"))
+    else:
+        got = cli._read_csv(str(path), ("u", "y"))
+        assert got.dtype == float and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_fit_on_a_header_only_csv_prints_one_error_line(tmp_path):
+    # np.loadtxt warns on an empty body; the warning must not reach stderr
+    (tmp_path / "empty.csv").write_text("time,event\n\n")
+    proc = run_python("-m", "bioassay", "fit", "--model", "weibull-cdf", "--input", "empty.csv", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: empty.csv: no data rows\n"
+
+
 def test_fit_unknown_model_lists_registry(tmp_path, capsys):
     csv_path = tmp_path / "reg.csv"
     csv_path.write_text("u,y\n1,0.5\n")
@@ -457,6 +508,29 @@ def test_tables_integer_exact_time_limit_exit_3(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and err.startswith("failure: HiGHS did not decide")
 
 
+def test_tables_nnls_iteration_limit_exit_3(tmp_path, capsys, monkeypatch):
+    def stalled(*a, **k):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    # the three two-way margins of a 2x2x2 table: cyclic, small enough for NNLS
+    monkeypatch.setattr("scipy.optimize.nnls", stalled)
+    codes = {n: [f"{n}0", f"{n}1"] for n in "abc"}
+    obj = {
+        "attributes": [{"name": n, "domain": d} for n, d in codes.items()],
+        "variable": {"name": "count", "type": "nonneg-integer"},
+        "tables": [
+            {"scheme": list(pair), "cells": [{"coords": [f"{pair[0]}{i}", f"{pair[1]}{i}"], "value": 1} for i in (0, 1)]}
+            for pair in ("ab", "ac", "bc")
+        ],
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "tables", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "failure: NNLS did not decide the linear system: Maximum number of iterations reached.\n"
+
+
 def test_tables_malformed_exit_2(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text("{not json")
@@ -472,6 +546,13 @@ def test_tables_malformed_exit_2(tmp_path, capsys):
 
 
 # -- simulate-bd -------------------------------------------------------------------------
+
+def test_simulate_bd_replicates_past_the_cap_exit_2(capsys):
+    n = birthdeath.MAX_REPLICATES + 1
+    code, out, err = run_cli(capsys, "simulate-bd", "--birth", "1", "--death", "1", "--replicates", str(n))
+    assert (code, out) == (2, "")
+    assert err == f"error: {n} replicates exceed the cap of {birthdeath.MAX_REPLICATES} per study\n"
+
 
 def test_simulate_bd_trajectory(capsys):
     code, out, _ = run_cli(

@@ -399,6 +399,25 @@ def test_logit_constant_x2_unidentifiable():
         fit_logit(data, include_x2=True)
 
 
+@pytest.mark.parametrize("scale, rejected", [(1e7, False), (1e9, True)])
+def test_logit_rank_check_sits_at_condition_number_4e7(scale, rejected):
+    # x2 = scale * w makes the design's condition number about `scale`.  The
+    # rank of X^T X rejects past (3 eps)^(-1/2) = 3.9e7; an SVD of X would
+    # accept both designs (up to 1 / (n eps) = 9e11).
+    rng = np.random.default_rng(3)
+    x1, w = rng.standard_normal((2, 5000))
+    y = (rng.random(5000) < 1.0 / (1.0 + np.exp(0.3 - 0.7 * x1 - 0.5 * w))).astype(float)
+    data = BinaryDataset(x1=x1, y=y, x2=scale * w)
+    design = np.column_stack([np.ones(5000), x1, data.x2])
+    assert np.linalg.matrix_rank(design) == 3
+    assert np.linalg.cond(design) == pytest.approx(scale, rel=0.1)
+    if rejected:
+        with pytest.raises(DomainError, match="rank deficient"):
+            fit_logit(data, include_x2=True)
+    else:
+        assert fit_logit(data, include_x2=True).theta_hat[2] * scale == pytest.approx(0.5, abs=0.1)
+
+
 def test_logit_both_classes_required():
     data = BinaryDataset(x1=np.array([0.0, 1.0]), y=np.array([1.0, 1.0]))
     with pytest.raises(DomainError, match="classes"):

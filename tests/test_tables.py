@@ -1,6 +1,7 @@
 """Summary tables: marginals, homogeneity, consistency, chi-square, emptiness."""
 
 import itertools
+import re
 import tracemalloc
 from collections import Counter
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from bioassay import tables
 from bioassay.exceptions import DomainError, NotConvergedError
 from bioassay.tables import (
     CategoryAttribute,
@@ -327,7 +329,7 @@ def margin_table(universal, counts, names, variable=COUNTS):
     arr = np.transpose(summed, np.argsort(np.argsort(axes)))  # summed keeps universal order
     scheme = tuple(universal[i] for i in axes)
     cells = {
-        tuple(a.domain[i] for a, i in zip(scheme, idx)): int(arr[idx])
+        tuple(a.domain[i] for a, i in zip(scheme, idx)): arr[idx].item()
         for idx in itertools.product(*(range(len(a.domain)) for a in scheme))
         if arr[idx]
     }
@@ -371,7 +373,7 @@ def acyclic_polyptychs(draw, kinds=tuple(sorted(ACYCLIC_SCHEMES)), perturb=True)
     return Polyptych(tables=tuple(tables))
 
 
-def assert_witness_marginals(p, w, exact=False):
+def assert_witness_marginals(p, w, exact=False, tol=1e-9):
     for t in p.tables:
         back = marginal(w, list(t.attribute_names))  # in the witness's attribute order
         order = [t.attribute_names.index(n) for n in back.attribute_names]
@@ -380,7 +382,7 @@ def assert_witness_marginals(p, w, exact=False):
             if exact:
                 assert got == t.value(coords)
             else:
-                assert got == pytest.approx(t.value(coords), abs=1e-9)
+                assert got == pytest.approx(t.value(coords), abs=tol)
 
 
 @settings(max_examples=40, deadline=None)
@@ -658,18 +660,25 @@ def test_grand_total_tables_are_decomposable():
     assert check_consistency(p, integer_exact=True).witness.cells == {("r1",): 3.0, ("r2",): 1.0}
 
 
-def test_structural_zeros_route_to_highs(monkeypatch):
-    calls = []
-    real_milp = scipy.optimize.milp
-    monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: calls.append(1) or real_milp(*a, **k))
+def spy(monkeypatch, calls, name):
+    """Count the calls of ``scipy.optimize.<name>``, which the package imports on use."""
+    real = getattr(scipy.optimize, name)
+    monkeypatch.setattr(scipy.optimize, name, lambda *a, **k: calls.update([name]) or real(*a, **k))
+
+
+def test_structural_zeros_leave_the_closed_form(monkeypatch):
+    calls = Counter()
+    for name in ("nnls", "milp"):
+        spy(monkeypatch, calls, name)
     p = Polyptych(tables=(row_table([3, 1]), row_table([2, 2], attr=COL)))
     assert check_consistency(p).consistent
     assert classify_empty(p, ("r1", "c1")) == "occupied"
-    assert calls == []
+    assert calls == {}
     zeros = Polyptych(tables=p.tables, structural_zeros=frozenset({("r2", "c2")}))
     assert check_consistency(zeros).consistent == highs_consistent(zeros)
+    assert calls == {"nnls": 1}
     assert classify_empty(zeros, ("r2", "c1")) == highs_label(zeros, ("r2", "c1"))
-    assert len(calls) == 2
+    assert calls == {"nnls": 1, "milp": 1}  # the classify LP stays on HiGHS
 
 
 def test_highs_failure_is_not_converged(monkeypatch):
@@ -677,9 +686,127 @@ def test_highs_failure_is_not_converged(monkeypatch):
         status, message = 4, "numerical difficulties"
 
     monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: Stalled())
-    _attrs, p = three_way(np.ones((2, 2, 2), dtype=int))
+    attrs, p = three_way(np.ones((2, 2, 2), dtype=int))
     with pytest.raises(NotConvergedError, match="numerical difficulties"):
+        classify_empty(p, tuple(a.domain[0] for a in attrs))
+
+
+def test_nnls_iteration_limit_is_not_converged(monkeypatch):
+    def stalled(*a, **k):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", stalled)
+    _attrs, p = three_way(np.ones((2, 2, 2), dtype=int))
+    with pytest.raises(NotConvergedError, match="NNLS did not decide the linear system: Maximum number"):
         check_consistency(p)
+
+
+@st.composite
+def small_lp_polyptychs(draw):
+    """Cyclic three-way or structural-zero chain polyptychs on up to 4x4x4 cells.
+
+    Each table is a margin of one of two count tables with the same total,
+    and the structural zeros are empty cells of the first; a nonneg-real
+    variant scales every value by the same real factor.
+    """
+    shape = tuple(draw(st.integers(2, 4)) for _ in range(3))
+    attrs = tuple(CategoryAttribute(n, tuple(f"{n}{i}" for i in range(r))) for n, r in zip("abc", shape))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    first = rng.poisson(rng.uniform(0.3, 3.0), shape)
+    second = rng.permutation(first.ravel()).reshape(shape)  # the same total
+    cells = list(itertools.product(*(a.domain for a in attrs)))
+    empty = [c for c, n in zip(cells, first.ravel()) if n == 0]
+    cyclic = draw(st.booleans()) or not empty  # a chain needs a structural zero to leave the closed form
+    schemes = (("a", "b"), ("a", "c"), ("b", "c")) if cyclic else (("a", "b"), ("b", "c"))
+    factor = draw(st.sampled_from((1, 0.37, 2.5e6)))
+    variable = COUNTS if factor == 1 else SummaryVariable("mass", "nonneg-real")
+    sources = [first * factor, second * factor]
+    margins = tuple(margin_table(attrs, sources[draw(st.integers(0, 1))], s, variable) for s in schemes)
+    zeros = draw(st.sets(st.sampled_from(empty), min_size=0 if cyclic else 1, max_size=4)) if empty else set()
+    return Polyptych(tables=margins, structural_zeros=frozenset(zeros))
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_lp_polyptychs())
+def test_nnls_verdict_witness_and_farkas_vector_agree_with_highs(p):
+    found, calls = [], Counter()
+    real_nnls = scipy.optimize.nnls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.optimize, "nnls", lambda *a, **k: found.append(real_nnls(*a, **k)) or found[-1])
+        spy(mp, calls, "milp")
+        verdict = check_consistency(p)
+    assert len(found) == 1  # every such system is under the NNLS constant
+    assert verdict.consistent == highs_consistent(p)
+    A, b, _cells = highs_system(p)
+    tol = 1e-9 * max(1.0, float(np.abs(b).max()))
+    if verdict.consistent:
+        assert calls == {}
+        w = verdict.witness
+        assert all(v > tol for v in w.cells.values())  # no rounding dust
+        assert not set(w.cells) & p.structural_zeros
+        assert_witness_marginals(p, w, tol=tol)
+        return
+    # the least-squares residual (of x with its dust zeroed) proves that no nonnegative
+    # table exists, or HiGHS decided: every such table sums to the grand total T, so
+    # it would have b.y = x.(A^T y) <= T max(A^T y)
+    x = np.where(found[0][0] <= tol, 0.0, found[0][0])
+    y = b - A @ x
+    farkas = b @ y > p.tables[0].grand_total() * max(0.0, (A.T @ y).max())
+    assert farkas or calls == {"milp": 1}
+    assert re.fullmatch(r"no nonnegative universal table satisfies: table \d cell \(.*\)", verdict.certificate)
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_uncertified_nnls_answer_falls_back_to_highs(monkeypatch, consistent):
+    # x = 0 leaves y = b, and A^T b > 0: no Farkas vector, so the phase-1 LP decides
+    calls = Counter()
+    monkeypatch.setattr(scipy.optimize, "nnls", lambda A, b: (np.zeros(A.shape[1]), float(np.linalg.norm(b))))
+    spy(monkeypatch, calls, "milp")
+    _attrs, p = three_way(np.ones((2, 2, 2), dtype=int))
+    if not consistent:
+        ab, ac, bc = p.tables
+        swapped = {("b0", "c0"): bc.cells[("b0", "c1")] + 1, ("b0", "c1"): bc.cells[("b0", "c0")] - 1}
+        p = Polyptych(tables=(ab, ac, SummaryTable(scheme=bc.scheme, variable=COUNTS, cells={**bc.cells, **swapped})))
+    verdict = check_consistency(p)
+    assert calls == {"milp": 1}
+    assert verdict.consistent == consistent == highs_consistent(p)
+    if consistent:
+        assert_witness_marginals(p, verdict.witness)
+    else:
+        assert verdict.certificate.startswith("no nonnegative universal table satisfies: table")
+
+
+def padded_three_way(shape, bc_cells):
+    """a = b = c on the first two codes, with the given (b, c) table; every other code is empty."""
+    attrs = tuple(CategoryAttribute(n, tuple(f"{n}{i}" for i in range(r))) for n, r in zip("abc", shape))
+    diagonal = {("a0", "b0"): 1, ("a1", "b1"): 1}
+    ab = SummaryTable(scheme=attrs[:2], variable=COUNTS, cells=diagonal)
+    ac = SummaryTable(scheme=(attrs[0], attrs[2]), variable=COUNTS, cells={("a0", "c0"): 1, ("a1", "c1"): 1})
+    bc = SummaryTable(scheme=attrs[1:], variable=COUNTS, cells=bc_cells)
+    return Polyptych(tables=(ab, ac, bc))
+
+
+@pytest.mark.parametrize(
+    "bc_cells, consistent",
+    [({("b0", "c0"): 1, ("b1", "c1"): 1}, True), ({("b0", "c1"): 1, ("b1", "c0"): 1}, False)],
+    ids=["consistent", "inconsistent"],
+)
+def test_systems_either_side_of_the_nnls_constant_agree(monkeypatch, bc_cells, consistent):
+    calls = Counter()
+    for name in ("nnls", "milp"):
+        spy(monkeypatch, calls, name)
+    below, above = (padded_three_way(shape, bc_cells) for shape in ((6, 6, 7), (6, 7, 7)))
+    assert 120 * 252 <= tables.MAX_NNLS_ENTRIES < 133 * 294  # rows x cells of the two systems
+    verdicts = [check_consistency(below)]
+    assert calls == {"nnls": 1}
+    verdicts.append(check_consistency(above))
+    assert calls == {"nnls": 1, "milp": 1}
+    assert [v.consistent for v in verdicts] == [consistent, consistent] == [highs_consistent(below)] * 2
+    for p, v in zip((below, above), verdicts):
+        if consistent:
+            assert_witness_marginals(p, v.witness)
+        else:
+            assert v.certificate.startswith("no nonnegative universal table satisfies: table")
 
 
 # -- cell validation --------------------------------------------------------------------
