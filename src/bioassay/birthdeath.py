@@ -9,7 +9,8 @@ one-clone case is the end state of ``simulate_bd``.
 
 First-event times for hazard studies are defined by a population
 threshold: extinction studies use no threshold and record extinction,
-onset studies record the first passage of a configurable cell count.
+onset studies record the first passage of a configurable cell count,
+and a clone past ``MAX_POPULATION`` cells stops as truncated.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ __all__ = [
     "ad_hazard_fit",
 ]
 
-MAX_POPULATION = 100_000_000
+MAX_POPULATION = 100_000_000  # cells past which a clone stops as truncated (explosion guard)
 MAX_TRAJECTORY_EVENTS = 10_000_000  # recorded events of one trajectory (memory guard)
 MAX_REPLICATE_STEPS = 200_000_000  # steps drawn by one call, over all clones (time guard)
 MAX_REPLICATES = 1_000_000  # clones of one replicate study, at about 200 bytes each (memory guard)
@@ -84,18 +85,18 @@ class Trajectory:
 def _step_budget_error(spec: BirthDeathSpec, n: int) -> NotConvergedError:
     return NotConvergedError(
         f"simulation passed {MAX_REPLICATE_STEPS} steps over {n} clones before t = {spec.t_end}; "
-        "shorten the horizon, lower max_population or simulate fewer replicates"
+        "shorten the horizon or simulate fewer replicates"
     )
 
 
-def _run(spec: BirthDeathSpec, n: int, threshold: int | None, max_population: int, record: bool = False):
+def _run(spec: BirthDeathSpec, n: int, threshold: int | None, record: bool = False):
     """Exact jump chains of ``n`` independent clones, drawn in blocks of steps.
 
     Each block draws k birth/death steps and k unit exponentials for every
     running clone; populations and event times are cumulative sums, and a
     clone stops at its first step that lies past t_end (censored, the step
     is not taken), empties the clone (extinct), reaches ``threshold``
-    (onset) or exceeds ``max_population`` (truncated), in that precedence.
+    (onset) or exceeds ``MAX_POPULATION`` (truncated), in that precedence.
     Clones still running carry their last (t, pop) into the next block.
     Drawing more than ``MAX_REPLICATE_STEPS`` steps raises NotConvergedError.
     Returns the stop times (t_end when censored) and outcome codes; with
@@ -134,7 +135,7 @@ def _run(spec: BirthDeathSpec, n: int, threshold: int | None, max_population: in
             dt[:, 0] += t[live]
             times = dt.cumsum(axis=1)
             late = times > spec.t_end
-        stop = late | (pops == 0) | (pops > max_population)
+        stop = late | (pops == 0) | (pops > MAX_POPULATION)
         if threshold is not None:
             stop |= pops >= threshold
         stopped = stop.any(axis=1)
@@ -165,15 +166,15 @@ def _run(spec: BirthDeathSpec, n: int, threshold: int | None, max_population: in
     return t, state
 
 
-def simulate_bd(spec: BirthDeathSpec, max_population: int = MAX_POPULATION) -> Trajectory:
+def simulate_bd(spec: BirthDeathSpec) -> Trajectory:
     """One exact trajectory; deterministic for a fixed seed.
 
     Stops at extinction or the horizon; a population beyond
-    ``max_population`` stops the run with the truncation flag set
+    ``MAX_POPULATION`` stops the run with the truncation flag set
     (explosion guard).  A trajectory of more than ``MAX_TRAJECTORY_EVENTS``
     events raises NotConvergedError (memory guard).
     """
-    _t, state, times, pops = _run(spec, 1, None, max_population, record=True)
+    _t, state, times, pops = _run(spec, 1, None, record=True)
     return Trajectory(
         times=times,
         populations=pops,
@@ -194,7 +195,6 @@ def simulate_replicates(
     spec: BirthDeathSpec,
     n_replicates: int,
     threshold: int | None = None,
-    max_population: int = MAX_POPULATION,
 ) -> list[Replicate]:
     """Independent replicates, simulated together by one seeded generator.
 
@@ -214,7 +214,7 @@ def simulate_replicates(
         raise DomainError(f"{n_replicates} replicates exceed the cap of {MAX_REPLICATES} per study")
     if threshold is not None and threshold < 1:
         raise DomainError("threshold must be >= 1")
-    t, state = _run(spec, n_replicates, threshold, max_population)
+    t, state = _run(spec, n_replicates, threshold)
     return [Replicate(i, _OUTCOMES[s], ti) for i, (s, ti) in enumerate(zip(state.tolist(), t.tolist()))]
 
 

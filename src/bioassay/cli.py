@@ -162,6 +162,15 @@ def _read_csv(path: str, columns: tuple[str, ...]):
     return np.asarray(data, dtype=float)
 
 
+def _read_json(path: str):
+    """Parse a JSON input file; a syntax error names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CsvError(f"{path}: invalid JSON: {exc}") from None
+
+
 # -- fit -------------------------------------------------------------------------
 
 def _default_data_format(model_id: str) -> str:
@@ -295,8 +304,6 @@ def cmd_curves(args) -> int:
 
 def cmd_lp(args) -> int:
     theta = _parse_theta(args.theta)
-    if theta is None:
-        raise DomainError("--theta is required")
     query = PercentileQuery(args.model, tuple(theta), args.p, risk_type=args.risk)
     out = {
         "model": args.model,
@@ -307,8 +314,7 @@ def cmd_lp(args) -> int:
         "confidence": args.confidence,
     }
     if args.fit:
-        with open(args.fit, encoding="utf-8") as fh:
-            report = json.load(fh)
+        report = _read_json(args.fit)
         try:
             fit = FitResult.from_dict(report)
         except DomainError as exc:
@@ -351,8 +357,6 @@ def _parse_at(raw: str, model):
 
 def cmd_fisher(args) -> int:
     theta = _parse_theta(args.theta)
-    if theta is None:
-        raise DomainError("--theta is required")
     model = get_model(args.model)
     if args.at:
         design = _parse_at(args.at, model)
@@ -378,12 +382,7 @@ def cmd_fisher(args) -> int:
 # -- tables -------------------------------------------------------------------------------
 
 def cmd_tables(args) -> int:
-    with open(args.input, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CsvError(f"{args.input}: invalid JSON: {exc}") from None
-    p = polyptych_from_json(obj)
+    p = polyptych_from_json(_read_json(args.input))
     verdict = check_consistency(p, integer_exact=args.integer_exact)
     _write_out(json.dumps(verdict_to_json(verdict), indent=2) + "\n", args.out)
     return 0  # an inconsistent polyptych is a valid answer
@@ -507,7 +506,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, UnknownModelError, CsvError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (DomainError, UnknownModelError, CsvError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotConvergedError, SeparationError, UnattainableRiskError) as exc:

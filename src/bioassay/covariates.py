@@ -8,7 +8,8 @@ the covariate given the exposure.  Randomized designs (rho12 = 0) make
 the ratio at least 1: adjusting never hurts.
 
 The omission experiment pairs the formula with a seeded logistic
-simulation that fits both the full and the covariate-omitting model.
+simulation: from one draw of (x1, x2, y) it fits the full design
+[x1, x2] and the covariate-omitting design [x1].
 """
 
 from __future__ import annotations
@@ -69,12 +70,6 @@ class OmissionResult:
     resampled: int  # replicates redrawn due to separation
 
 
-def _correlated_pair(rng, n: int, rho12: float):
-    z1 = rng.standard_normal(n)
-    z2 = rng.standard_normal(n)
-    return z1, rho12 * z1 + math.sqrt(1.0 - rho12**2) * z2
-
-
 def omission_experiment(
     n: int,
     beta: tuple[float, float, float],
@@ -95,16 +90,16 @@ def omission_experiment(
     resampled = 0
     for attempt in range(MAX_RESAMPLE + 1):
         rng = np.random.default_rng((int(seed), attempt))
-        x1, x2 = _correlated_pair(rng, n, rho12)
-        eta = b0 + b1 * x1 + b2 * x2
+        z1, z2 = rng.standard_normal(n), rng.standard_normal(n)
+        X = np.column_stack([z1, rho12 * z1 + math.sqrt(1.0 - rho12**2) * z2])  # [x1, x2]
+        eta = b0 + b1 * X[:, 0] + b2 * X[:, 1]
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
         if y.min() == y.max():
             resampled += 1
             continue
-        data = BinaryDataset(x1=x1, y=y, x2=x2)
         try:
-            full = fit_logit(data, include_x2=True)
-            restricted = fit_logit(data, include_x2=False)
+            full = fit_logit(BinaryDataset(X, y))
+            restricted = fit_logit(BinaryDataset(X[:, :1], y))
         except SeparationError:
             resampled += 1
             continue

@@ -10,14 +10,7 @@ class UnknownModelError(KeyError):
 
 
 class NotConvergedError(RuntimeError):
-    """An iterative procedure exhausted its iteration budget.
-
-    The best iterate found so far is attached as ``best`` when available.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """An iterative procedure exhausted its iteration or time budget."""
 
 
 class SeparationError(RuntimeError):

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .models import get_model
-from .models.base import ModelDef
+from .models.base import ModelDef, get_model
 
 __all__ = [
     "InfoMatrix",
@@ -35,10 +34,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InfoMatrix:
-    """A symmetric information matrix together with its variance scale."""
+    """A finite symmetric information matrix (a least-squares one is already
+    divided by the variance estimate, which a fit reports as ``FitResult.s2``)."""
 
     entries: np.ndarray
-    sigma2: float
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
@@ -47,8 +46,6 @@ class InfoMatrix:
         scale = np.abs(entries).max()  # NaN or inf unless every entry is finite
         if not (scale < np.inf and np.abs(entries - entries.T).max() <= 1e-12 * max(1.0, scale)):
             raise DomainError("information matrix must be finite and symmetric")
-        if not self.sigma2 > 0:
-            raise DomainError(f"sigma2 must be > 0, got {self.sigma2}")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -69,8 +66,11 @@ class InfoMatrix:
             raise DomainError("information matrix is not positive definite")
         return np.sqrt(diag)
 
-    def __array__(self, dtype=None):
-        return np.asarray(self.entries, dtype=dtype)
+    def free_block(self, frozen) -> tuple[list[int], InfoMatrix]:
+        """The slots not in ``frozen`` and the information of those alone: a frozen
+        slot (an integer such as a hit count) has a zero gradient, so a zero row."""
+        free = [i for i in range(self.p) if i not in frozen]
+        return free, InfoMatrix(self.entries[np.ix_(free, free)])
 
 
 def per_obs_info(model: ModelDef | str, u, theta, sigma2: float = 1.0) -> InfoMatrix:
@@ -78,7 +78,7 @@ def per_obs_info(model: ModelDef | str, u, theta, sigma2: float = 1.0) -> InfoMa
 
     Rank <= 1 and positive semidefinite by construction.
     """
-    m = model if isinstance(model, ModelDef) else get_model(model)
+    m = get_model(model)
     if np.ndim(u) != m.input_dim - 1:
         raise DomainError("per-observation information takes a single design point")
     return total_info(m, [u], theta, sigma2)
@@ -90,7 +90,7 @@ def total_info(model: ModelDef | str, design, theta, sigma2: float = 1.0) -> Inf
     ``design`` stacks the input points: shape (n,), or (n, 2) for
     two-input models.
     """
-    m = model if isinstance(model, ModelDef) else get_model(model)
+    m = get_model(model)
     design = np.asarray(design, dtype=float)
     if design.size == 0:
         raise DomainError("design must contain at least one point")
@@ -101,7 +101,7 @@ def total_info(model: ModelDef | str, design, theta, sigma2: float = 1.0) -> Inf
         want = "(n,)" if m.input_dim == 1 else "(n, 2)"
         raise DomainError(f"{m.id}: design must have shape {want}, got {design.shape}")
     jac = m.finite_grad(m.check_input(design), theta)
-    return InfoMatrix(jac.T @ jac / sigma2, sigma2)
+    return InfoMatrix(jac.T @ jac / sigma2)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Provides the censored two-parameter Weibull maximum-likelihood fit (the
 closed-form rate profile, its shape score solved as a bracketed root by
 Brent's method), Gauss-Newton least squares with
 Levenberg damping for the mean-response registry, Newton logistic
-regression for binary covariate models, and the Kolmogorov-Smirnov
-one-sample test.
+regression of binary outcomes on an (n, k) covariate design, and the
+Kolmogorov-Smirnov one-sample test.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import DomainError, SeparationError
 from .fisher import InfoMatrix, WeibullSample, _weibull_powers, weibull_observed_info
-from .models import evaluate
+from .models import REGISTRY, evaluate, get_model
 from .models.base import ModelDef, as_theta
 
 __all__ = [
@@ -74,29 +74,26 @@ class RegressionDataset:
 
 @dataclass(frozen=True)
 class BinaryDataset:
-    """Binary outcomes with one exposure and an optional covariate."""
+    """Binary outcomes ``y`` and their (n, k) covariate design ``X``.
 
-    x1: np.ndarray
+    X holds one column per covariate (the exposure first, by convention)
+    and no intercept column; the fit adds the intercept.
+    """
+
+    X: np.ndarray
     y: np.ndarray
-    x2: np.ndarray | None = None
 
     def __post_init__(self):
-        x1 = np.asarray(self.x1, dtype=float)
+        X = np.asarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        if x1.shape != y.shape or y.ndim != 1 or y.size == 0:
-            raise DomainError("x1 and y must be nonempty 1-D sequences of equal length")
-        if not np.all(np.isfinite(x1)):
-            raise DomainError("x1 must be finite")
+        if y.ndim != 1 or y.size == 0 or X.ndim != 2 or X.shape[0] != y.size:
+            raise DomainError(f"need a nonempty 1-D y and an (n, k) design X with n = len(y), got {X.shape}")
+        finite = np.isfinite(X).all(axis=0)
+        if not finite.all():
+            raise DomainError(f"column {int(np.argmin(finite))} of X must be finite")
         if not np.all((y == 0) | (y == 1)):
             raise DomainError("y must be 0/1")
-        if self.x2 is not None:
-            x2 = np.asarray(self.x2, dtype=float)
-            if x2.shape != y.shape:
-                raise DomainError("x2 must match y in length (present for all rows or none)")
-            if not np.all(np.isfinite(x2)):
-                raise DomainError("x2 must be finite")
-            object.__setattr__(self, "x2", x2)
-        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
     @property
@@ -120,9 +117,16 @@ class FitResult:
     active_bounds: tuple[int, ...] = ()  # slots held on a closed bound at the estimate
 
     def standard_errors(self) -> np.ndarray:
+        """Asymptotic standard errors of ``theta_hat``: 0 for a frozen slot of a
+        registry model (an integer such as multi-hit's hit count), which the
+        fit holds at its start value, and from the free slots' block otherwise."""
         if self.info is None:
             raise DomainError("no information matrix available for standard errors")
-        return self.info.standard_errors()
+        frozen = get_model(self.model).frozen_slots if self.model in REGISTRY else ()
+        free, info = self.info.free_block(frozen)
+        se = np.zeros(self.info.p)
+        se[free] = info.standard_errors()
+        return se
 
     def to_dict(self) -> dict:
         return {
@@ -142,8 +146,8 @@ class FitResult:
     def from_dict(cls, report) -> FitResult:
         """Inverse of :meth:`to_dict`; raises :class:`DomainError` on a malformed report.
 
-        Only ``theta_hat`` is required.  The information matrix is scaled
-        by ``s2`` when the report has one (least squares) and by 1 otherwise.
+        Only ``theta_hat`` is required.  The information matrix is read
+        as reported: a least-squares one is already divided by ``s2``.
         """
         if not isinstance(report, dict) or "theta_hat" not in report:
             raise DomainError("fit report lacks 'theta_hat'")
@@ -154,7 +158,7 @@ class FitResult:
                 theta_hat=as_theta(report["theta_hat"]),
                 objective=float(report.get("objective", math.nan)),
                 s2=s2,
-                info=None if info is None else InfoMatrix(np.asarray(info, dtype=float), s2 or 1.0),
+                info=None if info is None else InfoMatrix(info),
                 converged=bool(report.get("converged", True)),
                 iterations=int(report.get("iterations", 0)),
                 model=report.get("model"),
@@ -261,7 +265,7 @@ def weibull_mle(sample: WeibullSample) -> FitResult:
     # back to the data's time unit: theta = theta_scaled / c, l = l_scaled - d log c
     c = math.exp(log_c)
     jac = np.array([c, 1.0])
-    info = InfoMatrix(weibull_observed_info(scaled, theta_scaled, s_hat, negate=True) * np.outer(jac, jac), 1.0)
+    info = InfoMatrix(weibull_observed_info(scaled, theta_scaled, s_hat, negate=True) * np.outer(jac, jac))
     return FitResult(
         theta_hat=np.array([theta_scaled / c, s_hat]),
         objective=weibull_log_likelihood(scaled, theta_scaled, s_hat) - d * log_c,
@@ -297,9 +301,7 @@ def fit_least_squares(
     ``SSE_REL_TOL``; persistent singularity yields a non-converged report.
     ``active_bounds`` lists the binding slots at the estimate.
     """
-    from .models import get_model
-
-    m = model if isinstance(model, ModelDef) else get_model(model)
+    m = get_model(model)
     theta = m.check_theta(theta0)
     p = len(theta)
     if data.n < p:
@@ -380,7 +382,7 @@ def fit_least_squares(
     s2 = sse / (data.n - p) if data.n > p else None
     info = None
     if s2 is not None and s2 > 0:
-        info = InfoMatrix(jac.T @ jac / s2, s2)
+        info = InfoMatrix(jac.T @ jac / s2)
     active_bounds = () if box is None else tuple(int(i) for i in np.flatnonzero(binding(theta, jac.T @ r)))
     return FitResult(
         theta_hat=theta,
@@ -413,9 +415,10 @@ def _logistic(eta, e):
     return np.where(eta >= 0.0, r, e * r), e * r * r
 
 
-def fit_logit(data: BinaryDataset, include_x2: bool = False) -> FitResult:
-    """Newton maximum likelihood for the logistic regression of y on x1
-    (and optionally x2).
+def fit_logit(data: BinaryDataset) -> FitResult:
+    """Newton maximum likelihood for the logistic regression of y on an
+    intercept and the columns of X; ``theta_hat`` is (intercept, X's
+    coefficients in column order).
 
     Each Newton step halves its length (at most 40 times) until the
     log-likelihood falls by no more than 1e-12.  Every candidate computes
@@ -430,11 +433,11 @@ def fit_logit(data: BinaryDataset, include_x2: bool = False) -> FitResult:
 
     Raises :class:`SeparationError` when the estimates diverge past
     |beta| = 30 with rising likelihood, and rejects rank-deficient
-    designs (e.g. a constant covariate) as unidentifiable.  The rank is
-    that of the k x k Hessian at beta = 0, X^T X / 4, whose singular values
-    are the squares of those of X; at numpy's rank tolerance it rejects a
-    design whose condition number exceeds about (k eps)^(-1/2), 4e7 for
-    k = 3.  An SVD of the n x k design itself would accept condition
+    designs (e.g. a constant covariate) as unidentifiable.  The rank is that
+    of the p x p Hessian at beta = 0 (p = k + 1 coefficients), X^T X / 4, whose
+    singular values are the squares of those of the design [1, X]; at numpy's
+    rank tolerance it rejects a design whose condition number exceeds about
+    (p eps)^(-1/2), 4e7 for p = 3.  An SVD of the design would accept condition
     numbers up to about 1 / (n eps), 1e12 at n = 5000, but there X^T W X
     has a condition number past 1e15 and the Newton solve on it carries
     no reliable digit.
@@ -442,12 +445,7 @@ def fit_logit(data: BinaryDataset, include_x2: bool = False) -> FitResult:
     y = data.y
     if y.min() == y.max():
         raise DomainError("both outcome classes must be present")
-    rows = [np.ones(data.n), data.x1]
-    if include_x2:
-        if data.x2 is None:
-            raise DomainError("include_x2 requested but the dataset has no x2 column")
-        rows.append(data.x2)
-    XT = np.array(rows)  # the design transposed: one row per coefficient
+    XT = np.array([np.ones(data.n), *data.X.T])  # the design transposed, C order: one row per coefficient
     beta = np.zeros(XT.shape[0])
     eta = np.zeros(data.n)
     sp, e = _softplus(eta)
@@ -487,7 +485,7 @@ def fit_logit(data: BinaryDataset, include_x2: bool = False) -> FitResult:
         p, w = _logistic(eta, e)
         hess = (XT * w) @ XT.T
 
-    info = InfoMatrix(hess, 1.0)
+    info = InfoMatrix(hess)
     return FitResult(
         theta_hat=beta,
         objective=float(np.sum(y * eta - sp)),

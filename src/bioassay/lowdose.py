@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, UnattainableRiskError
-from .fisher import InfoMatrix
 from .fitting import FitResult
 from .models import evaluate, get_model, gradient
 from .models.base import ModelDef
@@ -68,7 +67,7 @@ def resolve_query(query: PercentileQuery):
     when the curve has a background response F(0) > 0, total risk
     otherwise.  ``target`` is the response level F(L) must reach.
     """
-    m = query.model if isinstance(query.model, ModelDef) else get_model(query.model)
+    m = get_model(query.model)
     if m.family != "dose-response-cdf":
         raise DomainError(f"percentiles are defined for dose-response curves, not {m.id}")
     theta = m.check_theta(query.theta)
@@ -223,11 +222,9 @@ def vsd_upper_limit(query: PercentileQuery, fit: FitResult, confidence: float) -
             f"information matrix is {fit.info.p}x{fit.info.p} but {m.id} has {theta.size} parameters"
         )
     lp = _solve(m, theta, target, "auto")
-    # frozen integer slots have a zero gradient and a zero information row
-    free = [i for i in range(theta.size) if i not in m.frozen_slots]
+    free, info = fit.info.free_block(m.frozen_slots)
     g = _lp_gradient(m, theta, risk, query.p, lp)[free]
-    cov = InfoMatrix(fit.info.entries[np.ix_(free, free)], fit.info.sigma2).covariance()
-    var = float(g @ cov @ g)
+    var = float(g @ info.covariance() @ g)
     if var < 0:
         raise DomainError("information matrix is not positive definite")
     se = math.sqrt(var)

@@ -5,10 +5,10 @@ and evaluated through :func:`evaluate` / :func:`gradient`.  The registry
 is immutable after import; all operations are pure functions.
 """
 
-from .base import ModelDef, ParamSpec, Registry, as_theta, evaluate, gradient
+from .base import REGISTRY, ModelDef, ParamSpec, Registry, as_theta, evaluate, get_model, gradient
 from .doseresponse import DOSE_RESPONSE_MODELS
 from .growth import GROWTH_MODELS
-from .hazards import HazardSpec, hazard_ad, hazard_cox
+from .hazards import hazard_ad, hazard_cox
 from .kinetics import (
     KINETICS_MODELS,
     KineticConstants,
@@ -19,15 +19,9 @@ from .kinetics import (
     steady_state_complex,
 )
 
-REGISTRY = Registry()
 for _m in (*GROWTH_MODELS, *DOSE_RESPONSE_MODELS, *KINETICS_MODELS):
     REGISTRY.add(_m)
 REGISTRY.seal()
-
-
-def get_model(model_id: str) -> ModelDef:
-    """Look up a registry entry by its string identifier."""
-    return REGISTRY.get(model_id)
 
 
 def list_models() -> list[str]:
@@ -40,7 +34,6 @@ __all__ = [
     "ModelDef",
     "ParamSpec",
     "Registry",
-    "HazardSpec",
     "KineticConstants",
     "as_theta",
     "evaluate",

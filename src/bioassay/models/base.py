@@ -25,7 +25,9 @@ __all__ = [
     "ParamSpec",
     "ModelDef",
     "Registry",
+    "REGISTRY",
     "as_theta",
+    "get_model",
 ]
 
 
@@ -198,9 +200,6 @@ class ModelDef:
             )
         return g
 
-    def __call__(self, u, theta):
-        return evaluate(self, u, theta)
-
 
 class Registry:
     """Immutable-after-construction mapping of model id to ModelDef."""
@@ -233,19 +232,16 @@ class Registry:
     def __iter__(self):
         return iter(self._models.values())
 
-    def __len__(self):
-        return len(self._models)
-
     def __contains__(self, model_id: str) -> bool:
         return model_id in self._models
 
 
-def _resolve(model) -> ModelDef:
-    if isinstance(model, ModelDef):
-        return model
-    from . import REGISTRY  # late import: registry built from submodules
+REGISTRY = Registry()  # filled and sealed by the package, from its submodules
 
-    return REGISTRY.get(model)
+
+def get_model(model: ModelDef | str) -> ModelDef:
+    """The registry entry of a model id; a :class:`ModelDef` is returned as is."""
+    return model if isinstance(model, ModelDef) else REGISTRY.get(model)
 
 
 def evaluate(model, u, theta):
@@ -255,7 +251,7 @@ def evaluate(model, u, theta):
     and parameters are validated against the model's declared domain and
     a :class:`DomainError` names the offending quantity.
     """
-    m = _resolve(model)
+    m = get_model(model)
     theta = m.check_theta(theta)
     u_arr = m.check_input(u)
     with np.errstate(over="ignore", under="ignore"):
@@ -273,6 +269,6 @@ def gradient(model, u, theta):
     :attr:`ModelDef.frozen_slots`) are reported as 0: they are not
     subject to continuous perturbation.
     """
-    m = _resolve(model)
+    m = get_model(model)
     theta = m.check_theta(theta)
     return m.finite_grad(m.check_input(u), theta)

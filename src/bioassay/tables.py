@@ -524,22 +524,33 @@ def _linprog(c, A, b, integrality=None):
     It serves the phase-1 LP of systems above ``MAX_NNLS_ENTRIES``, the
     cell-classification LP and the integer program.  The solve stops
     after ``MAX_HIGHS_SECONDS``.
+
+    HiGHS's tolerances are absolute (it reads marginals near 1e20 as
+    infeasible), so a linear program is solved for b over the power of two
+    at or above max |b|, exactly, and x and the objective scaled back.  The
+    integer program refuses marginals past 2^53, the exact float integers.
     """
     # deferred: importing scipy.optimize costs ~0.3 s
     from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
 
+    top = float(np.abs(b).max(initial=0.0))
+    if integrality is not None and top > 2.0**53:
+        raise DomainError(f"integer feasibility needs marginals within 2^53 = {2**53}; got {top:g}")
+    scale = 1.0 if integrality is not None else 2.0 ** math.frexp(top)[1]  # frexp(0) = (0, 0)
     if not c.size:  # no cells (every one a structural zero): milp takes no empty problem
         return OptimizeResult(x=c, fun=0.0, status=2 if b.any() else 0)
     res = milp(
         c,
         integrality=integrality,
-        constraints=LinearConstraint(A, b, b),
+        constraints=LinearConstraint(A, b / scale, b / scale),
         bounds=Bounds(0.0, np.inf),
         options={"time_limit": MAX_HIGHS_SECONDS},
     )
     if res.status not in (0, 2):
         kind = "linear" if integrality is None else "integer"
         raise NotConvergedError(f"HiGHS did not decide the {kind} program: {res.message}")
+    if res.status == 0:
+        res.x, res.fun = res.x * scale, res.fun * scale
     return res
 
 
@@ -557,6 +568,8 @@ def _phase1(A, b):
     indptr = np.r_[A.indptr, A.indptr[-1] + np.arange(1, m + 1)]
     phase1 = csc_array((data, np.r_[A.indices, np.arange(m)], indptr), shape=(m, n + m))
     res = _linprog(np.r_[np.zeros(n), np.ones(m)], phase1, b * sign)
+    if res.status == 2:  # the artificials make every phase-1 program feasible
+        raise NotConvergedError("HiGHS misread the phase-1 program as infeasible")
     return res.x[:n], res.x[n:]
 
 

@@ -87,9 +87,10 @@ def test_supercritical_extinction_frequency_matches_oracle():
     assert abs(freq - want) < 3.5 * se
 
 
-def test_truncation_guard():
+def test_truncation_guard(monkeypatch):
+    monkeypatch.setattr(birthdeath, "MAX_POPULATION", 200)
     spec = BirthDeathSpec(b=5.0, d=0.0, i0=10, t_end=1e9, seed=3)
-    traj = simulate_bd(spec, max_population=200)
+    traj = simulate_bd(spec)
     assert traj.truncated
     assert traj.populations[-1] > 200
 
@@ -134,9 +135,10 @@ def test_onset_share_matches_gamblers_ruin(b, d, i0, threshold):
     assert abs(share - want) < 3.5 * math.sqrt(want * (1.0 - want) / n)
 
 
-def test_replicates_truncated_past_max_population():
+def test_replicates_truncated_past_max_population(monkeypatch):
     b, d, cap, n = 2.0, 0.5, 50, 5000
-    reps = simulate_replicates(BirthDeathSpec(b=b, d=d, i0=1, t_end=1e3, seed=47), n, max_population=cap)
+    monkeypatch.setattr(birthdeath, "MAX_POPULATION", cap)
+    reps = simulate_replicates(BirthDeathSpec(b=b, d=d, i0=1, t_end=1e3, seed=47), n)
     assert {r.outcome for r in reps} == {"truncated", "extinct"}
     assert all(0 < r.time < 1e3 for r in reps)
     r = d / b
@@ -146,13 +148,14 @@ def test_replicates_truncated_past_max_population():
 
 
 @pytest.mark.parametrize("threshold", [40, 50, 51])
-def test_onset_wins_over_truncation(threshold):
+def test_onset_wins_over_truncation(threshold, monkeypatch):
+    monkeypatch.setattr(birthdeath, "MAX_POPULATION", 50)
     spec = BirthDeathSpec(b=2.0, d=0.5, i0=1, t_end=1e3, seed=53)
-    reps = simulate_replicates(spec, 2000, threshold=threshold, max_population=50)
+    reps = simulate_replicates(spec, 2000, threshold=threshold)
     assert {r.outcome for r in reps} == {"onset", "extinct"}
 
 
-def test_one_replicate_is_end_of_trajectory():
+def test_one_replicate_is_end_of_trajectory(monkeypatch):
     specs = [
         (BirthDeathSpec(b=1.0, d=1.0, i0=2, t_end=3.0), 10**8),
         (BirthDeathSpec(b=0.0, d=1.0, i0=1, t_end=100.0), 10**8),
@@ -163,8 +166,9 @@ def test_one_replicate_is_end_of_trajectory():
     for base, cap in specs:
         for seed in range(20):
             spec = BirthDeathSpec(b=base.b, d=base.d, i0=base.i0, t_end=base.t_end, seed=seed)
-            (rep,) = simulate_replicates(spec, 1, max_population=cap)
-            traj = simulate_bd(spec, max_population=cap)
+            monkeypatch.setattr(birthdeath, "MAX_POPULATION", cap)
+            (rep,) = simulate_replicates(spec, 1)
+            traj = simulate_bd(spec)
             if traj.extinct:
                 assert (rep.outcome, rep.time) == ("extinct", traj.extinction_time)
             elif traj.truncated:
@@ -175,19 +179,21 @@ def test_one_replicate_is_end_of_trajectory():
             # the same draws give the first passage of a threshold the trajectory reaches
             reached = np.flatnonzero(traj.populations >= base.i0 + 2)
             if reached.size:
-                (onset,) = simulate_replicates(spec, 1, threshold=base.i0 + 2, max_population=cap)
+                (onset,) = simulate_replicates(spec, 1, threshold=base.i0 + 2)
                 assert (onset.outcome, onset.time) == ("onset", traj.times[reached[0]])
                 seen.add("onset")
     assert seen == {"extinct", "truncated", "censored", "onset"}
 
 
-def test_kernel_emits_no_runtime_warning():
+def test_kernel_emits_no_runtime_warning(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         simulate_replicates(BirthDeathSpec(b=0.0, d=1.0, i0=3, t_end=100.0, seed=59), 500)
         simulate_replicates(BirthDeathSpec(b=1.0, d=1.0, i0=1, t_end=20.0, seed=59), 500)
         simulate_replicates(BirthDeathSpec(b=1.5, d=1.0, i0=1, t_end=40.0, seed=59), 500, threshold=100)
-        simulate_replicates(BirthDeathSpec(b=3.0, d=0.0, i0=1, t_end=1e3, seed=59), 50, max_population=1000)
+        monkeypatch.setattr(birthdeath, "MAX_POPULATION", 1000)
+        simulate_replicates(BirthDeathSpec(b=3.0, d=0.0, i0=1, t_end=1e3, seed=59), 50)
+        monkeypatch.undo()
         simulate_bd(BirthDeathSpec(b=0.5, d=2.0, i0=5, t_end=100.0, seed=59))
         simulate_bd(BirthDeathSpec(b=2.0, d=1.0, i0=1, t_end=8.0, seed=59))
 

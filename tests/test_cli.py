@@ -481,26 +481,29 @@ def test_tables_inconsistent_still_exit_0(tmp_path, capsys):
     assert "grand totals differ" in report["certificate"]
 
 
-def test_tables_integer_exact_time_limit_exit_3(tmp_path, capsys, monkeypatch):
-    # the three two-way margins of a 10x10x10 count table: cyclic, so HiGHS decides it
-    counts = np.random.default_rng(0).poisson(10, (10, 10, 10))
-    codes = {n: [f"{n}{i}" for i in range(10)] for n in "abc"}
-    obj = {
+def three_way_json(counts, kind="nonneg-integer"):
+    """The three two-way margins of a three-way table: a cyclic polyptych."""
+    codes = {n: [f"{n}{i}" for i in range(r)] for n, r in zip("abc", counts.shape)}
+    return {
         "attributes": [{"name": n, "domain": d} for n, d in codes.items()],
-        "variable": {"name": "count", "type": "nonneg-integer"},
+        "variable": {"name": "count", "type": kind},
         "tables": [
             {
                 "scheme": list(pair),
                 "cells": [
-                    {"coords": [codes[pair[0]][i], codes[pair[1]][j]], "value": int(v)}
+                    {"coords": [codes[pair[0]][i], codes[pair[1]][j]], "value": v.item()}
                     for (i, j), v in np.ndenumerate(counts.sum(axis="abc".index(drop)))
                 ],
             }
             for pair, drop in ((("a", "b"), "c"), (("a", "c"), "b"), (("b", "c"), "a"))
         ],
     }
+
+
+def test_tables_integer_exact_time_limit_exit_3(tmp_path, capsys, monkeypatch):
+    # a 10x10x10 count table: cyclic, so HiGHS decides it
     path = tmp_path / "p.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(three_way_json(np.random.default_rng(0).poisson(10, (10, 10, 10)))))
     monkeypatch.setattr("bioassay.tables.MAX_HIGHS_SECONDS", 1e-6)
     code, out, err = run_cli(capsys, "tables", "--input", str(path), "--integer-exact")
     assert code == 3
@@ -529,6 +532,32 @@ def test_tables_nnls_iteration_limit_exit_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "failure: NNLS did not decide the linear system: Maximum number of iterations reached.\n"
+
+
+def test_tables_huge_marginals_exit_0(tmp_path, capsys):
+    # r = 7 leaves NNLS for the HiGHS phase-1 LP, which needs b scaled at 1e20
+    counts = np.random.default_rng(7).poisson(2.0, (7, 7, 7))
+    reports = []
+    for scale in (1, 1e20):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(three_way_json(counts * scale, "nonneg-real")))
+        code, out, err = run_cli(capsys, "tables", "--input", str(path))
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out)["consistent"])
+    assert reports == [True, True]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("tables", "--input"), ("lp", "--model", "one-hit", "--theta", "1", "--p", "0.1", "--fit")],
+    ids=["tables", "lp-fit"],
+)
+def test_invalid_json_names_the_file_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
 
 
 def test_tables_malformed_exit_2(tmp_path, capsys):

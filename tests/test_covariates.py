@@ -7,7 +7,7 @@ import pytest
 
 from bioassay import covariates
 from bioassay.covariates import CorrelationPair, classify, efficiency, omission_experiment
-from bioassay.exceptions import DomainError
+from bioassay.exceptions import DomainError, SeparationError
 from bioassay.fitting import fit_logit
 
 
@@ -108,8 +108,8 @@ PINNED_OMISSION = {
 def test_omission_experiment_pinned_results(seed, monkeypatch):
     iterations = []
 
-    def counting_fit_logit(data, include_x2=False):
-        fit = fit_logit(data, include_x2=include_x2)
+    def counting_fit_logit(data):
+        fit = fit_logit(data)
         iterations.append(fit.iterations)
         return fit
 
@@ -140,6 +140,47 @@ def test_omission_experiment_counts_separated_redraws():
     res = omission_experiment(50, (-6.0, 0.2, 0.2), rho12=0.0, seed=0)
     assert res.resampled > 0
     assert np.isfinite(res.beta1_full)
+
+
+def _separating_fit_logit(failures):
+    """A fit_logit that raises SeparationError on the full fit of each of the
+    first ``failures`` draws, and the list of the full designs it was given."""
+    draws = []
+
+    def fit(data):
+        if data.X.shape[1] == 2:
+            draws.append(data.X)
+            if len(draws) <= failures:
+                raise SeparationError("separated")
+        return fit_logit(data)
+
+    return fit, draws
+
+
+def test_omission_experiment_redraws_after_separation(monkeypatch):
+    args = (200, (0.0, 1.0, 1.0), 0.3, 5)
+    clean = omission_experiment(*args)
+    runs = []
+    for _ in range(2):
+        fit, draws = _separating_fit_logit(2)
+        monkeypatch.setattr(covariates, "fit_logit", fit)
+        runs.append((omission_experiment(*args), draws))
+    (res, draws), (again, draws_again) = runs
+    # two separated draws are replaced by the next sub-seeds' draws and counted
+    assert res.resampled == 2 and len(draws) == 3
+    assert not np.array_equal(draws[0], draws[2])
+    # the redraws follow the seed: a second run repeats every draw and the result
+    assert again == res
+    assert all(np.array_equal(a, b) for a, b in zip(draws, draws_again))
+    assert clean.resampled == 0 and clean.beta1_full != res.beta1_full
+
+
+def test_omission_experiment_gives_up_after_max_resample(monkeypatch):
+    fit, draws = _separating_fit_logit(covariates.MAX_RESAMPLE + 1)
+    monkeypatch.setattr(covariates, "fit_logit", fit)
+    with pytest.raises(SeparationError, match=f"all {covariates.MAX_RESAMPLE + 1} replicate draws separated"):
+        omission_experiment(200, (0.0, 1.0, 1.0), rho12=0.3, seed=5)
+    assert len(draws) == covariates.MAX_RESAMPLE + 1
 
 
 def test_omission_experiment_attenuation_direction():

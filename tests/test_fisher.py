@@ -261,10 +261,8 @@ def test_inverse_info_tracks_monte_carlo_variance():
 
 def test_info_matrix_validation():
     with pytest.raises(DomainError, match="symmetric"):
-        InfoMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0)
-    with pytest.raises(DomainError, match="sigma2"):
-        InfoMatrix(np.eye(2), 0.0)
-    singular = InfoMatrix(np.zeros((2, 2)), 1.0)
+        InfoMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    singular = InfoMatrix(np.zeros((2, 2)))
     with pytest.raises(DomainError, match="singular"):
         singular.covariance()
 
@@ -273,9 +271,9 @@ def test_info_matrix_validation():
 def test_info_matrix_symmetry_tolerance_edge(scale):
     # the tolerance is 1e-12 times the largest entry (at least 1)
     atol = 1e-12 * scale
-    InfoMatrix(np.array([[scale, 0.9 * atol], [0.0, 1.0]]), 1.0)
+    InfoMatrix(np.array([[scale, 0.9 * atol], [0.0, 1.0]]))
     with pytest.raises(DomainError, match="symmetric"):
-        InfoMatrix(np.array([[scale, 1.1 * atol], [0.0, 1.0]]), 1.0)
+        InfoMatrix(np.array([[scale, 1.1 * atol], [0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -284,4 +282,4 @@ def test_info_matrix_rejects_non_finite_entries(bad, where):
     entries = np.eye(2)
     entries[where] = entries[where[::-1]] = bad
     with pytest.raises(DomainError, match="finite and symmetric"):
-        InfoMatrix(entries, 1.0)
+        InfoMatrix(entries)

@@ -338,6 +338,20 @@ def test_least_squares_requires_enough_points():
         fit_least_squares("mm", RegressionDataset([1.0], [0.5]), [1.0, 1.0])
 
 
+def test_multi_hit_standard_errors_hold_the_hit_count_at_zero():
+    # the frozen hit count has a zero information row; lambda's error is well defined
+    rng = np.random.default_rng(12)
+    xs = np.linspace(0.2, 4.0, 500)
+    y = np.asarray(ba.evaluate("multi-hit", xs, [3.0, 1.5])) + 0.05 * rng.standard_normal(xs.size)
+    fit = fit_least_squares("multi-hit", RegressionDataset(xs, y), [3.0, 1.3])
+    assert fit.converged and fit.info.entries[0].tolist() == [0.0, 0.0]
+    se = fit.standard_errors()
+    assert se[0] == 0.0
+    assert se[1] == pytest.approx(math.sqrt(1.0 / fit.info.entries[1, 1]), rel=1e-14)
+    # a report read back names the model, so its errors agree
+    assert np.array_equal(FitResult.from_dict(fit.to_dict()).standard_errors(), se)
+
+
 def test_least_squares_s2_absent_at_saturation():
     xs = np.array([1.0, 2.0])
     y = np.asarray(ba.evaluate("mm", xs, [2.0, 1.0]))
@@ -355,13 +369,17 @@ def _logit_sim(rng, n, beta, rho12=0.0):
     x2 = rho12 * z1 + math.sqrt(1.0 - rho12**2) * z2
     eta = beta[0] + beta[1] * x1 + beta[2] * x2
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-    return BinaryDataset(x1=x1, y=y, x2=x2)
+    return BinaryDataset(np.column_stack([x1, x2]), y)
+
+
+def _omit_x2(data):
+    return BinaryDataset(data.X[:, :1], data.y)
 
 
 def test_logit_null_effect_within_3_se():
     rng = np.random.default_rng(5)
     data = _logit_sim(rng, 4000, (0.0, 0.0, 0.7))
-    fit = fit_logit(data, include_x2=False)
+    fit = fit_logit(_omit_x2(data))
     assert fit.converged
     se = fit.standard_errors()
     assert abs(fit.theta_hat[1]) < 3 * se[1]
@@ -370,33 +388,26 @@ def test_logit_null_effect_within_3_se():
 def test_logit_nested_agreement_when_x2_irrelevant():
     rng = np.random.default_rng(6)
     data = _logit_sim(rng, 4000, (0.2, 0.8, 0.0))
-    full = fit_logit(data, include_x2=True)
-    restricted = fit_logit(data, include_x2=False)
+    full = fit_logit(data)
+    restricted = fit_logit(_omit_x2(data))
     se = full.standard_errors()
     assert abs(full.theta_hat[1] - restricted.theta_hat[1]) < 3 * se[1]
 
 
 def test_logit_separation_detected():
-    data = BinaryDataset(x1=np.array([-1.0, 1.0]), y=np.array([0.0, 1.0]))
+    data = BinaryDataset(np.array([[-1.0], [1.0]]), np.array([0.0, 1.0]))
     with pytest.raises(SeparationError):
         fit_logit(data)
-
-
-def test_logit_requires_x2_when_asked():
-    data = BinaryDataset(x1=np.array([-1.0, 1.0, 0.5]), y=np.array([0.0, 1.0, 1.0]))
-    with pytest.raises(DomainError, match="no x2"):
-        fit_logit(data, include_x2=True)
 
 
 def test_logit_constant_x2_unidentifiable():
     rng = np.random.default_rng(7)
     data = BinaryDataset(
-        x1=rng.standard_normal(100),
-        y=(rng.random(100) < 0.5).astype(float),
-        x2=np.full(100, 2.0),
+        np.column_stack([rng.standard_normal(100), np.full(100, 2.0)]),
+        (rng.random(100) < 0.5).astype(float),
     )
     with pytest.raises(DomainError, match="rank deficient"):
-        fit_logit(data, include_x2=True)
+        fit_logit(data)
 
 
 @pytest.mark.parametrize("scale, rejected", [(1e7, False), (1e9, True)])
@@ -407,32 +418,49 @@ def test_logit_rank_check_sits_at_condition_number_4e7(scale, rejected):
     rng = np.random.default_rng(3)
     x1, w = rng.standard_normal((2, 5000))
     y = (rng.random(5000) < 1.0 / (1.0 + np.exp(0.3 - 0.7 * x1 - 0.5 * w))).astype(float)
-    data = BinaryDataset(x1=x1, y=y, x2=scale * w)
-    design = np.column_stack([np.ones(5000), x1, data.x2])
+    data = BinaryDataset(np.column_stack([x1, scale * w]), y)
+    design = np.column_stack([np.ones(5000), data.X])
     assert np.linalg.matrix_rank(design) == 3
     assert np.linalg.cond(design) == pytest.approx(scale, rel=0.1)
     if rejected:
         with pytest.raises(DomainError, match="rank deficient"):
-            fit_logit(data, include_x2=True)
+            fit_logit(data)
     else:
-        assert fit_logit(data, include_x2=True).theta_hat[2] * scale == pytest.approx(0.5, abs=0.1)
+        assert fit_logit(data).theta_hat[2] * scale == pytest.approx(0.5, abs=0.1)
 
 
 def test_logit_both_classes_required():
-    data = BinaryDataset(x1=np.array([0.0, 1.0]), y=np.array([1.0, 1.0]))
+    data = BinaryDataset(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
     with pytest.raises(DomainError, match="classes"):
         fit_logit(data)
 
 
-@pytest.mark.parametrize("column", ["x1", "x2"])
+@pytest.mark.parametrize("column", [0, 1], ids=["x1", "x2"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_binary_dataset_rejects_non_finite_covariates(column, bad):
     # unchecked, a NaN reached fit_logit's rank check as numpy's "SVD did not
     # converge" and an inf was reported as a rank-deficient design
-    cols = {"x1": np.array([-1.0, 0.5, 1.0, 0.0]), "x2": np.array([0.2, 0.1, -0.3, 0.4])}
-    cols[column][1] = bad
-    with pytest.raises(DomainError, match=f"{column} must be finite"):
-        BinaryDataset(y=np.array([0.0, 1.0, 1.0, 0.0]), **cols)
+    X = np.array([[-1.0, 0.2], [0.5, 0.1], [1.0, -0.3], [0.0, 0.4]])
+    X[1, column] = bad
+    with pytest.raises(DomainError, match=f"column {column} of X must be finite"):
+        BinaryDataset(X, np.array([0.0, 1.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("X", [np.zeros(4), np.zeros((3, 2)), np.zeros((4, 1, 1))], ids=["1-D", "3 rows", "3-D"])
+def test_binary_dataset_rejects_design_of_wrong_shape(X):
+    with pytest.raises(DomainError, match=r"\(n, k\) design"):
+        BinaryDataset(X, np.array([0.0, 1.0, 1.0, 0.0]))
+
+
+def test_logit_fits_k_covariates():
+    # three covariates, one of them pure noise: the design matrix takes any k
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((6000, 3))
+    y = (rng.random(6000) < 1.0 / (1.0 + np.exp(-(0.2 + X @ [0.8, -0.5, 0.0])))).astype(float)
+    fit = fit_logit(BinaryDataset(X, y))
+    assert fit.converged and fit.theta_hat.shape == (4,)
+    se = fit.standard_errors()
+    assert np.all(np.abs(fit.theta_hat - [0.2, 0.8, -0.5, 0.0]) < 4 * se)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -446,13 +474,12 @@ def test_logit_converges_at_large_n(seed):
     # near the optimum a Newton step gains about 1e-16, below the ~1e-11 rounding of
     # a summed log-likelihood at n = 50 000; comparing two such sums stalled fits here
     data = _logit_sim(np.random.default_rng(seed), 50_000, (-0.3, 0.7, 0.9), rho12=0.5)
-    for include_x2 in (True, False):
+    for design in (data, _omit_x2(data)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = fit_logit(data, include_x2=include_x2)
+            fit = fit_logit(design)
         assert fit.converged and fit.iterations <= 8, (fit.iterations, fit.message)
-        cols = [np.ones(data.n), data.x1] + ([data.x2] if include_x2 else [])
-        eta = np.column_stack(cols) @ fit.theta_hat
+        eta = np.column_stack([np.ones(data.n), design.X]) @ fit.theta_hat
         want = np.sum(data.y * eta - np.logaddexp(0.0, eta))
         assert fit.objective == pytest.approx(want, rel=1e-12)
 
@@ -559,7 +586,7 @@ def _logit_fit():
     rng = np.random.default_rng(6)
     x1 = rng.standard_normal(300)
     y = (rng.random(300) < 1.0 / (1.0 + np.exp(-(0.3 + 0.8 * x1)))).astype(float)
-    return fit_logit(BinaryDataset(x1, y))
+    return fit_logit(BinaryDataset(x1[:, None], y))
 
 
 @pytest.mark.parametrize("make_fit", [_gn_fit, _weibull_fit, _logit_fit], ids=["gn", "weibull", "logit"])
@@ -570,7 +597,6 @@ def test_fit_report_round_trip(make_fit):
     assert back.objective == fit.objective
     assert back.s2 == fit.s2
     assert np.array_equal(back.info.entries, fit.info.entries)
-    assert back.info.sigma2 == fit.info.sigma2
     assert (back.converged, back.iterations, back.model) == (fit.converged, fit.iterations, fit.model)
     assert (back.objective_kind, back.message) == (fit.objective_kind, fit.message)
     assert back.active_bounds == fit.active_bounds

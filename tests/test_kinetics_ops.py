@@ -7,7 +7,6 @@ import pytest
 import bioassay as ba
 from bioassay.exceptions import DomainError
 from bioassay.models import (
-    HazardSpec,
     KineticConstants,
     hazard_ad,
     hazard_cox,
@@ -96,48 +95,51 @@ def test_parallel_registry_entry_matches_summary():
 # -- hazards ---------------------------------------------------------------
 
 def test_power_hazard_constant_when_single_stage():
-    spec = HazardSpec(c=5.0, k=1, t0=0.0)
     for t in (0.1, 1.0, 7.3):
-        assert hazard_ad(t, spec) == 5.0
+        assert hazard_ad(t, c=5.0, k=1) == 5.0
 
 
 def test_power_hazard_values():
-    assert hazard_ad(2.0, HazardSpec(c=2.0, k=3, t0=0.0)) == pytest.approx(8.0)
-    assert hazard_ad(3.0, HazardSpec(c=1.0, k=4, t0=1.0)) == pytest.approx(8.0)
+    assert hazard_ad(2.0, c=2.0, k=3, t0=0.0) == pytest.approx(8.0)
+    assert hazard_ad(3.0, c=1.0, k=4, t0=1.0) == pytest.approx(8.0)
 
 
 def test_power_hazard_increasing_for_multiple_stages():
-    spec = HazardSpec(c=1.0, k=3, t0=0.5)
     ts = [0.6, 1.0, 2.0, 5.0]
-    vals = [hazard_ad(t, spec) for t in ts]
+    vals = [hazard_ad(t, c=1.0, k=3, t0=0.5) for t in ts]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_power_hazard_rejects_times_before_lag():
     with pytest.raises(DomainError, match="growth lag"):
-        hazard_ad(1.0, HazardSpec(c=1.0, k=2, t0=1.0))
+        hazard_ad(1.0, c=1.0, k=2, t0=1.0)
+
+
+@pytest.mark.parametrize(
+    "params, match",
+    [((0.0, 2, 0.0), "scale c"), ((1.0, 1.5, 0.0), "stage count"), ((1.0, 0, 0.0), "stage count"), ((1.0, 2, -1.0), "lag t0")],
+)
+def test_power_hazard_rejects_parameters_outside_their_domain(params, match):
+    with pytest.raises(DomainError, match=match):
+        hazard_ad(5.0, *params)
 
 
 def test_proportional_hazard_neutral_cases():
-    spec = HazardSpec(baseline=lambda t: 3.0, beta=[0.0, 0.0])
-    assert hazard_cox(1.0, [1.5, -2.0], spec) == pytest.approx(3.0)
-    spec2 = HazardSpec(baseline=lambda t: 3.0, beta=[0.7, -0.4])
-    assert hazard_cox(1.0, [0.0, 0.0], spec2) == pytest.approx(3.0)
+    assert hazard_cox(1.0, [1.5, -2.0], lambda t: 3.0, [0.0, 0.0]) == pytest.approx(3.0)
+    assert hazard_cox(1.0, [0.0, 0.0], lambda t: 3.0, [0.7, -0.4]) == pytest.approx(3.0)
 
 
 def test_proportional_hazard_exponential_risk():
-    spec = HazardSpec(baseline=lambda t: 1.0, beta=[math.log(2.0)])
-    assert hazard_cox(5.0, [1.0], spec) == pytest.approx(2.0, rel=1e-14)
+    assert hazard_cox(5.0, [1.0], lambda t: 1.0, [math.log(2.0)]) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_proportional_hazard_ratio_time_free():
-    spec = HazardSpec(baseline=lambda t: 0.3 + t**2, beta=[0.8, -0.2])
+    baseline, beta = (lambda t: 0.3 + t**2), [0.8, -0.2]
     w1, w2 = [1.0, 0.5], [0.2, 1.0]
-    r = [hazard_cox(t, w1, spec) / hazard_cox(t, w2, spec) for t in (0.5, 1.0, 4.0)]
+    r = [hazard_cox(t, w1, baseline, beta) / hazard_cox(t, w2, baseline, beta) for t in (0.5, 1.0, 4.0)]
     assert max(r) - min(r) < 1e-14
 
 
 def test_proportional_hazard_dimension_mismatch():
-    spec = HazardSpec(baseline=lambda t: 1.0, beta=[1.0, 2.0])
     with pytest.raises(DomainError, match="mismatch"):
-        hazard_cox(1.0, [1.0], spec)
+        hazard_cox(1.0, [1.0], lambda t: 1.0, [1.0, 2.0])

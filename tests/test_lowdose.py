@@ -154,7 +154,7 @@ def test_vsd_tight_information_recovers_lp(rng):
     from bioassay.fisher import InfoMatrix
 
     fit = _one_hit_fit(rng)
-    tight = InfoMatrix(fit.info.entries * 1e6, fit.info.sigma2)
+    tight = InfoMatrix(fit.info.entries * 1e6)
     boosted = type(fit)(**{**fit.__dict__, "info": tight})
     q = PercentileQuery("one-hit", (1.0,), 0.1, risk_type="total")
     res = vsd_upper_limit(q, boosted, confidence=0.975)
@@ -188,7 +188,7 @@ def test_vsd_rejects_mismatched_information(rng):
     from bioassay.fisher import InfoMatrix
 
     fit = _one_hit_fit(rng)
-    wrong = type(fit)(**{**fit.__dict__, "info": InfoMatrix(np.eye(2), 1.0)})
+    wrong = type(fit)(**{**fit.__dict__, "info": InfoMatrix(np.eye(2))})
     q = PercentileQuery("one-hit", (1.0,), 0.1)
     with pytest.raises(DomainError, match="2x2 but one-hit has 1 parameters"):
         vsd_upper_limit(q, wrong, confidence=0.975)

@@ -422,12 +422,12 @@ def test_to_array_matches_cell_walk(p):
             assert arr[idx] == t.value(tuple(a.domain[i] for a, i in zip(t.scheme, idx)))
 
 
-def three_way(counts):
+def three_way(counts, variable=COUNTS):
     attrs = tuple(
         CategoryAttribute(n, tuple(f"{n}{i}" for i in range(r))) for n, r in zip("abc", counts.shape)
     )
     return attrs, Polyptych(
-        tables=tuple(margin_table(attrs, counts, pair) for pair in (("a", "b"), ("a", "c"), ("b", "c")))
+        tables=tuple(margin_table(attrs, counts, pair, variable) for pair in (("a", "b"), ("a", "c"), ("b", "c")))
     )
 
 
@@ -467,6 +467,50 @@ def test_cyclic_integer_exact_gives_an_exact_integer_witness(rng):
     assert w.variable == p.variable
     assert all(v >= 0 and v == int(v) for v in w.cells.values())
     assert_witness_marginals(p, w, exact=True)
+
+
+MASS = SummaryVariable("mass", "nonneg-real")
+
+
+def contradictory_three_way(r, scale):
+    """Two-way margins with a = b, a = c and c = b + 1 (mod r): every one-way
+    margin agrees and no table exists."""
+    attrs = tuple(CategoryAttribute(n, tuple(f"{n}{i}" for i in range(r))) for n in "abc")
+
+    def pairs(x, y, shift):
+        cells = {(x.domain[i], y.domain[(i + shift) % r]): scale for i in range(r)}
+        return SummaryTable(scheme=(x, y), variable=MASS, cells=cells)
+
+    a, b, c = attrs
+    return Polyptych(tables=(pairs(a, b, 0), pairs(a, c, 0), pairs(b, c, 1)))
+
+
+@pytest.mark.parametrize("r", [3, 7], ids=["nnls", "phase-1 LP"])
+def test_huge_marginals_get_the_answers_of_scale_1(r):
+    # HiGHS's tolerances are absolute: unscaled, marginals near 1e20 read as
+    # infeasible (r = 3) or left the phase-1 LP without a solution (r = 7)
+    counts = np.random.default_rng(r).poisson(2.0, (r, r, r)).astype(float)
+    counts[0, 0] = 0.0  # makes every cell (a0, b0, c) accidental
+    cells = [("a0", "b0", "c0"), ("a1", "b1", "c1"), ("a1", "b0", "c2")]
+    answers = []
+    for scale in (1.0, 1e20):
+        _attrs, p = three_way(counts * scale, MASS)
+        assert check_consistency(p).consistent
+        answers.append([classify_empty(p, cell) for cell in cells])
+        bad = contradictory_three_way(r, scale)
+        assert not check_consistency(bad).consistent
+        with pytest.raises(DomainError, match="inconsistent: no nonnegative universal table satisfies"):
+            classify_empty(bad, ("a0", "b0", "c0"))
+    assert answers[0] == answers[1]
+    assert answers[0][0] == "accidental"
+
+
+def test_integer_exact_refuses_marginals_past_2_53():
+    _attrs, p = three_way(np.full((3, 3, 3), 2**51))  # two-way margins of 3 * 2^51 < 2^53
+    assert check_consistency(p, integer_exact=True).consistent
+    _attrs, p = three_way(np.full((3, 3, 3), 2**52))
+    with pytest.raises(DomainError, match=r"within 2\^53 = 9007199254740992"):
+        check_consistency(p, integer_exact=True)
 
 
 def test_integer_exact_structural_zero_infeasible_by_exhaustive_search():
