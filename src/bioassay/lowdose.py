@@ -5,8 +5,11 @@ response probability reaches a target ``p``, on either the total-risk
 scale F(L) = p or the extra-risk scale (F(L) - F(0)) / (1 - F(0)) = p.
 Closed-form inversions come from the model itself
 (:attr:`ModelDef.inverse`); curves without one are solved for the root
-of F(L) = target by Brent's method on a bracket found by doubling, to
-|F - target| <= 1e-12.
+of F(L) = target by Brent's method, to |F - target| <= 1e-12, on a
+bracket found by doubling away from dose 0 toward the crossing (below 0
+only on curves defined on the whole real line).  A response that is not
+finite stops the search, and a percentile that is not finite is a
+:class:`DomainError`.
 
 The safe-dose bound is a delta-method lower confidence limit for the
 estimated percentile: the gradient of L_p with respect to the model
@@ -89,7 +92,6 @@ def resolve_query(query: PercentileQuery):
     return m, theta, risk, target
 
 
-@np.errstate(over="ignore", under="ignore")
 def _root(m: ModelDef, theta: np.ndarray, target: float) -> float:
     from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
 
@@ -97,32 +99,24 @@ def _root(m: ModelDef, theta: np.ndarray, target: float) -> float:
     def f(x):
         return float(m.fn(x, theta))
 
-    unbounded_below = m.input_low is None
-    lo = 0.0
-    if f(lo) == target:
+    f0 = f(0.0)
+    if f0 == target:
         return 0.0
-    if unbounded_below and f(lo) > target:
-        # tolerance-scale curves extend to the whole real line
-        lo = -1.0
-        for _ in range(60):
-            if f(lo) < target:
-                break
-            lo *= 2.0
-        else:
-            raise UnattainableRiskError("target below the attainable infimum", f(lo))
-        hi = lo / 2.0 if lo < -1.0 else 0.0
+    # double away from dose 0 toward the crossing: downward only on tolerance-scale
+    # curves, which extend to the whole real line
+    down = m.input_low is None and f0 > target
+    x = -1.0 if down else 1.0
+    for _ in range(60):
+        fx = f(x)
+        if not math.isfinite(fx):
+            raise UnattainableRiskError(f"target {target} not reached: F is {fx} at dose {x}", fx)
+        if (fx < target) if down else (fx > target):
+            break
+        x *= 2.0
     else:
-        hi = 1.0
-        for _ in range(60):
-            if f(hi) > target:
-                break
-            hi *= 2.0
-        else:
-            raise UnattainableRiskError(
-                f"target {target} exceeds the attainable response supremum "
-                f"{f(hi)} (at dose {hi})",
-                f(hi),
-            )
+        bound = "lies below the attainable response infimum" if down else "exceeds the attainable response supremum"
+        raise UnattainableRiskError(f"target {target} {bound} {f(x)} (at dose {x})", f(x))
+    lo, hi = (x, x / 2.0 if x < -1.0 else 0.0) if down else (0.0, x)
     # a tolerance relative to the dose alone: low-dose percentiles span many decades
     x = brentq(lambda x: f(x) - target, lo, hi, xtol=np.finfo(float).tiny, disp=False)
     if abs(f(x) - target) > _ROOT_F_TOL:
@@ -141,14 +135,16 @@ def percentile(query: PercentileQuery, method: str = "auto") -> float:
     return _solve(m, theta, target, method)
 
 
+@np.errstate(all="ignore")  # a non-finite percentile is an error below, not a warning
 def _solve(m: ModelDef, theta: np.ndarray, target: float, method: str) -> float:
     if method not in ("auto", "closed", "bisect"):
         raise DomainError(f"unknown method {method!r}")
-    if method != "bisect" and m.inverse is not None:
-        return float(m.inverse(target, theta))
-    if method == "closed":
+    if method == "closed" and m.inverse is None:
         raise DomainError(f"no closed-form percentile for {m.id}")
-    return _root(m, theta, target)
+    lp = _root(m, theta, target) if method == "bisect" or m.inverse is None else float(m.inverse(target, theta))
+    if not math.isfinite(lp):
+        raise DomainError(f"the percentile of {m.id} at theta {tuple(theta.tolist())} is not finite ({lp})")
+    return lp
 
 
 @np.errstate(over="ignore", under="ignore")
@@ -163,7 +159,7 @@ def _dose_slope(m: ModelDef, theta: np.ndarray, x: float) -> float:
     return (fb - fa) / (b - a)
 
 
-def percentile_gradient(query: PercentileQuery, method: str = "auto") -> np.ndarray:
+def percentile_gradient(query: PercentileQuery) -> np.ndarray:
     """Gradient of the percentile with respect to the model parameters.
 
     Implicit differentiation of the defining equation: on the total-risk
@@ -171,7 +167,7 @@ def percentile_gradient(query: PercentileQuery, method: str = "auto") -> np.ndar
     the background terms -(1-p) F_theta_j(0).
     """
     m, theta, risk, target = resolve_query(query)
-    return _lp_gradient(m, theta, risk, query.p, _solve(m, theta, target, method))
+    return _lp_gradient(m, theta, risk, query.p, _solve(m, theta, target, "auto"))
 
 
 def _lp_gradient(m: ModelDef, theta: np.ndarray, risk: str, p: float, lp: float) -> np.ndarray:

@@ -46,20 +46,19 @@ class KineticConstants:
     k1: float | None = None
     k2: float | None = None
     k3: float | None = None
-    k4: float | None = None
     e0: float | None = None
 
     def __post_init__(self):
-        for name in ("vmax", "km", "k1", "k2", "k3", "k4", "e0"):
+        for name in ("vmax", "km", "k1", "k2", "k3", "e0"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise DomainError(f"kinetic constant '{name}' must be > 0, got {value}")
 
     @classmethod
-    def from_rates(cls, k1: float, k2: float, k3: float, e0: float, k4: float | None = None):
-        if min(k1, k2, k3, e0) <= 0 or (k4 is not None and k4 <= 0):
+    def from_rates(cls, k1: float, k2: float, k3: float, e0: float):
+        if min(k1, k2, k3, e0) <= 0:
             raise DomainError("rate constants and total enzyme must all be > 0")
-        return cls(vmax=k3 * e0, km=(k2 + k3) / k1, k1=k1, k2=k2, k3=k3, k4=k4, e0=e0)
+        return cls(vmax=k3 * e0, km=(k2 + k3) / k1, k1=k1, k2=k2, k3=k3, e0=e0)
 
     @property
     def has_rates(self) -> bool:

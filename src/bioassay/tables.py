@@ -24,6 +24,12 @@ the join tree, or off it by the same system with integer cells, one HiGHS
 mixed-integer program.  Integer feasibility of cyclic schemes is
 NP-complete (Irving & Jerrum 1994), so every HiGHS call stops after
 ``MAX_HIGHS_SECONDS``.
+
+A polyptych lays out its universal scheme once, at construction: the
+universal shape, each table's universal axes, and the structural zeros as
+flat cell indices.  Consistency and cell classification first run one
+screen (size guard, grand totals, join tree, separator marginals) and
+then read that layout.
 """
 
 from __future__ import annotations
@@ -259,29 +265,35 @@ class Polyptych:
                 raise DomainError(
                     f"tables mix summary variables: {t.variable} vs {v0} (inhomogeneous)"
                 )
-        seen: dict[str, CategoryAttribute] = {}
-        order: list[CategoryAttribute] = []
+        universal: list[CategoryAttribute] = []
+        position: dict[str, int] = {}  # attribute name -> universal axis
         for t in tables:
             for attr in t.scheme:
-                if attr.name in seen:
-                    if seen[attr.name] != attr:
-                        raise DomainError(
-                            f"attribute '{attr.name}' redefined with a different domain"
-                        )
-                else:
-                    seen[attr.name] = attr
-                    order.append(attr)
-        zeros = frozenset(tuple(z) for z in self.structural_zeros)
-        universal = tuple(order)
-        for z in zeros:
-            if len(z) != len(universal):
-                raise DomainError(f"structural zero {z} does not match the universal scheme")
-            for code, attr in zip(z, universal):
-                if code not in attr.domain:
-                    raise DomainError(f"structural zero {z}: code {code!r} not in '{attr.name}'")
+                if attr.name not in position:
+                    position[attr.name] = len(universal)
+                    universal.append(attr)
+                elif universal[position[attr.name]] != attr:
+                    raise DomainError(f"attribute '{attr.name}' redefined with a different domain")
         object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "_universal", tuple(universal))
+        object.__setattr__(self, "_shape", tuple(len(a.domain) for a in universal))
+        # each table's universal axes, in the table's own attribute order
+        object.__setattr__(self, "_axes", tuple(tuple(position[n] for n in t.attribute_names) for t in tables))
+        zeros = frozenset(tuple(z) for z in self.structural_zeros)
         object.__setattr__(self, "structural_zeros", zeros)
-        object.__setattr__(self, "_universal", universal)
+        object.__setattr__(self, "_zero_cells", frozenset(self._cell_index(z, "structural zero") for z in zeros))
+
+    def _cell_index(self, coords: tuple, what: str) -> int:
+        """The flat C index of a universal cell, its coordinates checked code by code."""
+        n = len(self._universal)
+        if len(coords) != n:
+            raise DomainError(f"{what} {coords} has {len(coords)} codes; the universal scheme has {n}")
+        index = 0
+        for code, attr in zip(coords, self._universal):
+            if code not in attr.domain:
+                raise DomainError(f"{what} {coords}: code {code!r} not in domain of '{attr.name}'")
+            index = index * len(attr.domain) + attr._index[code]
+        return index
 
     @property
     def universal_scheme(self) -> tuple[CategoryAttribute, ...]:
@@ -292,10 +304,7 @@ class Polyptych:
         return self.tables[0].variable
 
     def universal_size(self) -> int:
-        size = 1
-        for a in self._universal:
-            size *= len(a.domain)
-        return size
+        return math.prod(self._shape)
 
 
 @dataclass(frozen=True)
@@ -308,8 +317,13 @@ class ConsistencyVerdict:
 # -- consistency core -----------------------------------------------------------------
 
 
-def _totals_certificate(p: Polyptych) -> tuple[str | None, float]:
-    """Size guard and grand-total check: (certificate or None, total scale)."""
+def _screen(p: Polyptych, integer_exact: bool = False):
+    """The checks both queries run first: (certificate or None, join-tree edges, dense tables).
+
+    Size guard, grand totals, ``integer_exact`` type guard, join tree, and on
+    a join tree the separator marginals (exact under ``integer_exact``).
+    Edges and dense tables are None off the join tree.
+    """
     if p.universal_size() > _MAX_UNIVERSAL_CELLS:
         raise DomainError(
             f"universal scheme too large: {p.universal_size()} cells exceed {_MAX_UNIVERSAL_CELLS}"
@@ -317,8 +331,14 @@ def _totals_certificate(p: Polyptych) -> tuple[str | None, float]:
     totals, scale, agree = _grand_totals(p.tables)
     if not agree:
         pretty = ", ".join(f"{t:g}" for t in totals)
-        return f"grand totals differ ({pretty}): additivity over the shared population fails", scale
-    return None, scale
+        return f"grand totals differ ({pretty}): additivity over the shared population fails", None, None
+    if integer_exact and p.variable.type not in ("integer", "nonneg-integer"):
+        raise DomainError("integer_exact applies to integer-typed variables only")
+    edges = _join_tree(p)
+    if edges is None:
+        return None, None, None
+    dense = _dense_tables(p)
+    return _tree_certificate(p, dense, edges, 0.0 if integer_exact else _EQ_TOL * scale), edges, dense
 
 
 def _join_tree(p: Polyptych) -> list[tuple[int, int, frozenset]] | None:
@@ -332,8 +352,7 @@ def _join_tree(p: Polyptych) -> list[tuple[int, int, frozenset]] | None:
     """
     if p.structural_zeros:
         return None
-    names = [a.name for a in p.universal_scheme]
-    schemes = [frozenset(names.index(n) for n in t.attribute_names) for t in p.tables]
+    schemes = [frozenset(axes) for axes in p._axes]
     left = list(range(len(schemes)))
     edges = []
     while len(left) > 1:
@@ -356,13 +375,9 @@ def _dense_tables(p: Polyptych) -> list[tuple[frozenset, np.ndarray]]:
     Axes follow the universal order; an attribute the table lacks is a
     length-1 axis, so tables broadcast against each other.
     """
-    names = [a.name for a in p.universal_scheme]
     out = []
-    for t in p.tables:
-        pos = [names.index(n) for n in t.attribute_names]
-        shape = [1] * len(names)
-        for i, attr in zip(pos, t.scheme):
-            shape[i] = len(attr.domain)
+    for t, pos in zip(p.tables, p._axes):
+        shape = [n if i in pos else 1 for i, n in enumerate(p._shape)]
         order = sorted(range(len(pos)), key=pos.__getitem__)
         out.append((frozenset(pos), t.to_array().transpose(order).reshape(shape)))
     return out
@@ -483,23 +498,18 @@ def _constraint_system(p: Polyptych):
     """
     from scipy.sparse import csc_array  # deferred, as in _linprog
 
-    universal = p.universal_scheme
-    names = [a.name for a in universal]
-    shape = tuple(len(a.domain) for a in universal)
+    shape = p._shape
     size = p.universal_size()
     keep = np.ones(size, dtype=bool)
-    if p.structural_zeros:
-        zeros = np.array([[a._index[c] for a, c in zip(universal, z)] for z in p.structural_zeros])
-        keep[np.ravel_multi_index(tuple(zeros.T), shape)] = False
+    keep[list(p._zero_cells)] = False
     cols = np.flatnonzero(keep)
     index = np.indices(shape).reshape(len(shape), size)[:, cols]
     b = np.concatenate([t.to_array().ravel() for t in p.tables])
     rows = np.empty((cols.size, len(p.tables)), dtype=np.intp)  # column j's row in each table
     offset = 0
-    for k, t in enumerate(p.tables):
-        pos = [names.index(n) for n in t.attribute_names]
+    for k, pos in enumerate(p._axes):
         t_shape = tuple(shape[i] for i in pos)
-        rows[:, k] = offset + np.ravel_multi_index(tuple(index[pos]), t_shape)
+        rows[:, k] = offset + np.ravel_multi_index(tuple(index[list(pos)]), t_shape)
         offset += math.prod(t_shape)
     indptr = np.arange(0, rows.size + 1, len(p.tables))
     A = csc_array((np.ones(rows.size), rows.ravel(), indptr), shape=(b.size, cols.size))
@@ -637,12 +647,9 @@ def check_consistency(p: Polyptych, integer_exact: bool = False) -> ConsistencyV
     iteration limit, or a HiGHS call that runs out of ``MAX_HIGHS_SECONDS``,
     raises :class:`NotConvergedError`.
     """
-    bad, scale = _totals_certificate(p)
+    bad, edges, dense = _screen(p, integer_exact)
     if bad is not None:
         return ConsistencyVerdict(consistent=False, certificate=bad)
-    if integer_exact and p.variable.type not in ("integer", "nonneg-integer"):
-        raise DomainError("integer_exact applies to integer-typed variables only")
-    edges = _join_tree(p)
     if edges is None:
         A, b, cols = _constraint_system(p)
         x, bad = _nonnegative_solution(p, A, b)
@@ -662,10 +669,6 @@ def check_consistency(p: Polyptych, integer_exact: bool = False) -> ConsistencyV
         flat = np.zeros(p.universal_size())
         flat[cols] = x
         return ConsistencyVerdict(consistent=True, witness=_witness(p, variable, flat))
-    dense = _dense_tables(p)
-    bad = _tree_certificate(p, dense, edges, 0.0 if integer_exact else _EQ_TOL * scale)
-    if bad is not None:
-        return ConsistencyVerdict(consistent=False, certificate=bad)
     if integer_exact:
         witness = _witness(p, p.variable, _northwest_fill(dense, edges))
     else:
@@ -702,43 +705,35 @@ def classify_empty(p: Polyptych, coords) -> str:
     On a decomposable polyptych that largest value is the smallest table
     cell containing it; otherwise one HiGHS LP maximizes the cell, and an
     infeasible LP is explained by the certificate of
-    :func:`check_consistency` (NNLS or the phase-1 LP, by size).
+    :func:`check_consistency` (NNLS or the phase-1 LP, by size).  When
+    that solver finds a table after all, the disagreement raises
+    :class:`NotConvergedError`.  On both paths the cell is empty when its
+    largest value is within ``_EQ_TOL`` times the largest |table cell|
+    (at least 1).
     """
     coords = tuple(coords)
-    universal = p.universal_scheme
-    if len(coords) != len(universal):
-        raise DomainError(f"coordinates {coords} do not match the universal scheme")
-    for code, attr in zip(coords, universal):
-        if code not in attr.domain:
-            raise DomainError(f"code {code!r} not in domain of '{attr.name}'")
-    index = tuple(attr._index[code] for code, attr in zip(coords, universal))
-    bad, scale = _totals_certificate(p)
-    edges = _join_tree(p)
-    if bad is None and edges is not None:
-        dense = _dense_tables(p)
-        bad = _tree_certificate(p, dense, edges, _EQ_TOL * scale)
+    flat = p._cell_index(coords, "coordinates")
+    bad, edges, _dense = _screen(p)
     if bad is not None:
         raise DomainError(f"polyptych is inconsistent: {bad}")
-    if edges is not None:
-        # a table indexes only its own axes; an absent attribute is a length-1 axis
-        containing = [arr[tuple(i if n > 1 else 0 for i, n in zip(index, arr.shape))] for _a, arr in dense]
-        largest = float(min(containing))
-        cell_scale = max(1.0, max(float(np.abs(arr).max()) for _a, arr in dense))
+    if edges is not None:  # the smallest table cell containing it
+        largest = min(t.value([coords[i] for i in axes]) for t, axes in zip(p.tables, p._axes))
     else:
         A, b, cols = _constraint_system(p)
-        structural = coords in p.structural_zeros
+        structural = flat in p._zero_cells
         c = np.zeros(cols.size)
         if not structural:
-            shape = tuple(len(a.domain) for a in universal)
-            c[np.searchsorted(cols, np.ravel_multi_index(index, shape))] = -1.0  # maximize the cell
+            c[np.searchsorted(cols, flat)] = -1.0  # maximize the cell
         res = _linprog(c, A, b)
         if res.status == 2:
             _x, bad = _nonnegative_solution(p, A, b)
-            raise DomainError(f"polyptych is inconsistent: {bad or 'HiGHS finds the marginals infeasible'}")
+            if bad is None:
+                raise NotConvergedError("HiGHS finds the marginals infeasible, but a nonnegative table meets them")
+            raise DomainError(f"polyptych is inconsistent: {bad}")
         if structural:
             return "structural"
         largest = -res.fun
-        cell_scale = max(1.0, float(np.abs(b).max()))
+    cell_scale = max(1.0, *(max(map(abs, t.cells.values()), default=0.0) for t in p.tables))
     return "accidental" if largest <= _EQ_TOL * cell_scale else "occupied"
 
 

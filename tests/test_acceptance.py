@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import bioassay as ba
 from bioassay.birthdeath import BirthDeathSpec, simulate_bd, simulate_replicates
@@ -201,6 +202,7 @@ def test_criterion_7_vsd_coverage():
     assert time.perf_counter() - start < 60.0
 
 
+@pytest.mark.slow
 @criterion(8, "efficiency formula matches the Gaussian-linear Monte Carlo within 5%")
 def test_criterion_8_efficiency_formula():
     rng = np.random.default_rng(108)

@@ -363,6 +363,23 @@ def test_lp_unattainable_exit_3(capsys):
     assert "supremum" in err
 
 
+@pytest.mark.parametrize("model", ["logit-cdf", "probit-cdf"])
+def test_lp_non_finite_percentile_exit_2(capsys, model):
+    # the closed form divides by a subnormal slope: -inf, an error and not a warning
+    code, out, err = run_cli(capsys, "lp", "--model", model, "--theta", "0,1e-320", "--p", "0.1")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "not finite" in err
+
+
+def test_lp_non_finite_response_names_the_dose_exit_3(capsys):
+    # multi-hit with 1e308 hits: F(1) = F(2) = 0 and F(4) is nan
+    code, out, err = run_cli(capsys, "lp", "--model", "multi-hit", "--theta", "1e308,3", "--p", "0.5")
+    assert code == 3
+    assert out == ""
+    assert "at dose 4.0" in err and "supremum" not in err
+
+
 def test_eff_command(capsys):
     code, out, _ = run_cli(capsys, "eff", "--rho12", "0", "--rhoy21", "0")
     assert code == 0

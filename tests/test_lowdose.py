@@ -29,8 +29,11 @@ def test_multistage_unit_point():
         ("weibull-cdf", (1.0, 2.0), 0.5, math.sqrt(math.log(2.0))),
         ("logit-cdf", (-1.0, 2.0), 0.1, (math.log(0.1 / 0.9) + 1.0) / 2.0),
         ("probit-cdf", (-1.0, 2.0), 0.1, (NormalDist().inv_cdf(0.1) + 1.0) / 2.0),
+        # F(0) below the target: the bracket search doubles upward
+        ("logit-cdf", (-3.0, 2.0), 0.1, (math.log(0.1 / 0.9) + 3.0) / 2.0),
+        ("probit-cdf", (-2.0, 1.5), 0.1, (NormalDist().inv_cdf(0.1) + 2.0) / 1.5),
     ],
-    ids=["one-hit", "weibull-cdf", "logit-cdf", "probit-cdf"],
+    ids=["one-hit", "weibull-cdf", "logit-cdf", "probit-cdf", "logit-cdf-upward", "probit-cdf-upward"],
 )
 def test_closed_form_and_bisection_agree(model, theta, p, exact):
     assert ba.get_model(model).inverse is not None
@@ -85,6 +88,14 @@ def test_unattainable_supremum_reported():
     with pytest.raises(UnattainableRiskError) as exc:
         percentile(PercentileQuery("multistage", (0.2,), 0.9, risk_type="total"))
     assert exc.value.supremum == pytest.approx(1.0 - math.exp(-0.2), rel=1e-12)
+
+
+def test_unattainable_infimum_reported_after_60_doublings():
+    # F(x) = expit(1e-300 x) stays at 0.5 down to dose -2^60
+    q = PercentileQuery("logit-cdf", (0.0, 1e-300), 0.1, risk_type="total")
+    with pytest.raises(UnattainableRiskError, match=r"infimum 0.5 \(at dose -1.15\d*e\+18\)") as exc:
+        percentile(q, method="bisect")
+    assert exc.value.supremum == 0.5
 
 
 def test_one_hit_low_dose_linearization():

@@ -735,6 +735,16 @@ def test_highs_failure_is_not_converged(monkeypatch):
         classify_empty(p, tuple(a.domain[0] for a in attrs))
 
 
+def test_classify_lp_disagreeing_with_a_found_table_is_not_converged(monkeypatch):
+    # a consistent cyclic polyptych: the classify LP says infeasible, NNLS finds a table
+    attrs, p = three_way(np.ones((2, 2, 2), dtype=int))
+    assert check_consistency(p).consistent
+    infeasible = scipy.optimize.OptimizeResult(status=2)
+    monkeypatch.setattr(tables, "_linprog", lambda c, A, b, integrality=None: infeasible)
+    with pytest.raises(NotConvergedError, match="HiGHS finds the marginals infeasible"):
+        classify_empty(p, tuple(a.domain[0] for a in attrs))
+
+
 def test_nnls_iteration_limit_is_not_converged(monkeypatch):
     def stalled(*a, **k):
         raise RuntimeError("Maximum number of iterations reached.")
@@ -871,6 +881,21 @@ def test_systems_either_side_of_the_nnls_constant_agree(monkeypatch, bc_cells, c
 def test_cell_validation_names_the_first_bad_cell(variable, cells, message):
     with pytest.raises(DomainError, match=message):
         SummaryTable(scheme=(ROW,), variable=variable, cells=cells)
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        (("r1",), r"\('r1',\) has 1 codes; the universal scheme has 2"),
+        (("r1", "zz"), r"\('r1', 'zz'\): code 'zz' not in domain of 'col'"),
+    ],
+    ids=["arity", "code"],
+)
+def test_bad_universal_coordinates_name_the_code_and_attribute(cell, message):
+    with pytest.raises(DomainError, match="structural zero " + message):
+        Polyptych(tables=(table_2x2([[1, 0], [0, 1]]),), structural_zeros=frozenset({cell}))
+    with pytest.raises(DomainError, match="coordinates " + message):
+        classify_empty(Polyptych(tables=(table_2x2([[1, 0], [0, 1]]),)), cell)
 
 
 def test_cell_keys_and_values_are_normalized():
