@@ -32,7 +32,7 @@ for level in (-5.0, 0.0, 7.0):
 # -- censored-Weibull curvature ---------------------------------------------------------
 sample = WeibullSample.all_events([0.4, 0.9, 1.3, 2.1, 0.7])
 hessian = weibull_observed_info(sample, theta=1.0, s=1.2)
-observed = weibull_observed_info(sample, theta=1.0, s=1.2, negate=True)
+observed = -hessian
 print("\ncensored-Weibull log-likelihood Hessian at (1, 1.2):")
 print(hessian)
 print("observed information (negated, PSD near the optimum):")

@@ -221,18 +221,19 @@ def simulate_replicates(
 def empirical_hazard(event_times, bins: int, t_range: tuple[float, float] | None = None):
     """Binned hazard estimate: events / (at risk at the bin start * width).
 
-    Returns (midpoints, rates) for bins with someone at risk.
+    Returns (midpoints, rates) for bins with someone at risk.  The event
+    times and ``t_range`` must be finite.
     """
     times = np.sort(np.asarray(event_times, dtype=float))
     if times.size == 0:
         raise DomainError("no event times supplied")
-    if np.isnan(times[-1]):  # NaN sorts last
-        raise DomainError("event times must not be NaN")
+    if not np.all(np.isfinite(times)):
+        raise DomainError("event times must be finite, not NaN or inf")
     if bins < 1:
         raise DomainError("bins must be >= 1")
     lo, hi = t_range if t_range is not None else (0.0, float(times.max()))
-    if not hi > lo:
-        raise DomainError(f"empty time range ({lo}, {hi})")
+    if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
+        raise DomainError(f"time range ({lo}, {hi}) must be finite and nonempty")
     edges = np.linspace(lo, hi, bins + 1)
     width = edges[1] - edges[0]
     # sorted positions of the edges: bin j holds [edge j, edge j+1), the last bin is closed
@@ -249,10 +250,13 @@ def ad_hazard_fit(event_times, k: int, t0: float = 0.0) -> float:
 
     The implied cumulative hazard c*(t-t0)^k / k gives the closed form
     c = n*k / sum (t_i - t0)^k; with k = 1 this is the exponential-rate MLE.
+    The event times must be finite.
     """
     times = np.asarray(event_times, dtype=float)
     if times.size == 0:
         raise DomainError("no event times supplied")
+    if not np.all(np.isfinite(times)):
+        raise DomainError("event times must be finite, not NaN or inf")
     if k < 1 or k != int(k):
         raise DomainError(f"stage count k must be an integer >= 1, got {k}")
     if np.any(times <= t0):

@@ -6,8 +6,8 @@ and parameters are validated once per call, and J comes from a single
 gradient evaluation over the stacked design (shape (n,), or (n, 2) for
 two-input models).  A single observation is the n = 1 case: the rank-one
 outer product grad f . grad f^T / sigma^2.  For the censored Weibull fit
-the module also provides the closed-form second-derivative matrix of the
-log-likelihood.
+the module holds the one pass of weighted sums behind every Weibull
+quantity, and its closed-form log-likelihood Hessian.
 
 The test suite's ``tests/fisher_reference.py`` holds hand-tabulated
 closed forms that cross-check the outer-product computation.
@@ -117,7 +117,7 @@ class WeibullSample:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        flags = np.asarray(self.event_flags, dtype=int)
+        flags = np.asarray(self.event_flags)
         if times.ndim != 1 or times.size == 0:
             raise DomainError("times must be a nonempty 1-D sequence")
         if np.any(times <= 0) or not np.all(np.isfinite(times)):
@@ -127,7 +127,7 @@ class WeibullSample:
         if not np.all((flags == 0) | (flags == 1)):
             raise DomainError("event_flags must be 0 (censored) or 1 (event)")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "event_flags", flags)
+        object.__setattr__(self, "event_flags", flags.astype(int))
 
     @classmethod
     def all_events(cls, times) -> "WeibullSample":
@@ -144,40 +144,50 @@ class WeibullSample:
         return int(self.event_flags.sum())
 
 
-def _weibull_powers(sample: WeibullSample, theta: float, s: float):
-    """The terms (theta t)^s of the Weibull likelihood without overflow.
-
-    Returns (log k, w, log t) with (theta t)^s = k w, where the weights
-    w = (t / max t)^s lie in (0, 1] and k = (theta max t)^s, so that k
-    overflows only when the largest term itself does.  Near a fit k is of
-    order one in any time unit, while t^s alone overflows at t = 1e9 and
-    s > 34.
+def _weibull_sums(log_t: np.ndarray, log_theta: float, s: float):
+    """The weighted sums of the censored-Weibull likelihood at (theta, s),
+    from the log-times: (log k, S0, S1, S2), S_j = sum w (log theta t)^j,
+    where (theta t)^s = k w.  The weights w = (t / max t)^s lie in (0, 1]
+    and k = (theta max t)^s overflows only when the largest term itself
+    does: near a fit k is of order one in any time unit, while t^s alone
+    overflows at t = 1e9 and s > 34.
     """
-    log_t = np.log(sample.times)
     z = s * log_t
     z_max = z.max()
-    return s * math.log(theta) + z_max, np.exp(z - z_max), log_t
+    w = np.exp(z - z_max)
+    log_tt = log_theta + log_t
+    return s * log_theta + z_max, w.sum(), w @ log_tt, (w * log_tt) @ log_tt
 
 
-def weibull_observed_info(sample: WeibullSample, theta: float, s: float, negate: bool = False) -> np.ndarray:
+def _weibull_terms(d: int, event_log_sum: float, s: float, log_theta: float, log_pivot: float, sums):
+    """Log-likelihood, score (theta l_t, l_s) and Hessian [[theta^2 l_tt,
+    theta l_ts], [theta l_ts, l_ss]] of the censored Weibull at (theta, s),
+    free of the time unit, from the event count d, the events' log-time sum
+    and the ``sums`` of :func:`_weibull_sums` at (pivot, s), shifted to theta
+    by log theta t = delta + log pivot t."""
+    log_k, s0, s1, s2 = sums
+    delta = log_theta - log_pivot
+    k = np.exp(log_k + s * delta)  # t_j = sum (theta t)^s (log theta t)^j below
+    t0, t1, t2 = k * s0, k * (s1 + delta * s0), k * (s2 + delta * (2.0 * s1 + delta * s0))
+    h_ts = d - t0 - s * t1
+    hess = np.array([[-s * (d + (s - 1.0) * t0), h_ts], [h_ts, -d / s**2 - t2]])
+    score = np.array([s * (d - t0), d / s + d * log_theta + event_log_sum - t1])
+    return d * (math.log(s) + s * log_theta) + (s - 1.0) * event_log_sum - t0, score, hess
+
+
+def _weibull_sample_terms(sample: WeibullSample, theta: float, s: float):
+    """:func:`_weibull_terms` of a sample, from one pass of weighted sums at theta."""
+    if not theta > 0 or not s > 0:
+        raise DomainError("theta and s must both be > 0")
+    log_t, log_theta = np.log(sample.times), math.log(theta)
+    event_log_sum = log_t[sample.event_flags == 1].sum()
+    return _weibull_terms(sample.d, event_log_sum, s, log_theta, log_theta, _weibull_sums(log_t, log_theta, s))
+
+
+def weibull_observed_info(sample: WeibullSample, theta: float, s: float) -> np.ndarray:
     """Second derivatives of the censored-Weibull log-likelihood at (theta, s).
 
     Returns the Hessian [[l_tt, l_ts], [l_ts, l_ss]] (negative definite
-    near the maximum).  Pass ``negate=True`` for the conventional
-    positive-semidefinite observed information used for standard errors.
+    near the maximum); the observed information is its negative.
     """
-    if not theta > 0 or not s > 0:
-        raise DomainError("theta and s must both be > 0")
-    if sample.n == 0:
-        raise DomainError("sample must be nonempty")
-    d = sample.d
-    log_k, w, log_t = _weibull_powers(sample, theta, s)
-    log_tt = math.log(theta) + log_t
-    k = np.exp(log_k)
-    sum_ts = k * w.sum()
-    ts_log_tt = k * (w * log_tt)
-    itt = -s * (d + (s - 1.0) * sum_ts) / theta**2
-    its = (d - sum_ts - s * ts_log_tt.sum()) / theta
-    iss = -d / s**2 - (ts_log_tt * log_tt).sum()
-    h = np.array([[itt, its], [its, iss]])
-    return -h if negate else h
+    return _weibull_sample_terms(sample, theta, s)[2] / np.outer([theta, 1.0], [theta, 1.0])

@@ -2,10 +2,11 @@
 
 Provides the censored two-parameter Weibull maximum-likelihood fit (the
 closed-form rate profile, its shape score solved as a bracketed root by
-Brent's method), Gauss-Newton least squares with
-Levenberg damping for the mean-response registry, Newton logistic
-regression of binary outcomes on an (n, k) covariate design, and the
-Kolmogorov-Smirnov one-sample test.
+Brent's method; every Weibull quantity is a closed form over one pass of
+the likelihood's weighted sums, ``fisher._weibull_sums``), Gauss-Newton
+least squares with Levenberg damping for the mean-response registry,
+Newton logistic regression of binary outcomes on an (n, k) covariate
+design, and the Kolmogorov-Smirnov one-sample test.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, SeparationError
-from .fisher import InfoMatrix, WeibullSample, _weibull_powers, weibull_observed_info
+from .fisher import InfoMatrix, WeibullSample, _weibull_sample_terms, _weibull_sums, _weibull_terms
 from .models import REGISTRY, evaluate, get_model
 from .models.base import ModelDef, as_theta
 
@@ -172,34 +173,17 @@ class FitResult:
 
 # -- censored Weibull -----------------------------------------------------
 
+@np.errstate(over="ignore")
 def weibull_log_likelihood(sample: WeibullSample, theta: float, s: float) -> float:
     """Censored log-likelihood: events contribute the density, all
     observations the survival exponent -(theta t)^s."""
-    if not theta > 0 or not s > 0:
-        raise DomainError("theta and s must both be > 0")
-    log_k, w, log_t = _weibull_powers(sample, theta, s)
-    with np.errstate(over="ignore"):
-        events = np.sum(np.log(s) + s * np.log(theta) + (s - 1.0) * log_t[sample.event_flags == 1])
-        return float(events - np.exp(log_k) * w.sum())
+    return float(_weibull_sample_terms(sample, theta, s)[0])
 
 
+@np.errstate(over="ignore")
 def weibull_score(sample: WeibullSample, theta: float, s: float) -> np.ndarray:
     """Score vector (dl/dtheta, dl/ds) of the censored log-likelihood."""
-    if not theta > 0 or not s > 0:
-        raise DomainError("theta and s must both be > 0")
-    d = sample.d
-    log_k, w, log_t = _weibull_powers(sample, theta, s)
-    log_theta = math.log(theta)
-    with np.errstate(over="ignore"):
-        k = np.exp(log_k)
-        u_theta = s * (d - k * w.sum()) / theta
-        u_s = (
-            d / s
-            + d * log_theta
-            + log_t[sample.event_flags == 1].sum()
-            - k * (w * (log_theta + log_t)).sum()
-        )
-    return np.array([u_theta, u_s])
+    return _weibull_sample_terms(sample, theta, s)[1] / [theta, 1.0]
 
 
 def weibull_theta_star(sample: WeibullSample, s: float) -> float:
@@ -210,8 +194,8 @@ def weibull_theta_star(sample: WeibullSample, s: float) -> float:
     d = sample.d
     if d < 1:
         raise DomainError("no events observed: the rate MLE is at the boundary")
-    log_k, w, _ = _weibull_powers(sample, 1.0, s)
-    return math.exp((math.log(d) - log_k - math.log(w.sum())) / s)
+    log_k, s0, _, _ = _weibull_sums(np.log(sample.times), 0.0, s)
+    return math.exp((math.log(d) - log_k - math.log(s0)) / s)
 
 
 def weibull_mle(sample: WeibullSample) -> FitResult:
@@ -223,8 +207,9 @@ def weibull_mle(sample: WeibullSample) -> FitResult:
     g(s) = 1/s + mean(event log t) - sum t^s log t / sum t^s.
     Its root in ``WEIBULL_SHAPE_BOUNDS`` is found by Brent's method on
     the times divided by their geometric mean c (the MLE does not depend
-    on the time unit), and the rate, log-likelihood and information are
-    mapped back to the data's unit.  Convergence requires the unit-free
+    on the time unit).  One pass of weighted sums at the root gives the
+    rate, log-likelihood, score and information, mapped back to the data's
+    unit.  Convergence requires the unit-free
     score (theta dl/dtheta, dl/ds) below 1e-8.  When g does not change
     sign over ``WEIBULL_SHAPE_BOUNDS`` the shape is pinned at the bound
     and reported as non-converged.  ``iterations`` counts profile-score
@@ -239,13 +224,11 @@ def weibull_mle(sample: WeibullSample) -> FitResult:
     log_t = np.log(sample.times)
     log_c = log_t.mean()  # c, the geometric mean of the times
     x = log_t - log_c
-    mean_event = x[sample.event_flags == 1].mean()
+    event_x = x[sample.event_flags == 1].sum()
 
     def score(s):
-        # weights t^s / max t^s, so that t^s never overflows
-        z = s * x
-        w = np.exp(z - z.max())
-        return 1.0 / s + mean_event - (w @ x) / w.sum()
+        _, s0, s1, _ = _weibull_sums(x, 0.0, s)
+        return 1.0 / s + event_x / d - s1 / s0
 
     g_lo, g_hi = score(lo), score(hi)
     iters = 2
@@ -256,19 +239,21 @@ def weibull_mle(sample: WeibullSample) -> FitResult:
     else:
         s_hat, root = brentq(score, lo, hi, full_output=True, disp=False)
         iters += root.function_calls
-    scaled = WeibullSample(np.exp(x), sample.event_flags)
-    theta_scaled = weibull_theta_star(scaled, s_hat)
-    # theta * dl/dtheta and dl/ds do not depend on the time unit
-    unit_free = weibull_score(scaled, theta_scaled, s_hat) * [theta_scaled, 1.0]
+    # one pass at the root, at the pivot theta = e^-m for m the weighted mean of x,
+    # which the root equates with 1/s_hat + mean(event x): the sums shift from there
+    # to the rate theta* without the cancellation of a shift from theta = 1
+    log_pivot = -(1.0 / s_hat + event_x / d)
+    sums = _weibull_sums(x, log_pivot, s_hat)
+    log_theta = log_pivot + (math.log(d) - sums[0] - math.log(sums[1])) / s_hat
+    loglik, unit_free, hess = _weibull_terms(d, event_x, s_hat, log_theta, log_pivot, sums)
     if not message and not np.max(np.abs(unit_free)) < SCORE_TOL:
         message = "score tolerance not reached at the profile-score root"
-    # back to the data's time unit: theta = theta_scaled / c, l = l_scaled - d log c
-    c = math.exp(log_c)
-    jac = np.array([c, 1.0])
-    info = InfoMatrix(weibull_observed_info(scaled, theta_scaled, s_hat, negate=True) * np.outer(jac, jac))
+    # back to the data's time unit: theta = e^log_theta / c, l = loglik - d log c
+    theta_hat = math.exp(log_theta) / math.exp(log_c)
+    info = InfoMatrix(-hess / np.outer([theta_hat, 1.0], [theta_hat, 1.0]))
     return FitResult(
-        theta_hat=np.array([theta_scaled / c, s_hat]),
-        objective=weibull_log_likelihood(scaled, theta_scaled, s_hat) - d * log_c,
+        theta_hat=np.array([theta_hat, s_hat]),
+        objective=loglik - d * log_c,
         s2=None,
         info=info,
         converged=not message,

@@ -175,8 +175,8 @@ def _lp_gradient(m: ModelDef, theta: np.ndarray, risk: str, p: float, lp: float)
     slope = _dose_slope(m, theta, lp)
     if slope <= 0:
         raise DomainError("dose-response slope vanishes at the percentile")
-    if risk == "extra" and m.input_low is not None and evaluate(m, 0.0, theta) > 0.0:
-        # background correction; vanishes identically when F(0) = 0
+    if risk == "extra" and m.input_low is not None:
+        # background correction: grad F(0) need not vanish where F(0) does
         g_l = g_l - (1.0 - p) * gradient(m, 0.0, theta)
     return -g_l / slope
 

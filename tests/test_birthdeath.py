@@ -315,6 +315,15 @@ def test_empirical_hazard_rejects_nan():
         empirical_hazard([0.5, float("nan")], bins=2, t_range=(0.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "times, t_range",
+    [([1.0, math.inf], None), ([-math.inf, 1.0], None), ([0.5, 1.0], (0.0, math.inf)), ([0.5, 1.0], (math.nan, 1.0))],
+)
+def test_empirical_hazard_rejects_non_finite(times, t_range):
+    with pytest.raises(DomainError, match="finite"):
+        empirical_hazard(times, bins=2, t_range=t_range)
+
+
 def test_empirical_hazard_rejects_empty():
     with pytest.raises(DomainError):
         empirical_hazard([], bins=3)
@@ -347,3 +356,6 @@ def test_ad_fit_validation():
         ad_hazard_fit([1.0], k=0)
     with pytest.raises(DomainError, match="lag"):
         ad_hazard_fit([0.2, 1.0], k=2, t0=0.5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            ad_hazard_fit([1.0, bad], k=2)

@@ -185,8 +185,6 @@ def test_weibull_hessian_simple_values():
     h = weibull_observed_info(sample, 1.0, 1.0)
     assert h[0, 0] == pytest.approx(-1.0, rel=1e-14)
     assert h[1, 1] == pytest.approx(-1.0, rel=1e-14)
-    ni = weibull_observed_info(sample, 1.0, 1.0, negate=True)
-    assert np.array_equal(ni, -h)
 
 
 def test_weibull_hessian_matches_fd(rng):
@@ -213,6 +211,13 @@ def test_weibull_hessian_matches_fd(rng):
         ) / (4 * ht * hs)
         scale = np.maximum(1.0, np.abs(h))
         assert np.max(np.abs(h - fd) / scale) < 1e-5
+
+
+@pytest.mark.parametrize("flags", [[0.5, 1, 1.9], [1, math.nan, 1]])
+def test_weibull_sample_rejects_flags_other_than_0_or_1(flags):
+    # cast to int first, 0.5 and 1.9 passed as 0 and 1, and NaN raised numpy's ValueError
+    with pytest.raises(DomainError, match="event_flags"):
+        WeibullSample([1.0, 2.0, 3.0], flags)
 
 
 def test_weibull_observed_info_rejects_bad_params():

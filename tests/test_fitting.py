@@ -53,6 +53,26 @@ def test_theta_star_zeroes_the_score(rng):
         assert abs(weibull_score(sample, star, s)[0]) < 1e-10
 
 
+def test_weibull_score_matches_fd(rng):
+    for _ in range(30):
+        n = int(rng.integers(3, 40))
+        times = rng.weibull(1.5, n) + 0.05
+        flags = (rng.random(n) < 0.8).astype(int)
+        if flags.sum() == 0:
+            flags[0] = 1
+        sample = WeibullSample(times, flags)
+        theta = 0.3 + 2.0 * rng.random()
+        s = 0.4 + 2.0 * rng.random()
+        score = weibull_score(sample, theta, s)
+
+        def l(th, sh):
+            return weibull_log_likelihood(sample, th, sh)
+
+        ht, hs = 1e-5 * theta, 1e-5 * s
+        fd = np.array([(l(theta + ht, s) - l(theta - ht, s)) / (2 * ht), (l(theta, s + hs) - l(theta, s - hs)) / (2 * hs)])
+        assert np.max(np.abs(score - fd) / np.maximum(1.0, np.abs(score))) < 1e-6
+
+
 def test_theta_star_matches_numeric_maximizer(rng):
     for _ in range(10):
         times = rng.weibull(1.7, 30) + 0.05
@@ -136,6 +156,10 @@ def test_weibull_mle_is_free_of_the_time_unit(c):
             fit = weibull_mle(WeibullSample(c * sample.times, sample.event_flags))
         assert ref.converged and fit.converged, fit.message
         np.testing.assert_allclose(fit.theta_hat, [ref.theta_hat[0] / c, ref.theta_hat[1]], rtol=1e-12)
+        # the fit's report agrees with the likelihood functions at its estimate
+        for at, f in ((sample, ref), (WeibullSample(c * sample.times, sample.event_flags), fit)):
+            assert f.objective == pytest.approx(weibull_log_likelihood(at, *f.theta_hat), rel=1e-12)
+            np.testing.assert_allclose(f.info.entries, -weibull_observed_info(at, *f.theta_hat), rtol=1e-10)
 
 
 def test_weibull_functions_finite_at_a_large_unit_fit():

@@ -141,6 +141,23 @@ def test_percentile_gradient_extra_risk_matches_fd():
     assert np.max(np.abs(g - fd) / np.maximum(1.0, np.abs(fd))) < 1e-5
 
 
+def test_percentile_gradient_extra_risk_at_zero_background():
+    # F(0) = 0 at theta0 = 0, but dF(0)/dtheta0 = 1: the background term still applies,
+    # and the extra-risk percentile of multistage does not depend on theta0 at all
+    theta = np.array([0.0, 0.3, 0.2])
+    q = PercentileQuery("multistage", tuple(theta), 0.01, risk_type="extra")
+    g = percentile_gradient(q)
+    fd = np.empty(3)
+    for i in range(3):
+        h = 1e-6  # one-sided: theta0 >= 0
+        hi = theta.copy()
+        hi[i] += h
+        fd[i] = (percentile(PercentileQuery("multistage", tuple(hi), 0.01, risk_type="extra")) - percentile(q)) / h
+    assert np.max(np.abs(g - fd) / np.maximum(1.0, np.abs(fd))) < 1e-5
+    near = percentile_gradient(PercentileQuery("multistage", (1e-12, 0.3, 0.2), 0.01, risk_type="extra"))
+    np.testing.assert_allclose(g, near, rtol=1e-9, atol=1e-15)
+
+
 def test_percentile_gradient_extra_equals_total_without_background():
     # F(0) = 0 makes the extra-risk scale coincide with total risk
     total = percentile_gradient(PercentileQuery("weibull-cdf", (0.8, 1.7), 0.05, risk_type="total"))
