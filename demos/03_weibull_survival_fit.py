@@ -2,7 +2,8 @@
 
 At fixed shape the rate maximizer is explicit, so the two-parameter fit
 reduces to one root: the shape where the strictly decreasing profile
-score crosses zero, found by Brent's method.
+score crosses zero, found by Newton steps on its closed-form derivative,
+kept inside a shrinking bracket.
 """
 
 import numpy as np

@@ -15,7 +15,10 @@ and a clone past ``MAX_POPULATION`` cells stops as truncated.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +42,7 @@ _BLOCK_CELLS = 1 << 16  # steps drawn per block, over all running clones
 
 _RUNNING, _CENSORED, _EXTINCT, _ONSET, _TRUNCATED = range(5)
 _OUTCOMES = (None, "censored", "extinct", "onset", "truncated")
+_OUTCOME_NAMES = np.array(_OUTCOMES, dtype=object)  # outcome code -> name, indexed by a state array
 
 
 @dataclass(frozen=True)
@@ -184,8 +188,7 @@ def simulate_bd(spec: BirthDeathSpec) -> Trajectory:
     )
 
 
-@dataclass(frozen=True)
-class Replicate:
+class Replicate(NamedTuple):
     index: int
     outcome: str  # "extinct" | "onset" | "censored" | "truncated"
     time: float
@@ -215,7 +218,7 @@ def simulate_replicates(
     if threshold is not None and threshold < 1:
         raise DomainError("threshold must be >= 1")
     t, state = _run(spec, n_replicates, threshold)
-    return [Replicate(i, _OUTCOMES[s], ti) for i, (s, ti) in enumerate(zip(state.tolist(), t.tolist()))]
+    return list(map(Replicate, range(n_replicates), _OUTCOME_NAMES[state].tolist(), t.tolist()))
 
 
 def empirical_hazard(event_times, bins: int, t_range: tuple[float, float] | None = None):
@@ -229,8 +232,8 @@ def empirical_hazard(event_times, bins: int, t_range: tuple[float, float] | None
         raise DomainError("no event times supplied")
     if not np.all(np.isfinite(times)):
         raise DomainError("event times must be finite, not NaN or inf")
-    if bins < 1:
-        raise DomainError("bins must be >= 1")
+    if not (isinstance(bins, numbers.Integral) and bins >= 1):
+        raise DomainError(f"bins must be an integer >= 1, got {bins}")
     lo, hi = t_range if t_range is not None else (0.0, float(times.max()))
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
         raise DomainError(f"time range ({lo}, {hi}) must be finite and nonempty")
@@ -259,6 +262,8 @@ def ad_hazard_fit(event_times, k: int, t0: float = 0.0) -> float:
         raise DomainError("event times must be finite, not NaN or inf")
     if k < 1 or k != int(k):
         raise DomainError(f"stage count k must be an integer >= 1, got {k}")
+    if not math.isfinite(t0):
+        raise DomainError(f"lag t0 must be finite, got {t0}")
     if np.any(times <= t0):
         raise DomainError(f"all event times must exceed the lag t0 = {t0}")
     return float(times.size * k / np.sum((times - t0) ** k))

@@ -2,8 +2,8 @@
 
 Provides the censored two-parameter Weibull maximum-likelihood fit (the
 closed-form rate profile, its shape score solved as a bracketed root by
-Brent's method; every Weibull quantity is a closed form over one pass of
-the likelihood's weighted sums, ``fisher._weibull_sums``), Gauss-Newton
+safeguarded Newton steps; every Weibull quantity is a closed form over one
+pass of the likelihood's weighted sums, ``fisher._weibull_sums``), Gauss-Newton
 least squares with Levenberg damping for the mean-response registry,
 Newton logistic regression of binary outcomes on an (n, k) covariate
 design, and the Kolmogorov-Smirnov one-sample test.
@@ -42,6 +42,7 @@ SCORE_TOL = 1e-8
 SSE_REL_TOL = 1e-10
 MAX_GN_ITER = 500  # Gauss-Newton iterations of one least-squares fit
 MAX_LOGIT_ITER = 100  # Newton iterations of one logistic fit
+MAX_WEIBULL_ITER = 100  # Newton or bisection steps on the profile score of one Weibull fit
 WEIBULL_SHAPE_BOUNDS = (0.05, 50.0)  # bracket of the Weibull profile-score root
 _HALVINGS = 0.5 ** np.arange(25)  # Gauss-Newton step scales 1, 1/2, ..., 2^-24
 # plain Gauss-Newton first, then Levenberg damping 1e-3, 1e-2, ..., 1e8 (tenfold on failure)
@@ -204,19 +205,20 @@ def weibull_mle(sample: WeibullSample) -> FitResult:
     At fixed shape s the rate maximizer theta*(s) is closed-form, and the
     shape score there, divided by the event count d, is the strictly
     decreasing profile score
-    g(s) = 1/s + mean(event log t) - sum t^s log t / sum t^s.
-    Its root in ``WEIBULL_SHAPE_BOUNDS`` is found by Brent's method on
-    the times divided by their geometric mean c (the MLE does not depend
-    on the time unit).  One pass of weighted sums at the root gives the
-    rate, log-likelihood, score and information, mapped back to the data's
-    unit.  Convergence requires the unit-free
-    score (theta dl/dtheta, dl/ds) below 1e-8.  When g does not change
-    sign over ``WEIBULL_SHAPE_BOUNDS`` the shape is pinned at the bound
-    and reported as non-converged.  ``iterations`` counts profile-score
-    evaluations.
+    g(s) = 1/s + mean(event log t) - S1/S0,  g'(s) = -(1/s^2 + S2/S0 - (S1/S0)^2),
+    with S_j = sum t^s (log t)^j.  Its root in ``WEIBULL_SHAPE_BOUNDS`` is
+    found on the times divided by their geometric mean c (the MLE does not
+    depend on the time unit) by Newton steps from s = 1, each kept inside a
+    bracket that the sign of g shrinks and replaced by bisection when it
+    would leave it.  The search stops after a Newton step of at most 1e-8 s,
+    whose error is then of order 1e-16 s, and past ``MAX_WEIBULL_ITER``
+    steps reports a non-converged fit.  One pass of weighted sums at the
+    root gives the rate, log-likelihood, score and information, mapped back
+    to the data's unit.  Convergence requires the unit-free score
+    (theta dl/dtheta, dl/ds) below 1e-8.  When g does not change sign over
+    ``WEIBULL_SHAPE_BOUNDS`` the shape is pinned at the bound and reported
+    as non-converged.  ``iterations`` counts profile-score evaluations.
     """
-    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
-
     if sample.d < 2:
         raise DomainError("need at least two events to estimate (theta, s)")
     lo, hi = WEIBULL_SHAPE_BOUNDS
@@ -227,18 +229,36 @@ def weibull_mle(sample: WeibullSample) -> FitResult:
     event_x = x[sample.event_flags == 1].sum()
 
     def score(s):
-        _, s0, s1, _ = _weibull_sums(x, 0.0, s)
-        return 1.0 / s + event_x / d - s1 / s0
+        """g(s) and g'(s)."""
+        _, s0, s1, s2 = _weibull_sums(x, 0.0, s)
+        m1 = s1 / s0
+        return 1.0 / s + event_x / d - m1, -(1.0 / s**2 + s2 / s0 - m1 * m1)
 
-    g_lo, g_hi = score(lo), score(hi)
+    g_lo, g_hi = score(lo)[0], score(hi)[0]
     iters = 2
     message = ""
     if g_lo <= 0.0 or g_hi >= 0.0:
         s_hat = lo if g_lo <= 0.0 else hi
         message = f"shape estimate pinned at profile boundary [{lo}, {hi}]"
     else:
-        s_hat, root = brentq(score, lo, hi, full_output=True, disp=False)
-        iters += root.function_calls
+        a, b, s_hat = lo, hi, 1.0
+        for _ in range(MAX_WEIBULL_ITER):
+            g, dg = score(s_hat)
+            iters += 1
+            if g > 0.0:
+                a = s_hat
+            else:
+                b = s_hat
+            step = -g / dg
+            # s_hat is an end of [a, b] now, so <= keeps a step that rounds to nothing
+            if not a <= s_hat + step <= b:
+                s_hat = 0.5 * (a + b)
+                continue
+            s_hat += step
+            if abs(step) <= 1e-8 * s_hat:
+                break
+        else:
+            message = f"shape estimate not converged in {MAX_WEIBULL_ITER} steps on the profile score"
     # one pass at the root, at the pivot theta = e^-m for m the weighted mean of x,
     # which the root equates with 1/s_hat + mean(event x): the sums shift from there
     # to the rate theta* without the cancellation of a shift from theta = 1

@@ -1,5 +1,6 @@
 """Birth-death simulation: exactness properties, oracles, hazard estimation."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -105,6 +106,31 @@ def test_onset_threshold_replicates():
 def test_replicates_deterministic():
     spec = BirthDeathSpec(b=1.0, d=1.0, i0=1, t_end=1.0, seed=23)
     assert simulate_replicates(spec, 50) == simulate_replicates(spec, 50)
+
+
+# sha256 of [(index, outcome, time.hex())] of one seeded study, recorded when the
+# records were frozen dataclasses built one by one
+PINNED_STUDIES = {
+    "critical": ((1.0, 1.0, 1, 20.0), 200, None, "efd34d7af7b9457a7dfe0e2bb80067a49b1be204071ec2f10e57f96700b7a3d1"),
+    "subcritical": ((0.5, 1.0, 2, 5.0), 200, None, "8db8a76da1438e2298bc37b51b9cad79ea53d0d6b77c6753fd92be716a4365f5"),
+    "onset": ((1.5, 1.0, 1, 40.0), 120, 100, "155cf472e11c5a72fad7d137f2e3471ffd89b6a5dc7e84e9c9a1d53b91f2c55a"),
+    "pure-death": ((0.0, 1.0, 5, 3.0), 300, None, "3b083e2d112f978416c1c6ce5c31676d0ab6e4804e969db79513bec10729afd8"),
+}
+
+
+@pytest.mark.parametrize("kind", PINNED_STUDIES)
+def test_seeded_studies_are_pinned(kind):
+    (b, d, i0, t_end), n, threshold, digest = PINNED_STUDIES[kind]
+    reps = simulate_replicates(BirthDeathSpec(b, d, i0, t_end, seed=2024), n, threshold=threshold)
+    records = repr([(r.index, r.outcome, r.time.hex()) for r in reps])
+    assert hashlib.sha256(records.encode()).hexdigest() == digest
+    assert repr(reps[0]).startswith("Replicate(index=0, outcome=")
+
+
+def test_seeded_trajectory_is_pinned():
+    traj = simulate_bd(BirthDeathSpec(1.2, 1.0, 3, 10.0, seed=2024))
+    digest = hashlib.sha256(traj.times.tobytes() + traj.populations.tobytes()).hexdigest()
+    assert (traj.times.size, digest) == (418, "5bba50b64d1bb77c89be59b13208a24537e00e824d317202449d1c2a8602764e")
 
 
 @pytest.mark.parametrize(
@@ -329,6 +355,18 @@ def test_empirical_hazard_rejects_empty():
         empirical_hazard([], bins=3)
 
 
+@pytest.mark.parametrize("bins", [2.5, math.nan, 0])
+def test_empirical_hazard_rejects_non_integer_bins(bins):
+    with pytest.raises(DomainError, match="bins"):
+        empirical_hazard([0.5, 1.0], bins=bins)
+
+
+def test_empirical_hazard_takes_numpy_integer_bins():
+    mids, rates = empirical_hazard([0.5, 1.0, 2.5], bins=np.int64(3), t_range=(0.0, 3.0))
+    np.testing.assert_allclose(mids, [0.5, 1.5, 2.5])
+    np.testing.assert_allclose(rates, [1 / 3, 0.5, 1.0])
+
+
 # -- power-law hazard fit ---------------------------------------------------------
 
 def test_ad_fit_reduces_to_exponential_mle():
@@ -359,3 +397,6 @@ def test_ad_fit_validation():
     for bad in (math.inf, math.nan):
         with pytest.raises(DomainError, match="finite"):
             ad_hazard_fit([1.0, bad], k=2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="lag t0 must be finite"):
+            ad_hazard_fit([1.0, 2.0], k=2, t0=bad)

@@ -8,9 +8,11 @@ import pytest
 from scipy import stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import least_squares, minimize_scalar
+from scipy.optimize import brentq, least_squares, minimize_scalar
 
 import bioassay as ba
+from bioassay import fitting
+from bioassay.birthdeath import BirthDeathSpec, simulate_replicates
 from bioassay.exceptions import DomainError, SeparationError
 from bioassay.fisher import WeibullSample, weibull_observed_info
 from bioassay.fitting import (
@@ -190,6 +192,52 @@ def test_weibull_functions_finite_at_a_large_unit_fit():
     np.testing.assert_allclose(info, ref_info, rtol=1e-10)
     assert ll + sample.d * math.log(c) == pytest.approx(ref_ll, rel=1e-10)
     assert star * c == pytest.approx(ref_star, rel=1e-10)
+
+
+def _replicate_study_samples():
+    # the three seeded studies of the benchmark, analysed as it does
+    samples = []
+    for (b, d, i0, t_end), n, threshold in [
+        ((1.0, 1.0, 1, 20.0), 200, None),
+        ((0.5, 1.0, 2, 5.0), 200, None),
+        ((1.5, 1.0, 1, 40.0), 120, 100),
+    ]:
+        for seed in range(5):
+            reps = simulate_replicates(BirthDeathSpec(b, d, i0, t_end, seed=seed), n, threshold=threshold)
+            event = "onset" if threshold else "extinct"
+            flags = [int(r.outcome == event) for r in reps]
+            samples.append(WeibullSample([r.time for r in reps], flags))
+    return samples
+
+
+def _profile_score_root(sample):
+    """Oracle: Brent's root of the profile score, written out on the times
+    over their geometric mean, to near machine precision."""
+    x = np.log(sample.times) - np.log(sample.times).mean()
+    event_mean = x[sample.event_flags == 1].sum() / sample.d
+
+    def g(s):
+        w = np.exp(s * x - (s * x).max())
+        return 1.0 / s + event_mean - (w @ x) / w.sum()
+
+    return brentq(g, 0.05, 50.0, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+
+def test_weibull_mle_newton_matches_brentq_oracle():
+    large_unit = WeibullSample.all_events(np.random.default_rng(0).weibull(35, 200) * 1e9)
+    samples = _censored_weibull_samples(17, 100) + [large_unit] + _replicate_study_samples()
+    for sample in samples:
+        fit = weibull_mle(sample)
+        assert fit.converged, fit.message
+        assert fit.iterations <= 12
+        assert fit.theta_hat[1] == pytest.approx(_profile_score_root(sample), rel=1e-12, abs=0)
+
+
+def test_weibull_mle_reports_the_step_cap(monkeypatch):
+    monkeypatch.setattr(fitting, "MAX_WEIBULL_ITER", 2)
+    fit = weibull_mle(_censored_weibull_samples(17, 1)[0])
+    assert not fit.converged and fit.iterations == 4
+    assert "not converged in 2 steps" in fit.message
 
 
 # -- Gauss-Newton least squares ---------------------------------------------------
