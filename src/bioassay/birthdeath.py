@@ -37,7 +37,7 @@ __all__ = [
 MAX_POPULATION = 100_000_000  # cells past which a clone stops as truncated (explosion guard)
 MAX_TRAJECTORY_EVENTS = 10_000_000  # recorded events of one trajectory (memory guard)
 MAX_REPLICATE_STEPS = 200_000_000  # steps drawn by one call, over all clones (time guard)
-MAX_REPLICATES = 1_000_000  # clones of one replicate study, at about 200 bytes each (memory guard)
+MAX_REPLICATES = 1_000_000  # clones of one replicate study, at about 160 bytes each (memory guard)
 _BLOCK_CELLS = 1 << 16  # steps drawn per block, over all running clones
 
 _RUNNING, _CENSORED, _EXTINCT, _ONSET, _TRUNCATED = range(5)
@@ -97,12 +97,18 @@ def _run(spec: BirthDeathSpec, n: int, threshold: int | None, record: bool = Fal
     """Exact jump chains of ``n`` independent clones, drawn in blocks of steps.
 
     Each block draws k birth/death steps and k unit exponentials for every
-    running clone; populations and event times are cumulative sums, and a
-    clone stops at its first step that lies past t_end (censored, the step
-    is not taken), empties the clone (extinct), reaches ``threshold``
-    (onset) or exceeds ``MAX_POPULATION`` (truncated), in that precedence.
-    Clones still running carry their last (t, pop) into the next block.
-    Drawing more than ``MAX_REPLICATE_STEPS`` steps raises NotConvergedError.
+    running clone.  The populations live in one int64 path array of shape
+    (m, k + 1): column 0 holds each clone's start population, the others
+    its steps 2 birth - 1, and one in-place cumulative sum turns it into
+    the path, so the populations after each step and before it are two
+    views of it.  Event times are the cumulative sums of the exponentials
+    over i (b + d) at the population before each step.  A clone stops at
+    its first step that lies past t_end (censored, the step is not taken),
+    empties the clone (extinct), reaches ``threshold`` (onset) or exceeds
+    ``MAX_POPULATION`` (truncated), in that precedence; one ``argmax`` over
+    the block's stop mask finds that step.  Clones still running carry
+    their last (t, pop) into the next block.  Drawing more than
+    ``MAX_REPLICATE_STEPS`` steps raises NotConvergedError.
     Returns the stop times (t_end when censored) and outcome codes; with
     ``record`` (n = 1) also the event times and populations from (0, i0).
     """
@@ -118,6 +124,8 @@ def _run(spec: BirthDeathSpec, n: int, threshold: int | None, record: bool = Fal
     if threshold is not None and spec.i0 >= threshold:
         state[:] = _ONSET
     times_rec, pops_rec = [np.zeros(1)], [pop[:1].copy()]
+    # the first population that stops a clone from above: onset or truncation
+    ceiling = MAX_POPULATION + 1 if threshold is None else min(threshold, MAX_POPULATION + 1)
     events = drawn = 0
     live = np.flatnonzero(state == _RUNNING)
     k = 16
@@ -129,21 +137,24 @@ def _run(spec: BirthDeathSpec, n: int, threshold: int | None, record: bool = Fal
         if drawn > MAX_REPLICATE_STEPS:
             raise _step_budget_error(spec, n)
         rows = np.arange(m)
-        pops = pop[live, None] + np.where(rng.random((m, width)) < p_birth, 1, -1).cumsum(axis=1)
-        before = np.empty_like(pops)
-        before[:, 0] = pop[live]
-        before[:, 1:] = pops[:, :-1]
+        # one path per clone: its start population, then its +-1 steps summed in place
+        path = np.empty((m, width + 1), dtype=np.int64)
+        path[:, 0] = pop[live]
+        birth = (rng.random((m, width)) < p_birth).view(np.int8)
+        np.subtract(birth + birth, 1, out=path[:, 1:])  # 2 birth - 1, cast up from int8
+        np.cumsum(path, axis=1, out=path)
+        pops, before = path[:, 1:], path[:, :-1]
         # columns past a row's stop can divide by a zero or negative population
         with np.errstate(divide="ignore", invalid="ignore"):
-            dt = rng.standard_exponential((m, width)) / (before * total)
-            dt[:, 0] += t[live]
-            times = dt.cumsum(axis=1)
+            times = rng.standard_exponential((m, width))
+            times /= before * total
+            times[:, 0] += t[live]
+            np.cumsum(times, axis=1, out=times)
             late = times > spec.t_end
-        stop = late | (pops == 0) | (pops > MAX_POPULATION)
-        if threshold is not None:
-            stop |= pops >= threshold
-        stopped = stop.any(axis=1)
-        col = np.where(stopped, stop.argmax(axis=1), width - 1)
+        stop = late | (pops == 0) | (pops >= ceiling)
+        col = stop.argmax(axis=1)  # 0 for a row with no stop, where stop[row, 0] is False
+        stopped = stop[rows, col]
+        col[~stopped] = width - 1
         censored = late[rows, col]
         t_new, p_new = times[rows, col], pops[rows, col]
         code = np.where(stopped, _TRUNCATED, _RUNNING).astype(np.int8)
@@ -207,9 +218,12 @@ def simulate_replicates(
     draws more than ``MAX_REPLICATE_STEPS`` steps over all clones raises
     NotConvergedError (time guard).  A study of more than
     ``MAX_REPLICATES`` clones raises DomainError before it allocates
-    anything (memory guard): at its peak a call holds about 200 bytes per
-    clone (the clone's state, its share of the first block of steps and
-    its Replicate), so the cap bounds it near 200 MB.
+    anything (memory guard).  At its peak a call holds about 160 bytes per
+    clone: 136 for the returned Replicate (the tuple, its index and time
+    objects and its list slot), the rest the clone's running state and its
+    share of the kernel's first block, one step wide past 2^16 clones (the
+    kernel alone peaks near 95 bytes a clone there, tracemalloc at 10^5
+    and 4 x 10^5 clones).  The cap bounds a call near 160 MB.
     """
     if n_replicates < 1:
         raise DomainError("n_replicates must be >= 1")
@@ -253,7 +267,9 @@ def ad_hazard_fit(event_times, k: int, t0: float = 0.0) -> float:
 
     The implied cumulative hazard c*(t-t0)^k / k gives the closed form
     c = n*k / sum (t_i - t0)^k; with k = 1 this is the exponential-rate MLE.
-    The event times must be finite.
+    The event times must be finite.  Where the sum or the rate leaves the
+    float range (a large k on times far from 1 after the lag), DomainError
+    is raised instead of a rate of 0 or inf.
     """
     times = np.asarray(event_times, dtype=float)
     if times.size == 0:
@@ -266,4 +282,10 @@ def ad_hazard_fit(event_times, k: int, t0: float = 0.0) -> float:
         raise DomainError(f"lag t0 must be finite, got {t0}")
     if np.any(times <= t0):
         raise DomainError(f"all event times must exceed the lag t0 = {t0}")
-    return float(times.size * k / np.sum((times - t0) ** k))
+    with np.errstate(over="ignore", divide="ignore"):
+        rate = float(times.size * k / np.sum((times - t0) ** k))
+    if not 0.0 < rate < math.inf:
+        raise DomainError(
+            f"sum of (t - t0)^k leaves the float range at k = {k}: rescale the event times"
+        )
+    return rate

@@ -15,6 +15,7 @@ simulation: from one draw of (x1, x2, y) it fits the full design
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,22 +82,33 @@ def omission_experiment(
     Gaussian regressors with correlation ``rho12``, binary outcomes from
     the logistic mean, deterministic for a fixed seed.  A draw that
     separates is replaced using an incremented sub-seed and counted.
+    ``n`` must be an integer of at least 50, ``beta`` three finite
+    numbers (intercept, exposure, covariate) and ``seed`` an integer
+    >= 0; each is checked before anything is drawn.
     """
-    if n < 50:
-        raise DomainError(f"n must be at least 50, got {n}")
+    if not (isinstance(n, numbers.Integral) and n >= 50):
+        raise DomainError(f"n must be an integer of at least 50, got {n!r}")
     if not -1.0 < rho12 < 1.0:
         raise DomainError(f"rho12 must lie strictly inside (-1, 1), got {rho12}")
-    b0, b1, b2 = (float(v) for v in beta)
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    try:
+        b0, b1, b2 = (float(v) for v in beta)
+    except (TypeError, ValueError):
+        raise DomainError(f"beta must be three numbers (intercept, exposure, covariate), got {beta!r}") from None
+    if not all(math.isfinite(v) for v in (b0, b1, b2)):
+        raise DomainError(f"beta must be finite, got {beta!r}")
     resampled = 0
     for attempt in range(MAX_RESAMPLE + 1):
         rng = np.random.default_rng((int(seed), attempt))
-        z1, z2 = rng.standard_normal(n), rng.standard_normal(n)
-        X = np.column_stack([z1, rho12 * z1 + math.sqrt(1.0 - rho12**2) * z2])  # [x1, x2]
-        eta = b0 + b1 * X[:, 0] + b2 * X[:, 1]
+        x1, z2 = rng.standard_normal(n), rng.standard_normal(n)
+        x2 = rho12 * x1 + math.sqrt(1.0 - rho12**2) * z2
+        eta = b0 + b1 * x1 + b2 * x2
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
         if y.min() == y.max():
             resampled += 1
             continue
+        X = np.array([x1, x2]).T  # [x1, x2], column-major: each column one contiguous draw
         try:
             full = fit_logit(BinaryDataset(X, y))
             restricted = fit_logit(BinaryDataset(X[:, :1], y))

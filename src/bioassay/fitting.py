@@ -90,9 +90,8 @@ class BinaryDataset:
         y = np.asarray(self.y, dtype=float)
         if y.ndim != 1 or y.size == 0 or X.ndim != 2 or X.shape[0] != y.size:
             raise DomainError(f"need a nonempty 1-D y and an (n, k) design X with n = len(y), got {X.shape}")
-        finite = np.isfinite(X).all(axis=0)
-        if not finite.all():
-            raise DomainError(f"column {int(np.argmin(finite))} of X must be finite")
+        if not np.isfinite(X).all():  # one flat pass; the column reduction only names the culprit
+            raise DomainError(f"column {int(np.argmin(np.isfinite(X).all(axis=0)))} of X must be finite")
         if not np.all((y == 0) | (y == 1)):
             raise DomainError("y must be 0/1")
         object.__setattr__(self, "X", X)
@@ -405,19 +404,25 @@ def fit_least_squares(
 
 # -- logistic regression ------------------------------------------------------
 
-def _softplus(eta):
-    """log(1 + e^eta) elementwise, by the formula of ``np.logaddexp(0, eta)``,
-    and the e^-|eta| it is formed from."""
-    e = np.exp(-np.abs(eta))
-    return np.maximum(eta, 0.0) + np.log1p(e), e
+def _softplus(eta, out, e, tmp):
+    """log(1 + e^eta) elementwise into ``out``, by the formula of
+    ``np.logaddexp(0, eta)``, max(eta, 0) + log1p(e^-|eta|); the e^-|eta| it
+    is formed from is left in ``e``.  ``tmp`` is scratch."""
+    np.exp(np.copysign(eta, -1.0, out=e), out=e)  # e^-|eta|
+    np.maximum(eta, 0.0, out=out)
+    out += np.log1p(e, out=tmp)
 
 
-def _logistic(eta, e):
-    """Fitted probabilities 1 / (1 + e^-eta) and their variances p (1 - p),
-    from e = e^-|eta|.  No exponential can overflow, and the variance
-    e / (1 + e)^2 stays positive where 1 - p rounds to 0."""
-    r = 1.0 / (1.0 + e)
-    return np.where(eta >= 0.0, r, e * r), e * r * r
+def _residual_and_weights(y, eta, e, resid, w, tmp):
+    """Residuals y - p of the fitted probabilities p = 1 / (1 + e^-eta) into
+    ``resid`` and their variances p (1 - p) into ``w``, from e = e^-|eta|.
+    No exponential can overflow, and the variance e / (1 + e)^2 stays
+    positive where 1 - p rounds to 0.  e r (r = 1 / (1 + e)) is formed once:
+    it is p where eta < 0 and the variance is e r r.  ``tmp`` is scratch."""
+    r = np.divide(1.0, np.add(e, 1.0, out=tmp), out=tmp)
+    er = np.multiply(e, r, out=resid)
+    np.multiply(er, r, out=w)
+    np.subtract(y, np.where(eta >= 0.0, r, er), out=resid)
 
 
 def fit_logit(data: BinaryDataset) -> FitResult:
@@ -428,13 +433,18 @@ def fit_logit(data: BinaryDataset) -> FitResult:
     Each Newton step halves its length (at most 40 times) until the
     log-likelihood falls by no more than 1e-12.  Every candidate computes
     its linear predictor eta = X beta once; the accepted one carries eta
-    and its softplus log(1 + e^eta) into the next step's fitted
-    probabilities and into the final information matrix.  The line
+    and its softplus log(1 + e^eta) into the next step's residuals y - p
+    and weights and into the final information matrix.  The line
     search compares the term-by-term change
     sum(y (eta_new - eta) - (softplus_new - softplus)), whose rounding
     stays near the size of the change itself; the difference of two
     summed log-likelihoods carries rounding that grows with n and stalls
-    large fits near the optimum.
+    large fits near the optimum.  The fit starts from beta = 0, where
+    every fitted probability is 1/2, its variance 1/4 and the softplus
+    log 2, so the start takes no softplus or logistic pass.  Candidates
+    are written into preallocated length-n buffers, and an accepted one
+    swaps places with the current step's, so no candidate allocates a
+    length-n array.
 
     Raises :class:`SeparationError` when the estimates diverge past
     |beta| = 30 with rising likelihood, and rejects rank-deficient
@@ -451,20 +461,22 @@ def fit_logit(data: BinaryDataset) -> FitResult:
     if y.min() == y.max():
         raise DomainError("both outcome classes must be present")
     XT = np.array([np.ones(data.n), *data.X.T])  # the design transposed, C order: one row per coefficient
-    beta = np.zeros(XT.shape[0])
-    eta = np.zeros(data.n)
-    sp, e = _softplus(eta)
-    p, w = _logistic(eta, e)
-    hess = (XT * w) @ XT.T  # X^T X / 4 at beta = 0: the Gram matrix's rank is the design's
+    hess = (XT * 0.25) @ XT.T  # X^T X / 4 at beta = 0: the Gram matrix's rank is the design's
     if np.linalg.matrix_rank(hess, hermitian=True) < XT.shape[0]:
         raise DomainError("design matrix is rank deficient (constant or collinear covariate)")
+    beta = np.zeros(XT.shape[0])
+    eta = np.zeros(data.n)
+    sp = np.full(data.n, np.log1p(1.0))
+    resid = y - 0.5
+    eta_new, sp_new, e, w, tmp, diff = (np.empty(data.n) for _ in range(6))
+    XTw = np.empty_like(XT)
     converged = False
     iters = 0
     for _ in range(MAX_LOGIT_ITER):
         iters += 1
-        score = XT @ (y - p)
+        score = XT @ resid
         if np.linalg.norm(score) < SCORE_TOL:
-            if np.all(np.abs(y - p) < 1e-6):
+            if np.all(np.abs(resid) < 1e-6):
                 raise SeparationError(
                     "fitted probabilities saturate at the outcomes: the classes are separable"
                 )
@@ -477,18 +489,23 @@ def fit_logit(data: BinaryDataset) -> FitResult:
         # step halving; when no scale passes, the smallest, 2^-40, is taken anyway
         for scale in _LOGIT_SCALES:
             cand = beta + scale * step
-            eta_new = cand @ XT
-            sp_new, e_new = _softplus(eta_new)
-            gain = float(np.sum(y * (eta_new - eta) - (sp_new - sp)))
+            np.matmul(cand, XT, out=eta_new)
+            _softplus(eta_new, sp_new, e, tmp)
+            np.subtract(eta_new, eta, out=diff)
+            diff *= y
+            diff -= np.subtract(sp_new, sp, out=tmp)
+            gain = float(diff.sum())
             if gain >= -1e-12:
                 break
-        beta, eta, sp, e = cand, eta_new, sp_new, e_new
-        if np.max(np.abs(beta)) > 30.0 and gain >= 0.0:
+        beta = cand
+        eta, eta_new = eta_new, eta
+        sp, sp_new = sp_new, sp
+        if np.abs(beta).max() > 30.0 and gain >= 0.0:
             raise SeparationError(
                 "estimates diverging with rising likelihood: complete or quasi-complete separation"
             )
-        p, w = _logistic(eta, e)
-        hess = (XT * w) @ XT.T
+        _residual_and_weights(y, eta, e, resid, w, tmp)
+        hess = np.multiply(XT, w, out=XTw) @ XT.T
 
     info = InfoMatrix(hess)
     return FitResult(

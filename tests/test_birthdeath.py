@@ -127,6 +127,22 @@ def test_seeded_studies_are_pinned(kind):
     assert repr(reps[0]).startswith("Replicate(index=0, outcome=")
 
 
+# the same digest of studies whose first block is narrower than the usual 16 steps:
+# 5000 clones get 13 columns, 70,000 clones (past the 2^16 cells of a block) one
+PINNED_NARROW_STUDIES = {
+    "5000-clones": ((1.5, 1.0, 1, 3.0), 5000, 20, "4976fb074e4da2187056dad0deb3c51d9652be67aede996a08847f603d8e20a3"),
+    "70000-clones": ((1.0, 1.0, 1, 0.5), 70_000, None, "53b69944196b4f2cd1a1ec9a08617f228a82af500a81442a477c2c95ed08a5fc"),
+}
+
+
+@pytest.mark.parametrize("kind", PINNED_NARROW_STUDIES)
+def test_narrow_first_block_studies_are_pinned(kind):
+    (b, d, i0, t_end), n, threshold, digest = PINNED_NARROW_STUDIES[kind]
+    reps = simulate_replicates(BirthDeathSpec(b, d, i0, t_end, seed=2024), n, threshold=threshold)
+    records = repr([(r.index, r.outcome, r.time.hex()) for r in reps])
+    assert hashlib.sha256(records.encode()).hexdigest() == digest
+
+
 def test_seeded_trajectory_is_pinned():
     traj = simulate_bd(BirthDeathSpec(1.2, 1.0, 3, 10.0, seed=2024))
     digest = hashlib.sha256(traj.times.tobytes() + traj.populations.tobytes()).hexdigest()
@@ -257,7 +273,7 @@ def test_replicate_step_budget_checked_before_allocating(monkeypatch):
 
 
 def test_replicate_cap_checked_before_allocating(monkeypatch):
-    # a study of more clones than the cap raises before its ~200 bytes per clone are allocated
+    # a study of more clones than the cap raises before its ~160 bytes per clone are allocated
     monkeypatch.setattr(birthdeath, "MAX_REPLICATES", 1000)
     spec = BirthDeathSpec(b=1.0, d=1.0, seed=1)
     tracemalloc.start()
@@ -400,3 +416,11 @@ def test_ad_fit_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="lag t0 must be finite"):
             ad_hazard_fit([1.0, 2.0], k=2, t0=bad)
+
+
+@pytest.mark.parametrize("times", [[2.0, 3.0], [0.2, 0.3]], ids=["sum-overflows", "sum-underflows"])
+def test_ad_fit_rejects_sums_outside_the_float_range(times):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="leaves the float range"):
+            ad_hazard_fit(times, k=1000)

@@ -1,5 +1,6 @@
 """Efficiency formula, classification, and the omission experiment."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -122,6 +123,33 @@ def test_omission_experiment_pinned_results(seed, monkeypatch):
     assert iterations == want_iterations
 
 
+# sha256 over float.hex of the five results, then of each fit's theta_hat, objective
+# and info entries, with the redraw count and both fits' iterations
+PINNED_OMISSION_FITS = {
+    4: "86a9f7b7e61aef3970f147458a6343e8bbb09191f088972fce8d070dcd4f8532",
+    5: "9677498a2a111146a6a0c86096d4beaf29abaa611979c855e75b71e305d94eb0",
+    6: "17e30aa065244f703938823f23cc7270366f72382f31fbc0c5285939ff8c219a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_OMISSION_FITS))
+def test_omission_experiment_fits_are_bit_pinned(seed, monkeypatch):
+    fits = []
+
+    def recording_fit_logit(data):
+        fit = fit_logit(data)
+        fits.append(fit)
+        return fit
+
+    monkeypatch.setattr(covariates, "fit_logit", recording_fit_logit)
+    res = omission_experiment(5000, (-0.3, 0.7, 0.9), 0.5, seed)
+    values = [res.beta1_full, res.beta1_restricted, res.var_ratio, res.se_full, res.se_restricted]
+    for fit in fits:
+        values += [*fit.theta_hat, fit.objective, *fit.info.entries.ravel()]
+    text = repr(([float(v).hex() for v in values], res.resampled, [fit.iterations for fit in fits]))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_OMISSION_FITS[seed]
+
+
 def test_omission_experiment_null_covariate_agrees():
     res = omission_experiment(5000, (0.1, 0.7, 0.0), rho12=0.0, seed=17)
     assert abs(res.beta1_full - res.beta1_restricted) < 3 * res.se_full
@@ -132,6 +160,25 @@ def test_omission_experiment_validates_inputs():
         omission_experiment(10, (0.0, 1.0, 1.0), rho12=0.0, seed=1)
     with pytest.raises(DomainError, match="rho12"):
         omission_experiment(100, (0.0, 1.0, 1.0), rho12=1.0, seed=1)
+
+
+@pytest.mark.parametrize(
+    "n, beta, seed, match",
+    [
+        (100, (math.nan, 1.0, 1.0), 1, "beta must be finite"),
+        (100, (0.0, 1.0), 1, "beta must be three numbers"),
+        (100.5, (0.0, 1.0, 1.0), 1, "n must be an integer"),
+        (100, (0.0, 1.0, 1.0), -1, "seed must be an integer >= 0"),
+    ],
+    ids=["non-finite-beta", "short-beta", "non-integer-n", "negative-seed"],
+)
+def test_omission_experiment_rejects_inputs_before_drawing(n, beta, seed, match, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before validating")
+
+    monkeypatch.setattr(covariates.np.random, "default_rng", no_draw)
+    with pytest.raises(DomainError, match=match):
+        omission_experiment(n, beta, rho12=0.0, seed=seed)
 
 
 def test_omission_experiment_counts_separated_redraws():
