@@ -19,6 +19,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 import warnings
 
@@ -289,13 +290,11 @@ def cmd_curves(args) -> int:
     if args.format == "svg":
         _write_out(_render_svg(grid, series), args.out)
         return 0
-    lines = ["u," + ",".join(model_id for model_id, _vals in series)]
-    for i, x in enumerate(grid):
-        cells = [_fmt(x)]
-        for (_model_id, vals), mask in zip(series, masks):
-            # clipped grid points stay empty; computed values print as-is
-            cells.append(_fmt(vals[i]) if mask[i] else "")
-        lines.append(",".join(cells))
+    columns = [list(map(_fmt, grid.tolist()))]
+    for (_model_id, vals), mask in zip(series, masks):
+        # clipped grid points stay empty; computed values print as-is
+        columns.append([_fmt(v) if ok else "" for v, ok in zip(vals.tolist(), mask.tolist())])
+    lines = ["u," + ",".join(model_id for model_id, _vals in series), *map(",".join, zip(*columns))]
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -305,23 +304,20 @@ def cmd_curves(args) -> int:
 def cmd_lp(args) -> int:
     theta = _parse_theta(args.theta)
     query = PercentileQuery(args.model, tuple(theta), args.p, risk_type=args.risk)
-    out = {
-        "model": args.model,
-        "p": args.p,
-        "risk_type": resolve_query(query)[2],
-        "Lp": percentile(query),
-        "vsd": None,
-        "confidence": args.confidence,
-    }
+    out = {"model": args.model, "p": args.p}
     if args.fit:
+        get_model(args.model).check_theta(theta)  # --theta is still checked, though the fit supersedes it
         report = _read_json(args.fit)
         try:
             fit = FitResult.from_dict(report)
         except DomainError as exc:
             raise DomainError(f"{args.fit}: {exc}") from None
         confidence = args.confidence if args.confidence is not None else 0.975
+        # the percentile, its risk scale and the bound all come from the fitted parameters
         res = vsd_upper_limit(query, fit, confidence)
-        out.update({"Lp": res.lp, "vsd": res.vsd, "confidence": confidence, "vsd_method": res.method})
+        out.update(risk_type=res.risk_type, Lp=res.lp, vsd=res.vsd, confidence=confidence, vsd_method=res.method)
+    else:
+        out.update(risk_type=resolve_query(query)[2], Lp=percentile(query), vsd=None, confidence=args.confidence)
     _write_out(json.dumps(out, indent=2) + "\n", args.out)
     return 0
 
@@ -412,7 +408,7 @@ def cmd_simulate_bd(args) -> int:
     else:
         traj = simulate_bd(spec)
         lines = ["t,population"]
-        lines += [f"{_fmt(t)},{p}" for t, p in zip(traj.times, traj.populations)]
+        lines += [f"{_fmt(t)},{p}" for t, p in zip(traj.times.tolist(), traj.populations.tolist())]
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -502,8 +498,20 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _glue_negative_values(argv) -> list[str]:
+    """``--theta -2,1.5`` as ``--theta=-2,1.5``: argparse reads a value that
+    starts with a minus sign, a lone number aside, as a flag of its own."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--theta", "--grid", "--at") and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (DomainError, UnknownModelError, CsvError, OSError, UnicodeDecodeError) as exc:

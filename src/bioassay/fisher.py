@@ -70,6 +70,8 @@ class InfoMatrix:
         """The slots not in ``frozen`` and the information of those alone: a frozen
         slot (an integer such as a hit count) has a zero gradient, so a zero row."""
         free = [i for i in range(self.p) if i not in frozen]
+        if not frozen:
+            return free, self
         return free, InfoMatrix(self.entries[np.ix_(free, free)])
 
 

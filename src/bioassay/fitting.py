@@ -21,7 +21,7 @@ import numpy as np
 from .exceptions import DomainError, SeparationError
 from .fisher import InfoMatrix, WeibullSample, _weibull_sample_terms, _weibull_sums, _weibull_terms
 from .models import REGISTRY, evaluate, get_model
-from .models.base import ModelDef, as_theta
+from .models.base import ModelDef, ParamSpec, as_theta
 
 __all__ = [
     "RegressionDataset",
@@ -44,7 +44,7 @@ MAX_GN_ITER = 500  # Gauss-Newton iterations of one least-squares fit
 MAX_LOGIT_ITER = 100  # Newton iterations of one logistic fit
 MAX_WEIBULL_ITER = 100  # Newton or bisection steps on the profile score of one Weibull fit
 WEIBULL_SHAPE_BOUNDS = (0.05, 50.0)  # bracket of the Weibull profile-score root
-_HALVINGS = 0.5 ** np.arange(25)  # Gauss-Newton step scales 1, 1/2, ..., 2^-24
+_HALVINGS = tuple(0.5**k for k in range(25))  # Gauss-Newton step scales 1, 1/2, ..., 2^-24
 # plain Gauss-Newton first, then Levenberg damping 1e-3, 1e-2, ..., 1e8 (tenfold on failure)
 _DAMPING = (0.0, *itertools.accumulate(itertools.repeat(10.0, 11), operator.mul, initial=1e-3))
 _LOGIT_SCALES = 0.5 ** np.arange(41)  # Newton logit step scales 1, 1/2, ..., 2^-40
@@ -297,13 +297,15 @@ def fit_least_squares(
     integer slots always bind.  Each iteration solves the normal equations
     on the other slots; a singular or unusable solve falls back to
     Levenberg damping (lambda from 1e-3, tenfold on failure).  The step is
-    halved until the SSE does not increase, each candidate clipped to the
-    closed bounds and filtered by the strict ones (Bertsekas 1982), so a
-    fit on a bound lands there instead of crawling toward it.  The fit
-    converges when the norm of the projected gradient (binding slots
-    zeroed) falls below ``SCORE_TOL`` or the relative SSE drop below
-    ``SSE_REL_TOL``; persistent singularity yields a non-converged report.
-    ``active_bounds`` lists the binding slots at the estimate.
+    halved until the SSE does not increase, each candidate, formed one at a
+    time, clipped to the closed bounds and tested by ``check_theta``'s rule,
+    :meth:`ParamSpec.admits` (Bertsekas 1982), so a fit on a bound lands
+    there instead of crawling toward it.  The fit converges when the norm
+    of the projected gradient (binding slots zeroed) falls below
+    ``SCORE_TOL`` or the relative SSE drop below ``SSE_REL_TOL``;
+    persistent singularity yields a non-converged report.  ``active_bounds``
+    lists the binding slots at the estimate.  The iterates depend on the
+    bits of the C-ordered (n, p) Jacobian of ``grad``.
     """
     m = get_model(model)
     theta = m.check_theta(theta0)
@@ -314,6 +316,7 @@ def fit_least_squares(
     frozen[list(m.frozen_slots)] = True
     free = np.flatnonzero(~frozen)
     box = m.closed_box(p)
+    specs = m.param_specs(p)
     # inputs are validated once here; the iterations call fn/grad directly
     u = m.check_input(data.u)
 
@@ -344,7 +347,7 @@ def fit_least_squares(
                 bind = frozen | binding(theta, grad)
                 grad[bind] = 0.0
                 free = np.flatnonzero(~bind)
-            if np.linalg.norm(2.0 * grad) < SCORE_TOL:
+            if 2.0 * math.sqrt(grad @ grad) < SCORE_TOL:  # the bits of np.linalg.norm(2 grad)
                 converged = True
                 break
             ja = jac[:, free]
@@ -361,14 +364,16 @@ def fit_least_squares(
                 if not np.isfinite(step_a).all():
                     continue
                 step[free] = step_a
-                # step halving; candidates outside the domain are skipped in one test
-                cands = theta + _HALVINGS[:, None] * step
-                if box is not None:
-                    cands = np.clip(cands, *box)
-                for cand in cands[m.admits(cands)]:
+                # step halving; candidates outside the domain are skipped
+                for h in _HALVINGS:
+                    cand = theta + h * step
+                    if box is not None:
+                        cand = np.clip(cand, *box)
+                    if not all(map(ParamSpec.admits, specs, cand.tolist())):
+                        continue
                     r_new = residuals(cand)
                     sse_new = float(r_new @ r_new)
-                    if np.isfinite(sse_new) and sse_new <= sse:
+                    if math.isfinite(sse_new) and sse_new <= sse:
                         improved = True
                         break
                 if improved:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .exceptions import DomainError, UnattainableRiskError
 from .fitting import FitResult
-from .models import evaluate, get_model, gradient
+from .models import get_model
 from .models.base import ModelDef
 
 __all__ = [
@@ -74,7 +74,9 @@ def resolve_query(query: PercentileQuery):
     if m.family != "dose-response-cdf":
         raise DomainError(f"percentiles are defined for dose-response curves, not {m.id}")
     theta = m.check_theta(query.theta)
-    f0 = evaluate(m, 0.0, theta) if m.input_low is not None else 0.0
+    # theta is checked and dose 0 lies in every dose-scale domain: fn needs no second check
+    with np.errstate(over="ignore", under="ignore"):
+        f0 = float(m.fn(0.0, theta)) if m.input_low is not None else 0.0
     risk = query.risk_type
     if risk is None:
         risk = "extra" if f0 > 0.0 else "total"
@@ -171,13 +173,13 @@ def percentile_gradient(query: PercentileQuery) -> np.ndarray:
 
 
 def _lp_gradient(m: ModelDef, theta: np.ndarray, risk: str, p: float, lp: float) -> np.ndarray:
-    g_l = gradient(m, lp, theta)
+    g_l = m.finite_grad(lp, theta)
     slope = _dose_slope(m, theta, lp)
     if slope <= 0:
         raise DomainError("dose-response slope vanishes at the percentile")
     if risk == "extra" and m.input_low is not None:
         # background correction: grad F(0) need not vanish where F(0) does
-        g_l = g_l - (1.0 - p) * gradient(m, 0.0, theta)
+        g_l = g_l - (1.0 - p) * m.finite_grad(0.0, theta)
     return -g_l / slope
 
 

@@ -14,6 +14,8 @@ arrays give arrays of the same leading shape.  Two-input models
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,16 +57,20 @@ class ParamSpec:
     strict: bool = True
     integer: bool = False
 
-    def admits(self, values) -> np.ndarray:
-        """Elementwise: which values :meth:`check` accepts, without raising."""
-        ok = np.isfinite(values)
-        if self.integer:
-            ok &= values == np.trunc(values)
-        if self.low is not None:
-            ok &= (values > self.low) if self.strict else (values >= self.low)
-        if self.high is not None:
-            ok &= (values < self.high) if self.strict else (values <= self.high)
-        return ok
+    @functools.cached_property
+    def interval(self) -> tuple[float, float]:
+        """The open interval (lo, hi) of exactly the values the bounds admit: a closed
+        bound b enters as the float next to it, outside (v >= b just when v >
+        nextafter(b, -inf)), a missing one as an infinity, which keeps out inf and nan."""
+        lo = -math.inf if self.low is None else self.low if self.strict else math.nextafter(self.low, -math.inf)
+        hi = math.inf if self.high is None else self.high if self.strict else math.nextafter(self.high, math.inf)
+        return lo, hi
+
+    def admits(self, value: float) -> bool:
+        """Whether :meth:`check` accepts ``value``: the one admission rule, for
+        ``check_theta``, :meth:`ModelDef.admits` and the least-squares fit alike."""
+        lo, hi = self.interval
+        return lo < value < hi and (not self.integer or value.is_integer())
 
     def check(self, value: float, index: int, model_id: str) -> None:
         """Raise DomainError, naming the slot and the rule, where
@@ -89,8 +95,8 @@ class ModelDef:
     arguments, and both are defined on the one input domain of
     :meth:`admits_input`: where a power of u multiplying ln u vanishes at
     u = 0, ``grad`` floors the log's argument and so returns the limit.
-    ``grad`` returns shape ``(arity,)`` for a scalar input and ``(n, arity)``
-    for an array of inputs.  ``params`` is None for
+    ``grad`` returns shape ``(arity,)`` for a scalar input and a C-ordered ``(n, arity)``
+    array for n inputs: least-squares iterates depend on its bits.  ``params`` is None for
     variadic models (polynomial-exponent families), in which case
     ``variadic_param`` describes every slot.  ``inverse(target, theta)``,
     where set, is the closed-form dose at which ``fn`` reaches ``target``.
@@ -141,10 +147,9 @@ class ModelDef:
         return theta
 
     def admits(self, thetas: np.ndarray) -> np.ndarray:
-        """Which rows of ``thetas`` (k x p) :meth:`check_theta` accepts: the cheap
-        test for a batch of line-search candidates, most of them outside the domain."""
+        """Which rows of ``thetas`` (k x p) :meth:`check_theta` accepts."""
         specs = self.param_specs(thetas.shape[-1])
-        return np.logical_and.reduce([spec.admits(thetas[..., i]) for i, spec in enumerate(specs)])
+        return np.array([all(map(ParamSpec.admits, specs, row)) for row in thetas.tolist()], dtype=bool)
 
     def closed_box(self, p: int):
         """The closed bounds (lo, hi) of the ``p`` parameter slots, -inf/inf where a

@@ -80,11 +80,10 @@ def _weibull_cdf(x, th):
 def _weibull_cdf_grad(x, th):
     theta, s = th
     z = theta * x
-    e = np.exp(-(z**s))
+    zs = z**s
+    e = np.exp(-zs)
     # z^s ln z -> 0 at z = 0; the floor 5e-324, the least positive double, leaves z > 0 as is
-    return np.stack(
-        [s * theta ** (s - 1.0) * x**s * e, (z**s) * np.log(np.maximum(z, 5e-324)) * e], axis=-1
-    )
+    return np.stack([s * theta ** (s - 1.0) * x**s * e, zs * np.log(np.maximum(z, 5e-324)) * e], axis=-1)
 
 def _weibull_cdf_inverse(target, th):
     return (-math.log1p(-target)) ** (1.0 / th[1]) / th[0]
@@ -97,9 +96,13 @@ def _multistage(x, th):
 
 def _multistage_grad(x, th):
     x = np.asarray(x, dtype=float)
-    powers = x[..., None] ** np.arange(len(th))
     e = np.exp(-np.polynomial.polynomial.polyval(x, th))
-    return e[..., None] * powers
+    # column j is x^j e, one C-ordered column at a time: broadcasting x against the
+    # stage powers would loop over the few stages innermost, several times slower
+    out = np.empty(x.shape + (len(th),))
+    for j in range(len(th)):
+        out[..., j] = e * x**j
+    return out
 
 
 # -- tolerance-distribution curves ----------------------------------------

@@ -1,7 +1,9 @@
 """Command-line surface: schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import pytest
 import bioassay as ba
 from bioassay import birthdeath, cli
 from bioassay.cli import CURVE_GALLERY, CsvError, main
+from bioassay.fitting import FitResult
+from bioassay.lowdose import PercentileQuery, vsd_upper_limit
 
 from conftest import run_python
 
@@ -287,6 +291,28 @@ def test_curves_svg_points_follow_the_axes(capsys):
             assert pt == "%.17g,%.17g" % (sx, sy)
 
 
+GALLERY_DIGESTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "gallery.sha256.json")
+
+
+def test_curves_gallery_stdout_is_pinned(capsys):
+    # the stored digests of the benchmark's curve checks: every gallery CSV and one SVG, byte for byte
+    with open(GALLERY_DIGESTS, encoding="utf-8") as fh:
+        digests = json.load(fh)
+    runs = [(",".join(config), ()) for config in CURVE_GALLERY] + [("janoschek,bertalanffy", ("--format", "svg"))]
+    for models, flags in runs:
+        code, out, _ = run_cli(capsys, "curves", "--model", models, *flags)
+        assert code == 0
+        key = models + (" svg" if flags else "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[key], key
+
+
+def test_curves_clipped_cells_are_pinned(capsys):
+    code, out, err = run_cli(capsys, "curves", "--model", "exp-time-power,tanh", "--grid=-1:5:20")
+    assert code == 0 and err.count("clipped") == 1
+    assert out.split("\n")[1:3] == ["-1,,0.035972419924183097", "-0.68421052631578949,,0.066594190383652552"]
+    assert hashlib.sha256(out.encode()).hexdigest() == "2249ceefad86fbe8b7025cf6274a7cd8f8d055c0294d567c8fac8a1d0d5c08bd"
+
+
 def test_curves_grid_clipped_with_warning(capsys):
     code, out, err = run_cli(capsys, "curves", "--model", "exp-time-power", "--grid=-1:5:20")
     assert code == 0
@@ -331,6 +357,29 @@ def test_lp_with_fit_produces_vsd(tmp_path, capsys):
     assert report["vsd"] is not None
     assert report["vsd"] < report["Lp"]
     assert report["vsd_method"] == "delta"
+
+
+def test_lp_fit_takes_the_risk_scale_from_the_fit(tmp_path, capsys, monkeypatch):
+    # --theta has no background (total risk), the fitted q0 = 0.02 has one (extra risk)
+    theta_hat = [0.02, 0.3, 0.2]
+    info = ba.fisher.total_info("multistage", np.linspace(0.0, 3.0, 20), theta_hat, 1e-4)
+    fit = FitResult(np.array(theta_hat), 0.0, 1e-4, info, True, 5, model="multistage")
+    fit_path = tmp_path / "fit.json"
+    fit_path.write_text(json.dumps(fit.to_dict()))
+    monkeypatch.setattr(cli, "percentile", None)  # the percentile at --theta is not solved
+    code, out, _ = run_cli(
+        capsys, "lp", "--model", "multistage", "--theta", "0,0.3,0.2", "--p", "0.01", "--fit", str(fit_path)
+    )
+    assert code == 0
+    report = json.loads(out)
+    want = vsd_upper_limit(PercentileQuery("multistage", (0.0, 0.3, 0.2), 0.01), fit, 0.975)
+    assert want.risk_type == "extra"
+    assert (report["risk_type"], report["Lp"], report["vsd"]) == ("extra", want.lp, want.vsd)
+    # --theta is still checked
+    code, out, err = run_cli(
+        capsys, "lp", "--model", "multistage", "--theta", "-1,0.3,0.2", "--p", "0.01", "--fit", str(fit_path)
+    )
+    assert (code, out) == (2, "") and "theta[0]" in err
 
 
 @pytest.mark.parametrize(
@@ -386,6 +435,37 @@ def test_eff_command(capsys):
     report = json.loads(out)
     assert report["eff"] == 1.0
     assert report["class"] == "unity"
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        (("lp", "--model", "logit-cdf", "--theta", "-2,1.5", "--p", "0.01"), '"Lp": '),
+        (("curves", "--model", "tanh", "--grid", "-1:5:20"), "-1,"),
+        (("fisher", "--model", "logit-cdf", "--theta", "-2,1.5", "--grid", "-1:1:5"), '"info": '),
+        (("fisher", "--model", "logit-cdf", "--theta", "-2,1.5", "--at", "-1,2"), '"design": [\n    -1.0,'),
+        (("fisher", "--model", "logit-cdf", "--theta", "-2,1.5", "--at", "-.5"), '"design": [\n    -0.5'),
+    ],
+    ids=["theta", "grid", "fisher-grid", "at", "at-leading-point"],
+)
+def test_list_values_may_start_with_a_minus_sign(capsys, argv, expect):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert expect in out
+    joined = list(argv)  # the same call with every list value written --flag=value
+    for flag in ("--theta", "--grid", "--at"):
+        if flag in joined:
+            i = joined.index(flag)
+            joined[i : i + 2] = [f"{flag}={joined[i + 1]}"]
+    assert run_cli(capsys, *joined) == (code, out, err)
+
+
+@pytest.mark.parametrize("flag", ["--theta", "--grid", "--at"])
+def test_list_flag_followed_by_a_flag_exit_2(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["fisher", "--model", "logit-cdf", flag, "--sigma2", "1"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_fisher_command_row_major(capsys):

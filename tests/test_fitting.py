@@ -405,6 +405,29 @@ def test_interior_fits_take_pinned_steps(case, pinned):
     assert (fit.objective.hex(), fit.iterations) == (sse_hex, iterations)
 
 
+# the same record for a fit with a frozen slot (multi-hit's hit count) and one that
+# ends on a closed bound (leaf-response's respiration, theta[2] >= 0, pushed there by
+# the offset); the case adds the point count, the offset and the noise scale
+FROZEN_AND_BOUND_FITS = [
+    (("multi-hit", (3.0, 1.5), (3.0, 1.2), (0.2, 4.0), 60, 0.0, 0.02, 31),
+     (("0x1.8000000000000p+1", "0x1.7cc2321cc372ap+0"), "0x1.19572b73b93fap-6", 5, ())),
+    (("leaf-response", (1.5, 1.0, 0.05), (1.4, 1.1, 0.1), (0.0, 5.0), 25, 0.2, 0.01, 32),
+     (("0x1.31fd69e780cecp+1", "0x1.1e06106738b57p+0", "0x0.0p+0"), "0x1.00a959a81c99dp-5", 7, (2,))),
+]
+
+
+@pytest.mark.parametrize("case, pinned", FROZEN_AND_BOUND_FITS, ids=[c[0][0] for c in FROZEN_AND_BOUND_FITS])
+def test_frozen_and_bound_fits_take_pinned_steps(case, pinned):
+    model, truth, start, (a, b), n, offset, sigma, seed = case
+    xs = np.linspace(a, b, n)
+    y = np.asarray(ba.evaluate(model, xs, truth)) + offset + sigma * np.random.default_rng(seed).standard_normal(n)
+    fit = fit_least_squares(model, RegressionDataset(xs, y), start)
+    theta_hex, sse_hex, iterations, active = pinned
+    assert fit.converged and fit.active_bounds == active
+    assert [v.hex() for v in fit.theta_hat.tolist()] == list(theta_hex)
+    assert (fit.objective.hex(), fit.iterations) == (sse_hex, iterations)
+
+
 def test_least_squares_requires_enough_points():
     with pytest.raises(DomainError, match="at least 2"):
         fit_least_squares("mm", RegressionDataset([1.0], [0.5]), [1.0, 1.0])

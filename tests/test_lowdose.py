@@ -238,3 +238,27 @@ def test_query_validation():
         PercentileQuery("one-hit", (1.0,), 0.5, risk_type="weird")
     with pytest.raises(DomainError, match="dose-response"):
         percentile(PercentileQuery("gompertz", (1.0, 1.0, 1.0), 0.5))
+
+
+# L_p, VSD, se (as float.hex) and risk scale of vsd_upper_limit at p = 0.01, then the
+# percentile gradient, for fits on a closed-form curve and on a bisected one with a frozen slot
+PINNED_BOUNDS = [
+    (("weibull-cdf", (1.0, 1.5), (0.9, 1.7), (0.1, 3.0), 30, 33),
+     (("0x1.697f813fe1665p-5", "0x1.3504bc349590dp-5", "0x1.ac699acd530efp-9", "total"),
+      ("-0x1.6984af1ce9f2ep-5", "0x1.7ea8a1fb5121bp-4"))),
+    (("multi-hit", (3.0, 1.5), (3.0, 1.2), (0.2, 4.0), 60, 31),
+     (("0x1.2c352627f8fe4p-2", "0x1.2980980a3bf56p-2", "0x1.6159d809ea58fp-10", "total"),
+      ("-0x0.0p+0", "-0x1.93af34e54e8a0p-3"))),
+]
+
+
+@pytest.mark.parametrize("case, pinned", PINNED_BOUNDS, ids=[c[0][0] for c in PINNED_BOUNDS])
+def test_vsd_and_percentile_gradient_are_pinned(case, pinned):
+    model, truth, start, (a, b), n, seed = case
+    xs = np.linspace(a, b, n)
+    y = np.asarray(ba.evaluate(model, xs, truth)) + 0.02 * np.random.default_rng(seed).standard_normal(n)
+    fit = fit_least_squares(model, RegressionDataset(xs, y), start)
+    q = PercentileQuery(model, tuple(fit.theta_hat), 0.01)
+    res = vsd_upper_limit(q, fit, 0.975)
+    assert (res.lp.hex(), res.vsd.hex(), res.se.hex(), res.risk_type) == pinned[0]
+    assert tuple(v.hex() for v in percentile_gradient(q).tolist()) == pinned[1]

@@ -351,3 +351,29 @@ def test_vectorized_evaluate_shapes():
     assert vals.shape == (7,)
     g = ba.gradient("mm", xs[1:], [2.0, 1.0])
     assert g.shape == (6, 2)
+
+
+@pytest.mark.parametrize("stages", range(1, 7))
+def test_multistage_gradient_within_2_ulp(stages):
+    # column j is x^j e with e = exp(-polynomial), column 0.  Past 2 ULP the rounding
+    # of the polynomial itself, which exp amplifies, would dominate; so the reference
+    # takes e's exponent, and then e itself, from the double computation and forms
+    # the exponential, powers and products in extended precision
+    x = np.linspace(0.0, 3.0, 10_000)
+    theta = np.random.default_rng(stages).uniform(0.05, 1.0, stages)
+    g = ba.gradient("multistage", x, theta)
+    ld = np.longdouble
+    e = np.exp(-np.polynomial.polynomial.polyval(x, theta).astype(ld))
+    ref = np.column_stack([e, g[:, :1].astype(ld) * x.astype(ld)[:, None] ** np.arange(1, stages)])
+    ulps = np.abs(g - ref) / np.spacing(np.abs(g))
+    assert float(np.max(ulps[:, 0])) <= 1.0
+    assert float(np.max(ulps)) <= 2.0
+
+
+def test_raw_gradients_are_c_contiguous_rows(rng):
+    # the fit's Jacobian layout: one C-ordered row per input point, one column per slot
+    for model in all_models():
+        theta = sample_theta(model, rng)
+        u = np.array([sample_input(model, rng) for _ in range(7)])
+        g = model.grad(u, theta)
+        assert g.shape == (7, theta.size) and g.flags.c_contiguous, model.id
