@@ -276,7 +276,7 @@ def ad_hazard_fit(event_times, k: int, t0: float = 0.0) -> float:
         raise DomainError("no event times supplied")
     if not np.all(np.isfinite(times)):
         raise DomainError("event times must be finite, not NaN or inf")
-    if k < 1 or k != int(k):
+    if not math.isfinite(k) or k < 1 or k != int(k):
         raise DomainError(f"stage count k must be an integer >= 1, got {k}")
     if not math.isfinite(t0):
         raise DomainError(f"lag t0 must be finite, got {t0}")

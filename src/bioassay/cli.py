@@ -96,8 +96,8 @@ def _parse_grid(raw: str):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise DomainError(f"bad --grid {raw!r}: {exc}") from None
-    if not hi > lo or n < 2:
-        raise DomainError(f"--grid needs hi > lo and n >= 2, got {raw!r}")
+    if not 0.0 < hi - lo < np.inf or n < 2:
+        raise DomainError(f"--grid needs a finite span hi - lo > 0 and n >= 2, got {raw!r}")
     if n > MAX_GRID_POINTS:
         raise DomainError(f"--grid n is capped at {MAX_GRID_POINTS} points, got {n}")
     return lo, hi, n
@@ -303,21 +303,26 @@ def cmd_curves(args) -> int:
 
 def cmd_lp(args) -> int:
     theta = _parse_theta(args.theta)
-    query = PercentileQuery(args.model, tuple(theta), args.p, risk_type=args.risk)
     out = {"model": args.model, "p": args.p}
     if args.fit:
-        get_model(args.model).check_theta(theta)  # --theta is still checked, though the fit supersedes it
-        report = _read_json(args.fit)
+        if theta is not None:
+            get_model(args.model).check_theta(theta)  # checked, though the fit supersedes it
         try:
-            fit = FitResult.from_dict(report)
+            fit = FitResult.from_dict(_read_json(args.fit))
         except DomainError as exc:
             raise DomainError(f"{args.fit}: {exc}") from None
         confidence = args.confidence if args.confidence is not None else 0.975
-        # the percentile, its risk scale and the bound all come from the fitted parameters
+        # the curve, the percentile, its risk scale and the bound all come from the fit
+        query = PercentileQuery(args.model, tuple(fit.theta_hat), args.p, risk_type=args.risk)
         res = vsd_upper_limit(query, fit, confidence)
         out.update(risk_type=res.risk_type, Lp=res.lp, vsd=res.vsd, confidence=confidence, vsd_method=res.method)
     else:
-        out.update(risk_type=resolve_query(query)[2], Lp=percentile(query), vsd=None, confidence=args.confidence)
+        if theta is None:
+            raise DomainError("--theta is required without --fit")
+        if args.confidence is not None:
+            raise DomainError("--confidence applies to --fit; give --fit too")
+        query = PercentileQuery(args.model, tuple(theta), args.p, risk_type=args.risk)
+        out.update(risk_type=resolve_query(query)[2], Lp=percentile(query), vsd=None, confidence=None)
     _write_out(json.dumps(out, indent=2) + "\n", args.out)
     return 0
 
@@ -448,11 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lp", help="low-dose percentile and optional VSD")
     p.add_argument("--model", required=True)
-    p.add_argument("--theta", required=True)
+    p.add_argument("--theta", help="parameters (required without --fit, which supplies its estimate)")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--risk", choices=("total", "extra"))
-    p.add_argument("--confidence", type=float)
-    p.add_argument("--fit", help="fit-report JSON (enables the VSD bound)")
+    p.add_argument("--confidence", type=float, help="VSD confidence level (with --fit; default 0.975)")
+    p.add_argument("--fit", help="fit-report JSON of --model (enables the VSD bound)")
     common(p)
     p.set_defaults(func=cmd_lp)
 
@@ -499,11 +504,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _glue_negative_values(argv) -> list[str]:
-    """``--theta -2,1.5`` as ``--theta=-2,1.5``: argparse reads a value that
-    starts with a minus sign, a lone number aside, as a flag of its own."""
+    """``--theta -2,1.5`` as ``--theta=-2,1.5``: argparse reads a value that starts
+    with a minus sign (a digit, ``-inf``, ``-nan``), a lone number aside, as a flag."""
     out = []
     for arg in argv:
-        if out and out[-1] in ("--theta", "--grid", "--at") and re.match(r"-\.?\d", arg):
+        if out and out[-1] in ("--theta", "--grid", "--at") and re.match(r"-(\.?\d|inf|nan)", arg, re.I):
             out[-1] += "=" + arg
         else:
             out.append(arg)

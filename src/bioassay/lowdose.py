@@ -3,8 +3,8 @@
 The percentile of a dose-response curve is the dose at which the
 response probability reaches a target ``p``, on either the total-risk
 scale F(L) = p or the extra-risk scale (F(L) - F(0)) / (1 - F(0)) = p.
-Closed-form inversions come from the model itself
-(:attr:`ModelDef.inverse`); curves without one are solved for the root
+Each curve takes one path: the closed form of the model itself
+(:attr:`ModelDef.inverse`) where it has one, and otherwise the root
 of F(L) = target by Brent's method, to |F - target| <= 1e-12, on a
 bracket found by doubling away from dose 0 toward the crossing (below 0
 only on curves defined on the whole real line).  A response that is not
@@ -12,10 +12,11 @@ finite stops the search, and a percentile that is not finite is a
 :class:`DomainError`.
 
 The safe-dose bound is a delta-method lower confidence limit for the
-estimated percentile: the gradient of L_p with respect to the model
-parameters comes from implicit differentiation of the defining
-equation.  The construction is this module's own choice and is labeled
-``method = "delta"`` in its output.
+estimated percentile, on the fitted curve at the fitted parameters:
+the gradient of L_p with respect to the model parameters comes from
+implicit differentiation of the defining equation.  The construction
+is this module's own choice and is labeled ``method = "delta"`` in its
+output.
 """
 
 from __future__ import annotations
@@ -126,24 +127,16 @@ def _root(m: ModelDef, theta: np.ndarray, target: float) -> float:
     return x
 
 
-def percentile(query: PercentileQuery, method: str = "auto") -> float:
-    """Dose at which the curve reaches the target probability.
-
-    ``method`` selects the inversion path: "closed" (closed form where
-    one exists), "bisect" (the bracketed numeric root, whatever the
-    model), or "auto" (closed form preferred).
-    """
+def percentile(query: PercentileQuery) -> float:
+    """Dose at which the curve reaches the target probability: the
+    model's closed form where it has one, the bracketed root otherwise."""
     m, theta, _risk, target = resolve_query(query)
-    return _solve(m, theta, target, method)
+    return _solve(m, theta, target)
 
 
 @np.errstate(all="ignore")  # a non-finite percentile is an error below, not a warning
-def _solve(m: ModelDef, theta: np.ndarray, target: float, method: str) -> float:
-    if method not in ("auto", "closed", "bisect"):
-        raise DomainError(f"unknown method {method!r}")
-    if method == "closed" and m.inverse is None:
-        raise DomainError(f"no closed-form percentile for {m.id}")
-    lp = _root(m, theta, target) if method == "bisect" or m.inverse is None else float(m.inverse(target, theta))
+def _solve(m: ModelDef, theta: np.ndarray, target: float) -> float:
+    lp = _root(m, theta, target) if m.inverse is None else float(m.inverse(target, theta))
     if not math.isfinite(lp):
         raise DomainError(f"the percentile of {m.id} at theta {tuple(theta.tolist())} is not finite ({lp})")
     return lp
@@ -169,7 +162,7 @@ def percentile_gradient(query: PercentileQuery) -> np.ndarray:
     the background terms -(1-p) F_theta_j(0).
     """
     m, theta, risk, target = resolve_query(query)
-    return _lp_gradient(m, theta, risk, query.p, _solve(m, theta, target, "auto"))
+    return _lp_gradient(m, theta, risk, query.p, _solve(m, theta, target))
 
 
 def _lp_gradient(m: ModelDef, theta: np.ndarray, risk: str, p: float, lp: float) -> np.ndarray:
@@ -202,11 +195,15 @@ def vsd_upper_limit(query: PercentileQuery, fit: FitResult, confidence: float) -
     The percentile and its gradient are evaluated at the fitted
     parameters ``fit.theta_hat`` (the query's theta is superseded by the
     estimate); the variance comes from the inverse information in
-    ``fit.info``.  The lower dose bound is the conservative direction
-    and is clamped at zero (flagged) if the interval crosses it.
+    ``fit.info``; a fit of another model (``fit.model``) is a DomainError.
+    The lower dose bound is the conservative direction and is clamped at
+    zero (flagged) if the interval crosses it.
     """
     from scipy.special import ndtri  # deferred: scipy.special is slow to import
 
+    model_id = get_model(query.model).id
+    if fit.model not in (None, model_id):
+        raise DomainError(f"the fit is of {fit.model}, not of {model_id}")
     if not 0.5 <= confidence < 1.0:
         raise DomainError(f"confidence must lie in [0.5, 1), got {confidence}")
     if fit.info is None:
@@ -219,7 +216,7 @@ def vsd_upper_limit(query: PercentileQuery, fit: FitResult, confidence: float) -
         raise DomainError(
             f"information matrix is {fit.info.p}x{fit.info.p} but {m.id} has {theta.size} parameters"
         )
-    lp = _solve(m, theta, target, "auto")
+    lp = _solve(m, theta, target)
     free, info = fit.info.free_block(m.frozen_slots)
     g = _lp_gradient(m, theta, risk, query.p, lp)[free]
     var = float(g @ info.covariance() @ g)

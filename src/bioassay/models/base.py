@@ -68,7 +68,7 @@ class ParamSpec:
 
     def admits(self, value: float) -> bool:
         """Whether :meth:`check` accepts ``value``: the one admission rule, for
-        ``check_theta``, :meth:`ModelDef.admits` and the least-squares fit alike."""
+        :meth:`ModelDef.check_theta` and the least-squares fit alike."""
         lo, hi = self.interval
         return lo < value < hi and (not self.integer or value.is_integer())
 
@@ -146,15 +146,10 @@ class ModelDef:
             spec.check(value, i, self.id)
         return theta
 
-    def admits(self, thetas: np.ndarray) -> np.ndarray:
-        """Which rows of ``thetas`` (k x p) :meth:`check_theta` accepts."""
-        specs = self.param_specs(thetas.shape[-1])
-        return np.array([all(map(ParamSpec.admits, specs, row)) for row in thetas.tolist()], dtype=bool)
-
     def closed_box(self, p: int):
         """The closed bounds (lo, hi) of the ``p`` parameter slots, -inf/inf where a
         slot has none; None when no slot has one.  Clipping to them honours every
-        bound but the strict ones, left to :meth:`admits`, and integer slots."""
+        bound but the strict ones, left to :meth:`ParamSpec.admits`, and integer slots."""
         lo, hi = np.full(p, -np.inf), np.full(p, np.inf)
         for i, spec in enumerate(self.param_specs(p)):
             if not (spec.strict or spec.integer):

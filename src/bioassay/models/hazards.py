@@ -7,6 +7,7 @@ only), and each takes its own parameters.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,15 +19,15 @@ __all__ = ["hazard_ad", "hazard_cox"]
 
 def hazard_ad(t: float, c: float, k: int, t0: float = 0.0) -> float:
     """Power-law stage hazard c * (t - t0)**(k - 1), defined for t > t0: rate
-    scale c > 0, integer stage count k >= 1, tumour-growth lag t0 >= 0."""
-    if not c > 0:
-        raise DomainError(f"hazard scale c must be > 0, got {c}")
-    if k != int(k) or k < 1:
+    scale c > 0, integer stage count k >= 1, tumour-growth lag t0 >= 0, all finite."""
+    if not 0 < c < math.inf:
+        raise DomainError(f"hazard scale c must be finite and > 0, got {c}")
+    if not math.isfinite(k) or k != int(k) or k < 1:
         raise DomainError(f"stage count k must be an integer >= 1, got {k}")
-    if t0 < 0:
-        raise DomainError(f"growth lag t0 must be >= 0, got {t0}")
-    if t <= t0:
-        raise DomainError(f"hazard undefined before growth lag: t={t} <= t0={t0}")
+    if not 0 <= t0 < math.inf:
+        raise DomainError(f"growth lag t0 must be finite and >= 0, got {t0}")
+    if not t0 < t < math.inf:
+        raise DomainError(f"hazard is defined at finite t past the growth lag t0={t0}, got t={t}")
     return c * (t - t0) ** (k - 1)
 
 

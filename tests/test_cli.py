@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -382,6 +383,41 @@ def test_lp_fit_takes_the_risk_scale_from_the_fit(tmp_path, capsys, monkeypatch)
     assert (code, out) == (2, "") and "theta[0]" in err
 
 
+def write_weibull_report(path):
+    theta_hat = [1.0, 1.5]
+    info = ba.fisher.total_info("weibull-cdf", np.linspace(0.2, 3.0, 20), theta_hat, 1e-4)
+    path.write_text(json.dumps(FitResult(np.array(theta_hat), 0.0, 1e-4, info, True, 5, model="weibull-cdf").to_dict()))
+    return str(path)
+
+
+def test_lp_fit_of_another_model_exit_2(tmp_path, capsys):
+    fit_path = write_weibull_report(tmp_path / "fit.json")
+    code, out, err = run_cli(
+        capsys, "lp", "--model", "logit-cdf", "--theta", "-2,1.5", "--p", "0.01", "--fit", fit_path
+    )
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "weibull-cdf" in err and "logit-cdf" in err
+
+
+def test_lp_fit_needs_no_theta(tmp_path, capsys):
+    fit_path = write_weibull_report(tmp_path / "fit.json")
+    argv = ("lp", "--model", "weibull-cdf", "--p", "0.01", "--fit", fit_path)
+    without = run_cli(capsys, *argv)
+    assert without[0] == 0 and json.loads(without[1])["vsd"] is not None
+    assert run_cli(capsys, *argv, "--theta", "3,0.5") == without
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [((), "--theta is required"), (("--theta", "1", "--confidence", "0.3"), "--confidence applies to --fit")],
+    ids=["no-theta", "confidence"],
+)
+def test_lp_without_fit_flag_rules_exit_2(capsys, flags, named):
+    code, out, err = run_cli(capsys, "lp", "--model", "one-hit", "--p", "0.1", *flags)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and named in err
+
+
 @pytest.mark.parametrize(
     "report, named",
     [
@@ -514,6 +550,24 @@ def test_huge_grid_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and f"capped at {cli.MAX_GRID_POINTS} points" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("curves", "--model", "one-hit"), ("fisher", "--model", "one-hit", "--theta", "1")],
+    ids=["curves", "fisher"],
+)
+@pytest.mark.parametrize(
+    "grid",
+    [("--grid", "0:inf:3"), ("--grid=-1e308:1e308:3",), ("--grid=-inf:1:3",), ("--grid", "-inf:1:3"), ("--grid", "-nan:1:3")],
+    ids=["inf-hi", "span-overflows", "inf-lo-joined", "inf-lo", "nan-lo"],
+)
+def test_grid_span_must_be_finite_exit_2(capsys, argv, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, *grid)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "finite span" in err
 
 
 @pytest.mark.parametrize(

@@ -117,11 +117,27 @@ def test_power_hazard_rejects_times_before_lag():
 
 @pytest.mark.parametrize(
     "params, match",
-    [((0.0, 2, 0.0), "scale c"), ((1.0, 1.5, 0.0), "stage count"), ((1.0, 0, 0.0), "stage count"), ((1.0, 2, -1.0), "lag t0")],
+    [
+        ((0.0, 2, 0.0), "scale c"),
+        ((1.0, 1.5, 0.0), "stage count"),
+        ((1.0, 0, 0.0), "stage count"),
+        ((1.0, 2, -1.0), "lag t0"),
+        ((math.inf, 2, 0.0), "scale c"),
+        ((1.0, math.nan, 0.0), "stage count"),
+        ((1.0, math.inf, 0.0), "stage count"),
+        ((1.0, 2, math.nan), "lag t0"),
+        ((1.0, 2, math.inf), "lag t0"),
+    ],
 )
 def test_power_hazard_rejects_parameters_outside_their_domain(params, match):
     with pytest.raises(DomainError, match=match):
         hazard_ad(5.0, *params)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_power_hazard_rejects_a_non_finite_time(t):
+    with pytest.raises(DomainError, match="finite t"):
+        hazard_ad(t, c=1.0, k=2)
 
 
 def test_proportional_hazard_neutral_cases():

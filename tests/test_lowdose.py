@@ -1,6 +1,7 @@
 """Percentile inversion and delta-method safe-dose bounds."""
 
 import math
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import bioassay as ba
 from bioassay.exceptions import DomainError, UnattainableRiskError
-from bioassay.fitting import RegressionDataset, fit_least_squares
+from bioassay.fitting import FitResult, RegressionDataset, fit_least_squares
 from bioassay.lowdose import PercentileQuery, percentile, percentile_gradient, vsd_upper_limit
 
 
@@ -36,11 +37,13 @@ def test_multistage_unit_point():
     ids=["one-hit", "weibull-cdf", "logit-cdf", "probit-cdf", "logit-cdf-upward", "probit-cdf-upward"],
 )
 def test_closed_form_and_bisection_agree(model, theta, p, exact):
-    assert ba.get_model(model).inverse is not None
-    q = PercentileQuery(model, theta, p, risk_type="total")
-    closed = percentile(q, method="closed")
+    m = ba.get_model(model)
+    assert m.inverse is not None
+    closed = percentile(PercentileQuery(m, theta, p, risk_type="total"))
     assert closed == pytest.approx(exact, rel=1e-12)
-    assert abs(closed - percentile(q, method="bisect")) < 1e-10
+    # the same curve without its closed form is solved by the bracketed root
+    root = percentile(PercentileQuery(replace(m, inverse=None), theta, p, risk_type="total"))
+    assert abs(closed - root) < 1e-10
 
 
 def test_round_trip_total_risk(rng):
@@ -92,9 +95,10 @@ def test_unattainable_supremum_reported():
 
 def test_unattainable_infimum_reported_after_60_doublings():
     # F(x) = expit(1e-300 x) stays at 0.5 down to dose -2^60
-    q = PercentileQuery("logit-cdf", (0.0, 1e-300), 0.1, risk_type="total")
+    m = replace(ba.get_model("logit-cdf"), inverse=None)  # the root, not the closed form
+    q = PercentileQuery(m, (0.0, 1e-300), 0.1, risk_type="total")
     with pytest.raises(UnattainableRiskError, match=r"infimum 0.5 \(at dose -1.15\d*e\+18\)") as exc:
-        percentile(q, method="bisect")
+        percentile(q)
     assert exc.value.supremum == 0.5
 
 
@@ -220,6 +224,18 @@ def test_vsd_rejects_mismatched_information(rng):
     q = PercentileQuery("one-hit", (1.0,), 0.1)
     with pytest.raises(DomainError, match="2x2 but one-hit has 1 parameters"):
         vsd_upper_limit(q, wrong, confidence=0.975)
+
+
+def test_vsd_takes_its_curve_from_the_fit():
+    theta_hat = [1.0, 1.5]
+    info = ba.fisher.total_info("weibull-cdf", np.linspace(0.2, 3.0, 20), theta_hat, 1e-4)
+    fit = FitResult(np.array(theta_hat), 0.0, 1e-4, info, True, 5, model="weibull-cdf")
+    # a Weibull estimate read as a logit curve of the same arity
+    with pytest.raises(DomainError, match="the fit is of weibull-cdf, not of logit-cdf"):
+        vsd_upper_limit(PercentileQuery("logit-cdf", (-2.0, 1.5), 0.01), fit, 0.975)
+    # a fit that names no model is taken as one of the query's
+    q = PercentileQuery("weibull-cdf", (2.0, 1.0), 0.01)
+    assert vsd_upper_limit(q, replace(fit, model=None), 0.975) == vsd_upper_limit(q, fit, 0.975)
 
 
 def test_vsd_confidence_domain(rng):
