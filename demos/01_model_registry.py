@@ -10,7 +10,7 @@ import numpy as np
 import bioassay as ba
 
 print("registered models:")
-for model in ba.REGISTRY:
+for model in ba.REGISTRY.values():
     arity = "variadic" if model.arity is None else str(model.arity)
     print(f"  {model.id:24s} family={model.family:18s} params={arity}")
 

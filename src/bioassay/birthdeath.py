@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DomainError, NotConvergedError
+from .models.hazards import check_stage_model
 
 __all__ = [
     "BirthDeathSpec",
@@ -267,19 +268,16 @@ def ad_hazard_fit(event_times, k: int, t0: float = 0.0) -> float:
 
     The implied cumulative hazard c*(t-t0)^k / k gives the closed form
     c = n*k / sum (t_i - t0)^k; with k = 1 this is the exponential-rate MLE.
-    The event times must be finite.  Where the sum or the rate leaves the
-    float range (a large k on times far from 1 after the lag), DomainError
-    is raised instead of a rate of 0 or inf.
+    The event times must be finite; k and t0 follow :func:`hazard_ad`.  Where
+    the sum or the rate leaves the float range (a large k on times far from 1
+    after the lag), DomainError is raised instead of a rate of 0 or inf.
     """
     times = np.asarray(event_times, dtype=float)
     if times.size == 0:
         raise DomainError("no event times supplied")
     if not np.all(np.isfinite(times)):
         raise DomainError("event times must be finite, not NaN or inf")
-    if not math.isfinite(k) or k < 1 or k != int(k):
-        raise DomainError(f"stage count k must be an integer >= 1, got {k}")
-    if not math.isfinite(t0):
-        raise DomainError(f"lag t0 must be finite, got {t0}")
+    check_stage_model(k, t0)
     if np.any(times <= t0):
         raise DomainError(f"all event times must exceed the lag t0 = {t0}")
     with np.errstate(over="ignore", divide="ignore"):

@@ -185,6 +185,10 @@ def cmd_fit(args) -> int:
     data_format = args.data_format or _default_data_format(args.model)
     model = get_model(args.model)
     if data_format == "survival":
+        if model.id != "weibull-cdf":
+            raise DomainError(f"survival data fit weibull-cdf only, not {model.id}")
+        if args.theta is not None:
+            raise DomainError("--theta sets least-squares starting values; survival data take none")
         raw = _read_csv(args.input, ("time", "event"))
         flags = raw[:, 1]
         if not np.all((flags == 0) | (flags == 1)):
@@ -359,6 +363,8 @@ def _parse_at(raw: str, model):
 def cmd_fisher(args) -> int:
     theta = _parse_theta(args.theta)
     model = get_model(args.model)
+    if args.at is not None and args.grid is not None:
+        raise DomainError("give the design via --at or --grid, not both")
     if args.at:
         design = _parse_at(args.at, model)
     elif args.grid:

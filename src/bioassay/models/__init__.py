@@ -1,11 +1,11 @@
 """Model registry: growth curves, dose-response CDFs, and kinetics.
 
-Models are addressed by stable string identifiers (see ``REGISTRY.ids()``)
-and evaluated through :func:`evaluate` / :func:`gradient`.  The registry
-is immutable after import; all operations are pure functions.
+Models are addressed by stable string ids (:func:`list_models`), looked up by
+:func:`get_model` in the read-only mapping ``REGISTRY`` and evaluated through
+:func:`evaluate` / :func:`gradient`; all operations are pure functions.
 """
 
-from .base import REGISTRY, ModelDef, ParamSpec, Registry, as_theta, evaluate, get_model, gradient
+from .base import _MODELS, REGISTRY, ModelDef, ParamSpec, as_theta, evaluate, get_model, gradient
 from .doseresponse import DOSE_RESPONSE_MODELS
 from .growth import GROWTH_MODELS
 from .hazards import hazard_ad, hazard_cox
@@ -19,21 +19,18 @@ from .kinetics import (
     steady_state_complex,
 )
 
-for _m in (*GROWTH_MODELS, *DOSE_RESPONSE_MODELS, *KINETICS_MODELS):
-    REGISTRY.add(_m)
-REGISTRY.seal()
+_MODELS.update((m.id, m) for m in (*GROWTH_MODELS, *DOSE_RESPONSE_MODELS, *KINETICS_MODELS))
 
 
 def list_models() -> list[str]:
     """All registered model identifiers, in registration order."""
-    return REGISTRY.ids()
+    return list(REGISTRY)
 
 
 __all__ = [
     "REGISTRY",
     "ModelDef",
     "ParamSpec",
-    "Registry",
     "KineticConstants",
     "as_theta",
     "evaluate",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -26,7 +27,6 @@ from ..exceptions import DomainError, UnknownModelError
 __all__ = [
     "ParamSpec",
     "ModelDef",
-    "Registry",
     "REGISTRY",
     "as_theta",
     "get_model",
@@ -201,47 +201,16 @@ class ModelDef:
         return g
 
 
-class Registry:
-    """Immutable-after-construction mapping of model id to ModelDef."""
-
-    def __init__(self):
-        self._models: dict[str, ModelDef] = {}
-        self._sealed = False
-
-    def add(self, model: ModelDef) -> ModelDef:
-        if self._sealed:
-            raise RuntimeError("registry is sealed")
-        if model.id in self._models:
-            raise ValueError(f"duplicate model id: {model.id}")
-        self._models[model.id] = model
-        return model
-
-    def seal(self) -> None:
-        self._sealed = True
-
-    def get(self, model_id: str) -> ModelDef:
-        try:
-            return self._models[model_id]
-        except KeyError:
-            known = ", ".join(sorted(self._models))
-            raise UnknownModelError(f"unknown model '{model_id}'; known models: {known}") from None
-
-    def ids(self) -> list[str]:
-        return list(self._models)
-
-    def __iter__(self):
-        return iter(self._models.values())
-
-    def __contains__(self, model_id: str) -> bool:
-        return model_id in self._models
-
-
-REGISTRY = Registry()  # filled and sealed by the package, from its submodules
+_MODELS: dict[str, ModelDef] = {}  # filled once by the package, from its submodules
+REGISTRY = MappingProxyType(_MODELS)  # read-only view: model id -> ModelDef
 
 
 def get_model(model: ModelDef | str) -> ModelDef:
     """The registry entry of a model id; a :class:`ModelDef` is returned as is."""
-    return model if isinstance(model, ModelDef) else REGISTRY.get(model)
+    m = model if isinstance(model, ModelDef) else _MODELS.get(model)
+    if m is None:
+        raise UnknownModelError(f"unknown model '{model}'; known models: {', '.join(sorted(_MODELS))}")
+    return m
 
 
 def evaluate(model, u, theta):

@@ -17,18 +17,29 @@ from ..exceptions import DomainError
 __all__ = ["hazard_ad", "hazard_cox"]
 
 
-def hazard_ad(t: float, c: float, k: int, t0: float = 0.0) -> float:
-    """Power-law stage hazard c * (t - t0)**(k - 1), defined for t > t0: rate
-    scale c > 0, integer stage count k >= 1, tumour-growth lag t0 >= 0, all finite."""
-    if not 0 < c < math.inf:
-        raise DomainError(f"hazard scale c must be finite and > 0, got {c}")
+def check_stage_model(k, t0) -> None:
+    """The stage rule of the hazard and its rate fit: integer k >= 1, finite t0 >= 0."""
     if not math.isfinite(k) or k != int(k) or k < 1:
         raise DomainError(f"stage count k must be an integer >= 1, got {k}")
     if not 0 <= t0 < math.inf:
         raise DomainError(f"growth lag t0 must be finite and >= 0, got {t0}")
+
+
+def hazard_ad(t: float, c: float, k: int, t0: float = 0.0) -> float:
+    """Power-law stage hazard c * (t - t0)**(k - 1) at finite t > t0, rate scale c > 0 finite,
+    k and t0 as :func:`check_stage_model` admits; DomainError where it leaves the float range."""
+    if not 0 < c < math.inf:
+        raise DomainError(f"hazard scale c must be finite and > 0, got {c}")
+    check_stage_model(k, t0)
     if not t0 < t < math.inf:
         raise DomainError(f"hazard is defined at finite t past the growth lag t0={t0}, got t={t}")
-    return c * (t - t0) ** (k - 1)
+    try:
+        h = float(c) * math.pow(t - t0, k - 1)
+        if 0.0 < h < math.inf:
+            return h
+    except OverflowError:
+        pass
+    raise DomainError(f"c*(t - t0)^(k-1) leaves the float range at t = {t}, k = {k}")
 
 
 def hazard_cox(t: float, w, baseline: Callable[[float], float], beta: Sequence[float]) -> float:

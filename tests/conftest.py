@@ -117,7 +117,7 @@ def run_python(*args, **kwargs):
 
 
 def all_models():
-    return list(REGISTRY)
+    return list(REGISTRY.values())
 
 
 def integer_table_exists(row_marginals, col_marginals):

@@ -416,6 +416,9 @@ def test_ad_fit_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="lag t0 must be finite"):
             ad_hazard_fit([1.0, 2.0], k=2, t0=bad)
+    # hazard_ad's rule: a negative lag is outside the stage model
+    with pytest.raises(DomainError, match="lag t0 must be finite and >= 0"):
+        ad_hazard_fit([1.0, 2.0], k=2, t0=-1.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError, match="stage count"):
             ad_hazard_fit([1.0, 2.0], k=bad)

@@ -59,6 +59,20 @@ def test_fit_weibull_survival_in_large_time_units(tmp_path, shape, seed):
     assert json.loads(proc.stdout)["converged"]
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [(("--model", "one-hit"), "weibull-cdf only"), (("--model", "weibull-cdf", "--theta", "1,1"), "--theta")],
+    ids=["other-model", "theta"],
+)
+def test_fit_survival_flags_without_effect_exit_2(tmp_path, capsys, flags, named):
+    # the survival fit is weibull-cdf's censored MLE: it reads neither another model nor a start
+    csv_path = tmp_path / "surv.csv"
+    write_survival_csv(csv_path, np.random.default_rng(1))
+    code, out, err = run_cli(capsys, "fit", *flags, "--data-format", "survival", "--input", str(csv_path))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error:") and named in err
+
+
 def test_fit_regression_model(tmp_path, capsys):
     xs = np.linspace(0.3, 8.0, 40)
     y = np.asarray(ba.evaluate("mm", xs, [2.0, 1.0]))
@@ -568,6 +582,14 @@ def test_grid_span_must_be_finite_exit_2(capsys, argv, grid):
         code, out, err = run_cli(capsys, *argv, *grid)
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "finite span" in err
+
+
+def test_fisher_design_from_both_at_and_grid_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "fisher", "--model", "one-hit", "--theta", "1", "--at", "1,2", "--grid", "0:1:5"
+    )
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "not both" in err
 
 
 @pytest.mark.parametrize(

@@ -51,6 +51,20 @@ def test_constants_must_be_positive():
         KineticConstants(vmax=0.0, km=1.0)
     with pytest.raises(DomainError):
         KineticConstants.from_rates(k1=1.0, k2=-1.0, k3=1.0, e0=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="'vmax' must be finite"):
+            KineticConstants(vmax=bad, km=1.0)
+        # an infinite k1 would give km = 0: the rates themselves are refused
+        with pytest.raises(DomainError, match="rate constants and total enzyme must all be finite"):
+            KineticConstants.from_rates(k1=bad, k2=1.0, k3=1.0, e0=1.0)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf], ids=["nan", "inf"])
+def test_substrate_helpers_reject_a_non_finite_level(s):
+    kc = KineticConstants.from_rates(k1=1.0, k2=1.0, k3=1.0, e0=1.0)
+    for helper in (steady_state_complex, mm_velocity_slope, mm_velocity_curvature):
+        with pytest.raises(DomainError, match="substrate concentration must be finite"):
+            helper(kc, s)
 
 
 def test_slope_at_origin():
@@ -81,6 +95,9 @@ def test_parallel_summary_values():
     assert mm_parallel_summary(2.0, 1.0, 1.0, 2.0) == (2.5, 3.0)
     with pytest.raises(DomainError):
         mm_parallel_summary(1.0, 0.0, 1.0, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="parallel-process constants must all be finite"):
+            mm_parallel_summary(1.0, bad, 1.0, 1.0)
 
 
 def test_parallel_registry_entry_matches_summary():
@@ -138,6 +155,16 @@ def test_power_hazard_rejects_parameters_outside_their_domain(params, match):
 def test_power_hazard_rejects_a_non_finite_time(t):
     with pytest.raises(DomainError, match="finite t"):
         hazard_ad(t, c=1.0, k=2)
+
+
+@pytest.mark.parametrize(
+    "t, c, k",
+    [(1e200, 1.0, 3), (2.0, 1e308, 3), (1e-200, 1.0, 3)],
+    ids=["power-overflows", "product-overflows", "underflows"],
+)
+def test_power_hazard_outside_the_float_range(t, c, k):
+    with pytest.raises(DomainError, match="leaves the float range"):
+        hazard_ad(t, c=c, k=k)
 
 
 def test_proportional_hazard_neutral_cases():

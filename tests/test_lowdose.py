@@ -10,7 +10,7 @@ import pytest
 import bioassay as ba
 from bioassay.exceptions import DomainError, UnattainableRiskError
 from bioassay.fitting import FitResult, RegressionDataset, fit_least_squares
-from bioassay.lowdose import PercentileQuery, percentile, percentile_gradient, vsd_upper_limit
+from bioassay.lowdose import PercentileQuery, percentile, percentile_gradient, resolve_query, vsd_upper_limit
 
 
 def test_one_hit_exact_inversion():
@@ -79,6 +79,13 @@ def test_extra_risk_handles_background():
     lp = percentile(q)
     f = ba.evaluate("multistage", lp, theta)
     assert (f - f0) / (1.0 - f0) == pytest.approx(p, abs=1e-10)
+
+
+def test_extra_risk_rejects_a_background_of_one():
+    # F(0) = 1 - e^-40 rounds to 1: no dose adds risk on the extra scale
+    q = PercentileQuery("multistage", (40.0, 1.0), 0.01)
+    with pytest.raises(DomainError, match="background response is already 1"):
+        resolve_query(q)
 
 
 def test_total_risk_below_background_rejected():
@@ -200,6 +207,18 @@ def test_vsd_below_lp_and_metadata(rng):
     assert res.vsd < res.lp
     assert res.method == "delta"
     assert not res.clamped
+
+
+def test_vsd_clamped_at_zero_dose():
+    # L_p = -ln(0.99) ~ 0.01005 with se = L_p / theta * sqrt(1e4) ~ 1.005: the interval
+    # crosses dose 0, and the bound is clamped there and flagged
+    from bioassay.fisher import InfoMatrix
+
+    fit = FitResult(np.array([1.0]), 0.0, 1.0, InfoMatrix(np.array([[1e-4]])), True, 1, model="one-hit")
+    res = vsd_upper_limit(PercentileQuery("one-hit", (1.0,), 0.01), fit, 0.975)
+    assert res.lp == pytest.approx(-math.log1p(-0.01), rel=1e-12)
+    assert res.se == pytest.approx(100.0 * res.lp, rel=1e-6)
+    assert (res.vsd, res.clamped) == (0.0, True)
 
 
 def test_vsd_multi_hit_skips_frozen_hit_count(rng):

@@ -47,8 +47,9 @@ def test_registry_id_contract():
 def test_registry_immutable_after_import():
     from bioassay.models import REGISTRY
 
-    with pytest.raises(RuntimeError, match="sealed"):
-        REGISTRY.add(get_model("mm"))
+    with pytest.raises(TypeError):
+        REGISTRY["x"] = get_model("mm")
+    assert "x" not in REGISTRY and len(REGISTRY) == 27
 
 
 def test_one_hit_at_zero():
@@ -58,6 +59,33 @@ def test_one_hit_at_zero():
 def test_mm_half_maximal_velocity():
     # at s = km the velocity is vmax / 2
     assert ba.evaluate("mm", 1.0, [2.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
+
+
+# float.hex of the mm-parallel value and gradient, recorded before the model was
+# written as two mm terms: the sum of two hyperbolas must keep its bits
+MM_PARALLEL_THETA = [2.5, 0.3, 1.7, 40.0]
+MM_PARALLEL_PINS = [
+    (0.01, "0x1.4c101d3327936p-4",
+     ("0x1.0842108421084p-5", "-0x1.0a63a12a5b1afp-2", "0x1.0614174a4911ep-12", "-0x1.645670289a1eep-17")),
+    (1.0, "0x1.f6ec1d96244f8p+0",
+     ("0x1.89d89d89d89d8p-1", "-0x1.7ab2bedd28e63p+0", "0x1.8f9c18f9c18fap-6", "-0x1.091b61bd6b2e9p-10")),
+    (123.4, "0x1.e38e4dd30551cp+1",
+     ("0x1.fec21f0af7eddp-1", "-0x1.4a52155163b47p-6", "0x1.82a9d4c2458fdp-1", "-0x1.0175c842b00a8p-7")),
+    (1e6, "0x1.0ccbac73f865cp+2",
+     ("0x1.fffff5ef0538ap-1", "-0x1.4f8b4b5c83d1cp-19", "0x1.fffac1e05c131p-1", "-0x1.c84dc3e1ba59ep-20")),
+]
+
+
+def test_mm_parallel_value_and_gradient_are_pinned():
+    for u, value, grad in MM_PARALLEL_PINS:
+        assert ba.evaluate("mm-parallel", u, MM_PARALLEL_THETA).hex() == value
+        assert tuple(float(g).hex() for g in ba.gradient("mm-parallel", u, MM_PARALLEL_THETA)) == grad
+    us = [u for u, _, _ in MM_PARALLEL_PINS]
+    values = ba.evaluate("mm-parallel", us, MM_PARALLEL_THETA)
+    assert [float(v).hex() for v in values] == [v for _, v, _ in MM_PARALLEL_PINS]
+    grads = ba.gradient("mm-parallel", us, MM_PARALLEL_THETA)
+    assert grads.shape == (len(us), 4) and grads.flags.c_contiguous
+    assert [tuple(float(g).hex() for g in row) for row in grads] == [g for _, _, g in MM_PARALLEL_PINS]
 
 
 def test_gompertz_at_zero():
