@@ -1,16 +1,22 @@
 """Linear birth-death clonal simulation and empirical hazard estimation.
 
 At population i the total event rate is i*(b + d): exponential waiting
-times, each event a birth with probability b/(b+d).  The simulation is
-the exact jump chain, drawn for all running clones at once in blocks of
-steps from one generator seeded by ``spec.seed``.  A replicate study
-with n clones is therefore deterministic for a fixed (seed, n), and its
-one-clone case is the end state of ``simulate_bd``.
+times, each event a birth with probability b/(b+d).  Replicate studies
+take one of two exact samplers, chosen by what the study records, and
+each draws from one generator seeded by ``spec.seed``:
 
-First-event times for hazard studies are defined by a population
-threshold: extinction studies use no threshold and record extinction,
-onset studies record the first passage of a configurable cell count,
-and a clone past ``MAX_POPULATION`` cells stops as truncated.
+- an extinction study (no threshold) inverts Kendall's closed-form law
+  of the extinction time, one uniform per clone, so clone i is the same
+  in every study of more than i clones;
+- an onset study records the first passage of a configurable cell
+  count, which has no such closed form.  It runs the jump chain, drawn
+  for all running clones at once in blocks of steps, so it is
+  deterministic for a fixed (seed, n), and a clone past
+  ``MAX_POPULATION`` cells stops as truncated.
+
+``simulate_bd`` records one trajectory of the same jump chain; a
+one-clone onset study stops where that trajectory first reaches the
+threshold, or where it ends.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ __all__ = [
 
 MAX_POPULATION = 100_000_000  # cells past which a clone stops as truncated (explosion guard)
 MAX_TRAJECTORY_EVENTS = 10_000_000  # recorded events of one trajectory (memory guard)
-MAX_REPLICATE_STEPS = 200_000_000  # steps drawn by one call, over all clones (time guard)
+MAX_REPLICATE_STEPS = 200_000_000  # steps drawn by one onset study, over all clones (time guard)
 MAX_REPLICATES = 1_000_000  # clones of one replicate study, at about 160 bytes each (memory guard)
 _BLOCK_CELLS = 1 << 16  # steps drawn per block, over all running clones
 
@@ -66,6 +72,8 @@ class BirthDeathSpec:
             raise DomainError(f"initial population must be an integer in [1, 2**62], got {self.i0}")
         if not self.t_end > 0:
             raise DomainError(f"t_end must be > 0, got {self.t_end}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -182,6 +190,40 @@ def _run(spec: BirthDeathSpec, n: int, threshold: int | None, record: bool = Fal
     return t, state
 
 
+def _kendall(spec: BirthDeathSpec, n: int):
+    """Extinction times of ``n`` clones, each one uniform through Kendall's law.
+
+    P(T <= t) = q(t)^i0 with q(t) = d (e^{(b-d)t} - 1) / (b e^{(b-d)t} - d),
+    and q(t) = bt / (1 + bt) at b = d (Kendall 1948).  Clone i takes the
+    i-th uniform U = 1 - ``random()`` in (0, 1] of the seeded generator and
+    the time q^-1(v) at v = U^(1/i0), held as w = 1 - v = -expm1(log U / i0).
+    With e = w + (1 - b/d) v, which is (d - bv) / d, a clone with e <= 0 never
+    dies out (d = 0, or b > d and v >= d/b); otherwise, at b != d,
+    T = log1p(x) / (b - d) with x = (b - d) v / (d e), and 1 + x = w / e gives
+    the form log(w / e) / (b - d) where |x| > 1/2.  At b = d, T = v / (d w).
+    A clone is extinct at T if T <= t_end and censored at t_end otherwise.
+    Returns the stop times and outcome codes, as ``_run`` does.
+    """
+    b, d = spec.b, spec.d
+    log_v = np.log1p(-np.random.default_rng(spec.seed).random(n)) / spec.i0
+    v, w = np.exp(log_v), -np.expm1(log_v)
+    # w = 0 (U = 1) and e near 0 divide by zero or overflow, e < 0 takes the log of a
+    # negative: each gives T = inf, or a NaN that the mask on e replaces by inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if d == 0:
+            t = np.full(n, np.inf)
+        elif b == d:
+            t = v / (d * w)
+        else:
+            e = w + (d - b) / d * v
+            x = (b - d) / d * v / e
+            t = np.where(np.abs(x) <= 0.5, np.log1p(x), np.log(w / e))
+            t /= b - d
+            t[e <= 0] = np.inf
+    extinct = t <= spec.t_end
+    return np.where(extinct, t, spec.t_end), np.where(extinct, np.int8(_EXTINCT), np.int8(_CENSORED))
+
+
 def simulate_bd(spec: BirthDeathSpec) -> Trajectory:
     """One exact trajectory; deterministic for a fixed seed.
 
@@ -211,17 +253,23 @@ def simulate_replicates(
     n_replicates: int,
     threshold: int | None = None,
 ) -> list[Replicate]:
-    """Independent replicates, simulated together by one seeded generator.
+    """Independent replicates from one seeded generator.
 
-    With ``threshold`` None the recorded event is extinction; otherwise
-    it is the first time the population reaches the threshold.  Runs
-    that see neither by the horizon are censored at t_end.  A study that
-    draws more than ``MAX_REPLICATE_STEPS`` steps over all clones raises
-    NotConvergedError (time guard).  A study of more than
-    ``MAX_REPLICATES`` clones raises DomainError before it allocates
-    anything (memory guard).  At its peak a call holds about 160 bytes per
-    clone: 136 for the returned Replicate (the tuple, its index and time
-    objects and its list slot), the rest the clone's running state and its
+    With ``threshold`` None the recorded event is extinction, sampled
+    exactly from Kendall's law by one uniform per clone (``_kendall``):
+    the work is O(n) whatever the rates and horizon, and clone i is the
+    same in every study of more than i clones.  Otherwise the event is the
+    first time the population reaches the threshold, found by the jump
+    chain (``_run``): a clone past ``MAX_POPULATION`` cells stops as
+    truncated, and a study that draws more than ``MAX_REPLICATE_STEPS``
+    steps over all clones raises NotConvergedError (time guard).  Runs that
+    see neither event by the horizon are censored at t_end.
+
+    A study of more than ``MAX_REPLICATES`` clones raises DomainError
+    before it allocates anything (memory guard).  At its peak a call holds
+    about 160 bytes per clone: 136 for the returned Replicate (the tuple,
+    its index and time objects and its list slot), the rest the clone's
+    sampler state.  For an onset study that is its running state and its
     share of the kernel's first block, one step wide past 2^16 clones (the
     kernel alone peaks near 95 bytes a clone there, tracemalloc at 10^5
     and 4 x 10^5 clones).  The cap bounds a call near 160 MB.
@@ -232,7 +280,10 @@ def simulate_replicates(
         raise DomainError(f"{n_replicates} replicates exceed the cap of {MAX_REPLICATES} per study")
     if threshold is not None and threshold < 1:
         raise DomainError("threshold must be >= 1")
-    t, state = _run(spec, n_replicates, threshold)
+    if threshold is None:
+        t, state = _kendall(spec, n_replicates)
+    else:
+        t, state = _run(spec, n_replicates, threshold)
     return list(map(Replicate, range(n_replicates), _OUTCOME_NAMES[state].tolist(), t.tolist()))
 
 

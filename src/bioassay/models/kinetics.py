@@ -69,14 +69,15 @@ class KineticConstants:
 def steady_state_complex(constants: KineticConstants, s: float) -> float:
     """Steady-state bound-enzyme concentration at substrate level ``s``.
 
-    [ES] = k1 * s * E0 / (k1 * s + k2 + k3); lies in [0, E0], and
-    k3 * [ES] equals the saturation-curve velocity at ``s``.
+    [ES] = k1 * s * E0 / (k1 * s + k2 + k3) = E0 / (1 + km / s); lies in
+    [0, E0], and k3 * [ES] equals the saturation-curve velocity at ``s``.
+    The second form has no product that can overflow.
     """
     if not constants.has_rates:
         raise DomainError("steady-state complex needs the elementary rate constants")
     if not 0 <= s < math.inf:
         raise DomainError(f"substrate concentration must be finite and >= 0, got {s}")
-    return constants.k1 * s * constants.e0 / (constants.k1 * s + constants.k2 + constants.k3)
+    return constants.e0 / (1.0 + constants.km / s) if s > 0 else 0.0
 
 
 def mm_slope_at_origin(constants: KineticConstants) -> float:
@@ -85,17 +86,23 @@ def mm_slope_at_origin(constants: KineticConstants) -> float:
 
 
 def mm_velocity_slope(constants: KineticConstants, x: float) -> float:
-    """dv/dx = vmax * km / (km + x)^2 at substrate level x >= 0."""
+    """dv/dx = vmax * km / (km + x)^2 at substrate level x >= 0.
+
+    Formed as (vmax / (km + x)) * (km / (km + x)), two bounded factors,
+    so that no power of km + x overflows.
+    """
     if not 0 <= x < math.inf:
         raise DomainError(f"substrate concentration must be finite and >= 0, got {x}")
-    return constants.vmax * constants.km / (constants.km + x) ** 2
+    den = constants.km + x
+    return constants.vmax / den * (constants.km / den)
 
 
 def mm_velocity_curvature(constants: KineticConstants, x: float) -> float:
-    """d2v/dx2 = -2 * vmax * km / (km + x)^3 at substrate level x >= 0."""
-    if not 0 <= x < math.inf:
-        raise DomainError(f"substrate concentration must be finite and >= 0, got {x}")
-    return -2.0 * constants.vmax * constants.km / (constants.km + x) ** 3
+    """d2v/dx2 = -2 * vmax * km / (km + x)^3 at substrate level x >= 0.
+
+    Formed from the bounded factors of :func:`mm_velocity_slope`.
+    """
+    return -2.0 * mm_velocity_slope(constants, x) / (constants.km + x)
 
 
 def mm_parallel_summary(v1: float, k1: float, v2: float, k2: float) -> tuple[float, float]:

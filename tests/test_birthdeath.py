@@ -108,13 +108,14 @@ def test_replicates_deterministic():
     assert simulate_replicates(spec, 50) == simulate_replicates(spec, 50)
 
 
-# sha256 of [(index, outcome, time.hex())] of one seeded study, recorded when the
-# records were frozen dataclasses built one by one
+# sha256 of [(index, outcome, time.hex())] of one seeded study: the onset study recorded
+# when the records were frozen dataclasses built one by one, the extinction studies when
+# they came to be drawn from Kendall's law
 PINNED_STUDIES = {
-    "critical": ((1.0, 1.0, 1, 20.0), 200, None, "efd34d7af7b9457a7dfe0e2bb80067a49b1be204071ec2f10e57f96700b7a3d1"),
-    "subcritical": ((0.5, 1.0, 2, 5.0), 200, None, "8db8a76da1438e2298bc37b51b9cad79ea53d0d6b77c6753fd92be716a4365f5"),
+    "critical": ((1.0, 1.0, 1, 20.0), 200, None, "f81cdfd8a18e3d8aaec506f0ad7adddf152d1d60a634f0855abb2839c3fca164"),
+    "subcritical": ((0.5, 1.0, 2, 5.0), 200, None, "0931904f23058b237e73a1a7e96fb604764e55f6ba90866ea8913f16fbbfabda"),
     "onset": ((1.5, 1.0, 1, 40.0), 120, 100, "155cf472e11c5a72fad7d137f2e3471ffd89b6a5dc7e84e9c9a1d53b91f2c55a"),
-    "pure-death": ((0.0, 1.0, 5, 3.0), 300, None, "3b083e2d112f978416c1c6ce5c31676d0ab6e4804e969db79513bec10729afd8"),
+    "pure-death": ((0.0, 1.0, 5, 3.0), 300, None, "84fe17da9d9f0ddb2d9f55af58c06131418dde04128577ee943f3ec626d354ba"),
 }
 
 
@@ -127,11 +128,11 @@ def test_seeded_studies_are_pinned(kind):
     assert repr(reps[0]).startswith("Replicate(index=0, outcome=")
 
 
-# the same digest of studies whose first block is narrower than the usual 16 steps:
-# 5000 clones get 13 columns, 70,000 clones (past the 2^16 cells of a block) one
+# the same digest of onset studies whose first jump-chain block is narrower than the usual
+# 16 steps: 5000 clones get 13 columns, 70,000 clones (past the 2^16 cells of a block) one
 PINNED_NARROW_STUDIES = {
     "5000-clones": ((1.5, 1.0, 1, 3.0), 5000, 20, "4976fb074e4da2187056dad0deb3c51d9652be67aede996a08847f603d8e20a3"),
-    "70000-clones": ((1.0, 1.0, 1, 0.5), 70_000, None, "53b69944196b4f2cd1a1ec9a08617f228a82af500a81442a477c2c95ed08a5fc"),
+    "70000-clones": ((1.0, 1.0, 1, 0.5), 70_000, 3, "003dc006378df5e097192e3d88048614cc411505ef81d2a226d17319a8d96be9"),
 }
 
 
@@ -166,6 +167,98 @@ def test_extinction_times_follow_kendall_law(b, d, i0, t_end):
     assert stats.kstest(times, cdf).pvalue > 1e-3
 
 
+# -- extinction studies: Kendall's law inverted, one uniform per clone --------------
+
+def kendall_draws(seed, n, i0):
+    """v = U^(1/i0) and w = 1 - v of each clone, from the study's uniforms U = 1 - random()."""
+    a = np.log1p(-np.random.default_rng(seed).random(n)) / i0
+    return np.exp(a), -np.expm1(a)
+
+
+def extinction_times(b, d, i0, n, seed=71):
+    """Every clone's time at a horizon past all finite ones: inf for a clone that never dies out."""
+    reps = simulate_replicates(BirthDeathSpec(b=b, d=d, i0=i0, t_end=1e300, seed=seed), n)
+    return np.array([r.time if r.outcome == "extinct" else math.inf for r in reps])
+
+
+@pytest.mark.parametrize("b, d, i0", [(1.0, 1.0, 1), (0.5, 1.0, 2), (1.5, 1.0, 3), (0.0, 2.0, 4)])
+def test_a_clone_does_not_depend_on_the_study_size(b, d, i0):
+    spec = BirthDeathSpec(b=b, d=d, i0=i0, t_end=2.0, seed=73)
+    big = simulate_replicates(spec, 500)
+    for n in (1, 7, 499):
+        assert simulate_replicates(spec, n) == big[:n]
+
+
+@pytest.mark.parametrize("rel", [1e-9, -1e-9], ids=["above", "below"])
+def test_near_critical_times_match_the_critical_form(rel):
+    # at b = d (1 + rel) the times differ from v / (d w) by a factor 1 + rel v / (2 w) + ...,
+    # under 1e-8 where d T <= 10; a form that cancels at b = d would be off by 1e-16 / rel
+    d, i0, n = 1.3, 3, 2000
+    v, w = kendall_draws(71, n, i0)
+    critical = v / (d * w)
+    early = d * critical <= 10.0
+    assert early.sum() > n // 2
+    times = extinction_times(d * (1.0 + rel), d, i0, n)
+    np.testing.assert_allclose(times[early], critical[early], rtol=1e-8, atol=0)
+
+
+def test_pure_death_times_are_exponential_order_statistics():
+    # from i0 cells, T is the largest of i0 Exp(d) lifetimes: U = (1 - e^{-dT})^i0
+    d, i0, n = 0.7, 5, 2000
+    _v, w = kendall_draws(71, n, i0)
+    np.testing.assert_allclose(extinction_times(0.0, d, i0, n), -np.log(w) / d, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize(
+    "b, d", [(1.0, 1.0), (0.5, 1.0), (1.5, 1.0), (0.0, 1.0), (3.0, 0.1), (1.0, 1.0 + 1e-6)],
+    ids=["critical", "subcritical", "supercritical", "pure-death", "b>>d", "near-critical"],
+)
+@pytest.mark.parametrize("i0", [1, 3, 100])
+def test_kendall_law_gives_the_uniform_back(b, d, i0):
+    n, seed = 2000, 79
+    times = extinction_times(b, d, i0, n, seed)
+    u = 1.0 - np.random.default_rng(seed).random(n)
+    ext = np.isfinite(times)
+    t = times[ext]
+    if b == d:
+        q = b * t / (1.0 + b * t)
+    else:
+        e = np.expm1((b - d) * t)
+        q = d * e / (b * e + (b - d))
+    np.testing.assert_allclose(q**i0, u[ext], rtol=1e-12, atol=0)
+    # a clone that never dies out drew a uniform past the ultimate extinction probability
+    if b <= d:
+        assert ext.all()
+    else:
+        assert np.all(u[~ext] >= (d / b) ** i0)
+
+
+@pytest.mark.parametrize(
+    "b, d, i0",
+    [(1.0, 1.0, 2**62), (0.5, 1.0, 2**62), (2.0, 1.0, 2**62), (0.0, 1.0, 2**62), (1.0, 0.0, 1), (1.0, 0.0, 2**62),
+     (1e300, 1e-300, 1), (1e-300, 1.0, 5), (1.0, 1e-300, 3), (1e300, 1e300, 7)],
+)
+def test_extinction_studies_stay_finite_at_extreme_rates(b, d, i0):
+    t_end = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reps = simulate_replicates(BirthDeathSpec(b=b, d=d, i0=i0, t_end=t_end, seed=83), 500)
+    times = np.array([r.time for r in reps])
+    assert np.all(np.isfinite(times)) and np.all(times <= t_end)
+    assert {r.outcome for r in reps} <= {"extinct", "censored"}
+    assert all(r.time == t_end for r in reps if r.outcome == "censored")
+    if d == 0:
+        assert {r.outcome for r in reps} == {"censored"}
+
+
+def test_extinction_study_needs_no_step_budget(monkeypatch):
+    # a supercritical study from 20 cells far past the budget's reach is O(n) draws
+    monkeypatch.setattr(birthdeath, "MAX_REPLICATE_STEPS", 10)
+    monkeypatch.setattr(birthdeath, "MAX_POPULATION", 10)
+    reps = simulate_replicates(BirthDeathSpec(b=2.0, d=1.0, i0=20, t_end=100.0, seed=3), 1000)
+    assert {r.outcome for r in reps} == {"censored"}  # extinction has probability 2^-20 per clone
+
+
 @pytest.mark.parametrize("b, d, i0, threshold", [(1.5, 1.0, 2, 20), (1.2, 1.0, 1, 5)])
 def test_onset_share_matches_gamblers_ruin(b, d, i0, threshold):
     n = 20_000
@@ -178,9 +271,10 @@ def test_onset_share_matches_gamblers_ruin(b, d, i0, threshold):
 
 
 def test_replicates_truncated_past_max_population(monkeypatch):
+    # an onset study whose threshold lies past the cap: the jump chain truncates first
     b, d, cap, n = 2.0, 0.5, 50, 5000
     monkeypatch.setattr(birthdeath, "MAX_POPULATION", cap)
-    reps = simulate_replicates(BirthDeathSpec(b=b, d=d, i0=1, t_end=1e3, seed=47), n)
+    reps = simulate_replicates(BirthDeathSpec(b=b, d=d, i0=1, t_end=1e3, seed=47), n, threshold=10**6)
     assert {r.outcome for r in reps} == {"truncated", "extinct"}
     assert all(0 < r.time < 1e3 for r in reps)
     r = d / b
@@ -198,6 +292,8 @@ def test_onset_wins_over_truncation(threshold, monkeypatch):
 
 
 def test_one_replicate_is_end_of_trajectory(monkeypatch):
+    # a one-clone onset study draws the trajectory's steps: it stops at the trajectory's first
+    # passage of the threshold, or where the trajectory ends; a threshold past the cap truncates
     specs = [
         (BirthDeathSpec(b=1.0, d=1.0, i0=2, t_end=3.0), 10**8),
         (BirthDeathSpec(b=0.0, d=1.0, i0=1, t_end=100.0), 10**8),
@@ -209,21 +305,19 @@ def test_one_replicate_is_end_of_trajectory(monkeypatch):
         for seed in range(20):
             spec = BirthDeathSpec(b=base.b, d=base.d, i0=base.i0, t_end=base.t_end, seed=seed)
             monkeypatch.setattr(birthdeath, "MAX_POPULATION", cap)
-            (rep,) = simulate_replicates(spec, 1)
             traj = simulate_bd(spec)
-            if traj.extinct:
-                assert (rep.outcome, rep.time) == ("extinct", traj.extinction_time)
-            elif traj.truncated:
-                assert (rep.outcome, rep.time) == ("truncated", traj.times[-1])
-            else:
-                assert (rep.outcome, rep.time) == ("censored", spec.t_end)
-            seen.add(rep.outcome)
-            # the same draws give the first passage of a threshold the trajectory reaches
-            reached = np.flatnonzero(traj.populations >= base.i0 + 2)
-            if reached.size:
-                (onset,) = simulate_replicates(spec, 1, threshold=base.i0 + 2)
-                assert (onset.outcome, onset.time) == ("onset", traj.times[reached[0]])
-                seen.add("onset")
+            for threshold in (base.i0 + 2, cap + 2):
+                (rep,) = simulate_replicates(spec, 1, threshold=threshold)
+                reached = np.flatnonzero(traj.populations >= threshold)
+                if reached.size:
+                    assert (rep.outcome, rep.time) == ("onset", traj.times[reached[0]])
+                elif traj.extinct:
+                    assert (rep.outcome, rep.time) == ("extinct", traj.extinction_time)
+                elif traj.truncated:
+                    assert (rep.outcome, rep.time) == ("truncated", traj.times[-1])
+                else:
+                    assert (rep.outcome, rep.time) == ("censored", spec.t_end)
+                seen.add(rep.outcome)
     assert seen == {"extinct", "truncated", "censored", "onset"}
 
 
@@ -249,13 +343,15 @@ def test_trajectory_event_budget(monkeypatch):
 
 
 def test_replicate_step_budget(monkeypatch):
+    # the budget bounds the jump chain of onset studies
     small = BirthDeathSpec(b=1.0, d=1.0, i0=1, t_end=1.0, seed=67)
-    expected = simulate_replicates(small, 50)
+    expected = simulate_replicates(small, 50, threshold=5)
     monkeypatch.setattr(birthdeath, "MAX_REPLICATE_STEPS", 100_000)
-    assert simulate_replicates(small, 50) == expected
-    # supercritical from 20 cells: extinction is negligible, the clones grow past the budget
+    assert simulate_replicates(small, 50, threshold=5) == expected
+    # supercritical from 20 cells to a threshold past the cap: extinction is negligible,
+    # the clones grow past the budget
     with pytest.raises(NotConvergedError, match="100000 steps over 2 clones"):
-        simulate_replicates(BirthDeathSpec(b=2.0, d=1.0, i0=20, t_end=100.0, seed=67), 2)
+        simulate_replicates(BirthDeathSpec(b=2.0, d=1.0, i0=20, t_end=100.0, seed=67), 2, threshold=10**9)
 
 
 def test_replicate_step_budget_checked_before_allocating(monkeypatch):
@@ -265,7 +361,7 @@ def test_replicate_step_budget_checked_before_allocating(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(NotConvergedError, match="1000 steps over 1000000 clones"):
-            simulate_replicates(spec, 1_000_000)
+            simulate_replicates(spec, 1_000_000, threshold=5)
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -298,6 +394,13 @@ def test_spec_validation():
         BirthDeathSpec(b=1.0, d=1.0, i0=10**20)  # past int64
     with pytest.raises(DomainError):
         BirthDeathSpec(b=1.0, d=1.0, t_end=0.0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_spec_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        BirthDeathSpec(b=1.0, d=1.0, seed=seed)
+    assert BirthDeathSpec(b=1.0, d=1.0, seed=np.int64(5)).seed == 5
 
 
 @pytest.mark.parametrize("b, d", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf), (-np.inf, 1.0)])

@@ -868,13 +868,39 @@ def test_simulate_bd_event_budget_exit_3(capsys, monkeypatch):
 
 
 def test_simulate_bd_replicate_step_budget_exit_3(capsys, monkeypatch):
+    # an onset study runs the jump chain, which the step budget bounds
     monkeypatch.setattr(birthdeath, "MAX_REPLICATE_STEPS", 100_000)
+    code, out, err = run_cli(
+        capsys, "simulate-bd", "--birth", "2", "--death", "1", "--i0", "20", "--t-end", "100",
+        "--replicates", "2", "--threshold", "1000000000", "--seed", "3",
+    )
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "100000 steps" in err
+
+
+def test_simulate_bd_long_extinction_study_exit_0(capsys):
+    # an extinction study draws one uniform per clone, whatever the rates and horizon
     code, out, err = run_cli(
         capsys, "simulate-bd", "--birth", "2", "--death", "1", "--i0", "20", "--t-end", "100",
         "--replicates", "2", "--seed", "3",
     )
-    assert (code, out) == (3, "")
-    assert err.count("\n") == 1 and "100000 steps" in err
+    assert (code, err) == (0, "")
+    assert out.split("\n")[0] == "replicate,outcome,time"
+    assert len(out.strip().split("\n")) == 3
+
+
+@pytest.mark.parametrize("flags", [(), ("--replicates", "3")], ids=["trajectory", "replicates"])
+def test_simulate_bd_negative_seed_exit_2(capsys, flags):
+    code, out, err = run_cli(capsys, "simulate-bd", "--birth", "1", "--death", "1", "--seed=-1", *flags)
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be an integer >= 0, got -1\n"
+
+
+def test_simulate_bd_negative_env_seed_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("BIOASSAY_SEED", "-3")
+    code, out, err = run_cli(capsys, "simulate-bd", "--birth", "1", "--death", "1", "--replicates", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be an integer >= 0, got -3\n"
 
 
 @pytest.mark.parametrize(

@@ -90,6 +90,24 @@ def test_velocity_curvature_matches_finite_difference():
     assert mm_velocity_curvature(kc, x) < 0
 
 
+@pytest.mark.parametrize("x", [1e110, 1e200, 1e308])
+def test_velocity_slope_and_curvature_vanish_at_huge_substrate_levels(x):
+    # the true values, about 1/x^2 and -2/x^3, are 1e-220 or less
+    kc = KineticConstants(vmax=1.0, km=1.0)
+    assert 0.0 <= mm_velocity_slope(kc, x) <= 1e-220
+    assert -1e-300 <= mm_velocity_curvature(kc, x) <= 0.0
+    # the bounded factors agree with the textbook forms where those are finite
+    assert mm_velocity_slope(kc, 1e100) == pytest.approx(1e-200, rel=1e-14)
+    assert mm_velocity_curvature(kc, 1e100) == pytest.approx(-2e-300, rel=1e-14)
+
+
+@pytest.mark.parametrize("s", [1e300, 1e308])
+def test_steady_state_complex_saturates_at_e0(s):
+    kc = KineticConstants.from_rates(k1=10.0, k2=1.0, k3=1.0, e0=1.0)
+    assert steady_state_complex(kc, s) == pytest.approx(kc.e0, rel=1e-15)
+    assert steady_state_complex(kc, 5e-324) == 0.0  # k1 * s underflows: the complex is about 0
+
+
 def test_parallel_summary_values():
     assert mm_parallel_summary(1.0, 1.0, 1.0, 1.0) == (2.0, 2.0)
     assert mm_parallel_summary(2.0, 1.0, 1.0, 2.0) == (2.5, 3.0)
