@@ -69,15 +69,19 @@ class KineticConstants:
 def steady_state_complex(constants: KineticConstants, s: float) -> float:
     """Steady-state bound-enzyme concentration at substrate level ``s``.
 
-    [ES] = k1 * s * E0 / (k1 * s + k2 + k3) = E0 / (1 + km / s); lies in
-    [0, E0], and k3 * [ES] equals the saturation-curve velocity at ``s``.
-    The second form has no product that can overflow.
+    [ES] = k1 * s * E0 / (k1 * s + k2 + k3); lies in [0, E0], and
+    k3 * [ES] equals the saturation-curve velocity at ``s``.  Formed as
+    E0 times the bound fraction k1 s / (k1 s + k2 + k3) in [0, 1], written
+    as 1 / (1 + (k2 + k3) / (k1 s)) where k1 s dominates, so that a huge
+    k1 s gives E0 and a tiny one keeps its subnormal digits.
     """
     if not constants.has_rates:
         raise DomainError("steady-state complex needs the elementary rate constants")
     if not 0 <= s < math.inf:
         raise DomainError(f"substrate concentration must be finite and >= 0, got {s}")
-    return constants.e0 / (1.0 + constants.km / s) if s > 0 else 0.0
+    ks, off = constants.k1 * s, constants.k2 + constants.k3
+    bound = ks / (ks + off) if ks <= off else 1.0 / (1.0 + off / ks)
+    return constants.e0 * bound
 
 
 def mm_slope_at_origin(constants: KineticConstants) -> float:

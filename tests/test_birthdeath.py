@@ -30,6 +30,14 @@ def extinction_probability(b, d, t, i0=1):
     return p1**i0
 
 
+# Extinction studies (no threshold) invert Kendall's law; the jump chain still runs every onset
+# study and ``simulate_bd``.  An onset threshold no clone reaches runs the chain with the stops
+# of an extinction study (extinct, censored or truncated past MAX_POPULATION), so each check of
+# the law below is made on both samplers.
+UNREACHABLE = 10**18
+SAMPLERS = {"kendall": None, "jump-chain": UNREACHABLE}
+
+
 def test_trajectory_steps_and_monotone_times():
     traj = simulate_bd(BirthDeathSpec(b=1.0, d=1.0, i0=3, t_end=5.0, seed=1))
     assert traj.populations[0] == 3
@@ -55,37 +63,41 @@ def test_same_seed_same_trajectory():
 
 def test_pure_death_single_cell_mean_extinction_time():
     spec = BirthDeathSpec(b=0.0, d=1.0, i0=1, t_end=100.0, seed=5)
-    reps = simulate_replicates(spec, 10_000)
-    assert all(r.outcome == "extinct" for r in reps)
-    times = np.array([r.time for r in reps])
-    se = times.std(ddof=1) / math.sqrt(times.size)
-    assert abs(times.mean() - 1.0) < 3 * se
+    for sampler, threshold in SAMPLERS.items():
+        reps = simulate_replicates(spec, 10_000, threshold=threshold)
+        assert all(r.outcome == "extinct" for r in reps), sampler
+        times = np.array([r.time for r in reps])
+        se = times.std(ddof=1) / math.sqrt(times.size)
+        assert abs(times.mean() - 1.0) < 3 * se, sampler
 
 
 def test_critical_extinction_frequency():
     spec = BirthDeathSpec(b=1.0, d=1.0, i0=1, t_end=1.0, seed=11)
-    reps = simulate_replicates(spec, 10_000)
-    freq = np.mean([r.outcome == "extinct" for r in reps])
     want = extinction_probability(1.0, 1.0, 1.0)
-    se = math.sqrt(want * (1.0 - want) / len(reps))
-    assert abs(freq - want) < 3 * se
+    for sampler, threshold in SAMPLERS.items():
+        reps = simulate_replicates(spec, 10_000, threshold=threshold)
+        freq = np.mean([r.outcome == "extinct" for r in reps])
+        se = math.sqrt(want * (1.0 - want) / len(reps))
+        assert abs(freq - want) < 3 * se, sampler
 
 
 def test_subcritical_extinction_approaches_one():
     b, d = 0.5, 1.5
     spec = BirthDeathSpec(b=b, d=d, i0=1, t_end=50.0 / (d - b), seed=13)
-    reps = simulate_replicates(spec, 1000)
-    assert np.mean([r.outcome == "extinct" for r in reps]) >= 0.99
+    for sampler, threshold in SAMPLERS.items():
+        reps = simulate_replicates(spec, 1000, threshold=threshold)
+        assert np.mean([r.outcome == "extinct" for r in reps]) >= 0.99, sampler
 
 
 def test_supercritical_extinction_frequency_matches_oracle():
     b, d, t = 1.5, 0.5, 3.0
     spec = BirthDeathSpec(b=b, d=d, i0=1, t_end=t, seed=17)
-    reps = simulate_replicates(spec, 4000)
-    freq = np.mean([r.outcome == "extinct" for r in reps])
     want = extinction_probability(b, d, t)
-    se = math.sqrt(want * (1.0 - want) / len(reps))
-    assert abs(freq - want) < 3.5 * se
+    for sampler, threshold in SAMPLERS.items():
+        reps = simulate_replicates(spec, 4000, threshold=threshold)
+        freq = np.mean([r.outcome == "extinct" for r in reps])
+        se = math.sqrt(want * (1.0 - want) / len(reps))
+        assert abs(freq - want) < 3.5 * se, sampler
 
 
 def test_truncation_guard(monkeypatch):
@@ -105,17 +117,29 @@ def test_onset_threshold_replicates():
 
 def test_replicates_deterministic():
     spec = BirthDeathSpec(b=1.0, d=1.0, i0=1, t_end=1.0, seed=23)
-    assert simulate_replicates(spec, 50) == simulate_replicates(spec, 50)
+    for threshold in SAMPLERS.values():
+        assert simulate_replicates(spec, 50, threshold=threshold) == simulate_replicates(spec, 50, threshold=threshold)
 
 
 # sha256 of [(index, outcome, time.hex())] of one seeded study: the onset study recorded
 # when the records were frozen dataclasses built one by one, the extinction studies when
-# they came to be drawn from Kendall's law
+# they came to be drawn from Kendall's law.  The jump-chain studies are the same studies run
+# by the chain to an unreachable threshold; their digests are those the extinction studies
+# had while the chain ran them.
 PINNED_STUDIES = {
     "critical": ((1.0, 1.0, 1, 20.0), 200, None, "f81cdfd8a18e3d8aaec506f0ad7adddf152d1d60a634f0855abb2839c3fca164"),
     "subcritical": ((0.5, 1.0, 2, 5.0), 200, None, "0931904f23058b237e73a1a7e96fb604764e55f6ba90866ea8913f16fbbfabda"),
     "onset": ((1.5, 1.0, 1, 40.0), 120, 100, "155cf472e11c5a72fad7d137f2e3471ffd89b6a5dc7e84e9c9a1d53b91f2c55a"),
     "pure-death": ((0.0, 1.0, 5, 3.0), 300, None, "84fe17da9d9f0ddb2d9f55af58c06131418dde04128577ee943f3ec626d354ba"),
+    "critical-jump-chain": (
+        (1.0, 1.0, 1, 20.0), 200, UNREACHABLE, "efd34d7af7b9457a7dfe0e2bb80067a49b1be204071ec2f10e57f96700b7a3d1"
+    ),
+    "subcritical-jump-chain": (
+        (0.5, 1.0, 2, 5.0), 200, UNREACHABLE, "8db8a76da1438e2298bc37b51b9cad79ea53d0d6b77c6753fd92be716a4365f5"
+    ),
+    "pure-death-jump-chain": (
+        (0.0, 1.0, 5, 3.0), 300, UNREACHABLE, "3b083e2d112f978416c1c6ce5c31676d0ab6e4804e969db79513bec10729afd8"
+    ),
 }
 
 
@@ -150,15 +174,26 @@ def test_seeded_trajectory_is_pinned():
     assert (traj.times.size, digest) == (418, "5bba50b64d1bb77c89be59b13208a24537e00e824d317202449d1c2a8602764e")
 
 
+KENDALL_CASES = {
+    "critical": (1.0, 1.0, 1, 2.0),
+    "subcritical": (0.5, 1.0, 2, 3.0),
+    "supercritical": (1.5, 0.5, 1, 3.0),
+    "i0=3": (1.3, 0.9, 3, 4.0),
+}
+
+
 @pytest.mark.parametrize(
-    "b, d, i0, t_end",
-    [(1.0, 1.0, 1, 2.0), (0.5, 1.0, 2, 3.0), (1.5, 0.5, 1, 3.0), (1.3, 0.9, 3, 4.0)],
-    ids=["critical", "subcritical", "supercritical", "i0=3"],
+    "b, d, i0, t_end, threshold",
+    [
+        pytest.param(*case, threshold, id=name if sampler == "kendall" else f"{name}-{sampler}")
+        for sampler, threshold in SAMPLERS.items()
+        for name, case in KENDALL_CASES.items()
+    ],
 )
-def test_extinction_times_follow_kendall_law(b, d, i0, t_end):
+def test_extinction_times_follow_kendall_law(b, d, i0, t_end, threshold):
     """Extinct replicates: share P0(t_end)^i0, times distributed as P0(t)^i0 / P0(t_end)^i0."""
     n = 20_000
-    reps = simulate_replicates(BirthDeathSpec(b=b, d=d, i0=i0, t_end=t_end, seed=41), n)
+    reps = simulate_replicates(BirthDeathSpec(b=b, d=d, i0=i0, t_end=t_end, seed=41), n, threshold=threshold)
     times = np.array([r.time for r in reps if r.outcome == "extinct"])
     assert all(r.outcome in ("extinct", "censored") for r in reps)
     want = extinction_probability(b, d, t_end, i0)
@@ -324,12 +359,13 @@ def test_one_replicate_is_end_of_trajectory(monkeypatch):
 def test_kernel_emits_no_runtime_warning(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        simulate_replicates(BirthDeathSpec(b=0.0, d=1.0, i0=3, t_end=100.0, seed=59), 500)
-        simulate_replicates(BirthDeathSpec(b=1.0, d=1.0, i0=1, t_end=20.0, seed=59), 500)
+        for threshold in SAMPLERS.values():
+            simulate_replicates(BirthDeathSpec(b=0.0, d=1.0, i0=3, t_end=100.0, seed=59), 500, threshold=threshold)
+            simulate_replicates(BirthDeathSpec(b=1.0, d=1.0, i0=1, t_end=20.0, seed=59), 500, threshold=threshold)
+            monkeypatch.setattr(birthdeath, "MAX_POPULATION", 1000)
+            simulate_replicates(BirthDeathSpec(b=3.0, d=0.0, i0=1, t_end=1e3, seed=59), 50, threshold=threshold)
+            monkeypatch.undo()
         simulate_replicates(BirthDeathSpec(b=1.5, d=1.0, i0=1, t_end=40.0, seed=59), 500, threshold=100)
-        monkeypatch.setattr(birthdeath, "MAX_POPULATION", 1000)
-        simulate_replicates(BirthDeathSpec(b=3.0, d=0.0, i0=1, t_end=1e3, seed=59), 50)
-        monkeypatch.undo()
         simulate_bd(BirthDeathSpec(b=0.5, d=2.0, i0=5, t_end=100.0, seed=59))
         simulate_bd(BirthDeathSpec(b=2.0, d=1.0, i0=1, t_end=8.0, seed=59))
 

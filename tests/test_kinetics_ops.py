@@ -105,7 +105,8 @@ def test_velocity_slope_and_curvature_vanish_at_huge_substrate_levels(x):
 def test_steady_state_complex_saturates_at_e0(s):
     kc = KineticConstants.from_rates(k1=10.0, k2=1.0, k3=1.0, e0=1.0)
     assert steady_state_complex(kc, s) == pytest.approx(kc.e0, rel=1e-15)
-    assert steady_state_complex(kc, 5e-324) == 0.0  # k1 * s underflows: the complex is about 0
+    # at the smallest subnormal s the complex, k1 s / (k2 + k3) = 5 x 2^-1074, is still exact
+    assert steady_state_complex(kc, 5e-324) == 5 * 5e-324
 
 
 def test_parallel_summary_values():
