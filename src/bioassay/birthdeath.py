@@ -70,8 +70,8 @@ class BirthDeathSpec:
         # populations are int64, with room above i0 for a block of births
         if not 1 <= self.i0 <= 2**62 or self.i0 != int(self.i0):
             raise DomainError(f"initial population must be an integer in [1, 2**62], got {self.i0}")
-        if not self.t_end > 0:
-            raise DomainError(f"t_end must be > 0, got {self.t_end}")
+        if not 0 < self.t_end < np.inf:
+            raise DomainError(f"t_end must be > 0 and finite, got {self.t_end}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
 

@@ -96,14 +96,16 @@ def total_info(model: ModelDef | str, design, theta, sigma2: float = 1.0) -> Inf
     design = np.asarray(design, dtype=float)
     if design.size == 0:
         raise DomainError("design must contain at least one point")
-    if not sigma2 > 0:
-        raise DomainError(f"sigma2 must be > 0, got {sigma2}")
+    if not 0 < sigma2 < np.inf:
+        raise DomainError(f"sigma2 must be > 0 and finite, got {sigma2}")
     theta = m.check_theta(theta)
     if design.ndim != m.input_dim:
         want = "(n,)" if m.input_dim == 1 else "(n, 2)"
         raise DomainError(f"{m.id}: design must have shape {want}, got {design.shape}")
     jac = m.finite_grad(m.check_input(design), theta)
-    return InfoMatrix(jac.T @ jac / sigma2)
+    with np.errstate(over="ignore"):  # an overflow is InfoMatrix's DomainError
+        entries = jac.T @ jac / sigma2
+    return InfoMatrix(entries)
 
 
 @dataclass(frozen=True)

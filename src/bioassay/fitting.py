@@ -292,13 +292,13 @@ def fit_least_squares(
 ) -> FitResult:
     """Projected Gauss-Newton nonlinear least squares with step halving.
 
-    A slot is binding when it sits on a closed (non-strict) bound of its
-    domain and the descent direction J^T r points out of the box; frozen
-    integer slots always bind.  Each iteration solves the normal equations
-    on the other slots; a singular or unusable solve falls back to
+    A slot is binding when it sits on its floor, the closed (non-strict)
+    lower bound of its domain, and the descent direction J^T r points below
+    it; frozen integer slots always bind.  Each iteration solves the normal
+    equations on the other slots; a singular or unusable solve falls back to
     Levenberg damping (lambda from 1e-3, tenfold on failure).  The step is
     halved until the SSE does not increase, each candidate, formed one at a
-    time, clipped to the closed bounds and tested by ``check_theta``'s rule,
+    time, raised to the floor and tested by ``check_theta``'s rule,
     :meth:`ParamSpec.admits` (Bertsekas 1982), so a fit on a bound lands
     there instead of crawling toward it.  The fit converges when the norm
     of the projected gradient (binding slots zeroed) falls below
@@ -315,7 +315,7 @@ def fit_least_squares(
     frozen = np.zeros(p, dtype=bool)
     frozen[list(m.frozen_slots)] = True
     free = np.flatnonzero(~frozen)
-    box = m.closed_box(p)
+    floor = m.closed_floor(p)
     specs = m.param_specs(p)
     # inputs are validated once here; the iterations call fn/grad directly
     u = m.check_input(data.u)
@@ -330,8 +330,7 @@ def fit_least_squares(
         return jac
 
     def binding(th, grad):
-        lo, hi = box
-        return ((th == lo) & (grad < 0.0)) | ((th == hi) & (grad > 0.0))
+        return (th == floor) & (grad < 0.0)
 
     converged = False
     message = ""
@@ -343,7 +342,7 @@ def fit_least_squares(
         for _ in range(MAX_GN_ITER):
             iters += 1
             grad = jac.T @ r  # minus half the SSE gradient
-            if box is not None:
+            if floor is not None:
                 bind = frozen | binding(theta, grad)
                 grad[bind] = 0.0
                 free = np.flatnonzero(~bind)
@@ -367,8 +366,8 @@ def fit_least_squares(
                 # step halving; candidates outside the domain are skipped
                 for h in _HALVINGS:
                     cand = theta + h * step
-                    if box is not None:
-                        cand = np.clip(cand, *box)
+                    if floor is not None:
+                        cand = np.maximum(cand, floor)
                     if not all(map(ParamSpec.admits, specs, cand.tolist())):
                         continue
                     r_new = residuals(cand)
@@ -392,7 +391,7 @@ def fit_least_squares(
     info = None
     if s2 is not None and s2 > 0:
         info = InfoMatrix(jac.T @ jac / s2)
-    active_bounds = () if box is None else tuple(int(i) for i in np.flatnonzero(binding(theta, jac.T @ r)))
+    active_bounds = () if floor is None else tuple(int(i) for i in np.flatnonzero(binding(theta, jac.T @ r)))
     return FitResult(
         theta_hat=theta,
         objective=sse,

@@ -2,8 +2,8 @@
 
 A :class:`ModelDef` bundles a mean-response function with its analytic
 parameter gradient and domain metadata.  Parameter vectors are plain
-1-D float arrays; models declare per-parameter bounds (and integrality,
-for hit-count style parameters) through :class:`ParamSpec` entries.
+1-D float arrays; models declare per-parameter lower bounds (and
+integrality, for hit-count style parameters) through :class:`ParamSpec` entries.
 The domain rules live here alone: callers ask the :class:`ModelDef` which
 inputs and parameters it admits, and value and gradient share one domain.
 
@@ -43,28 +43,25 @@ def as_theta(theta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """Domain constraints for one parameter slot.
-
-    ``low``/``high`` of None mean unbounded; ``strict`` applies to both
-    finite bounds.  ``integer`` marks structurally integer parameters
-    (e.g. a hit count): such slots are excluded from differentiation and
-    the analytic gradient reports 0 there.
+    """Domain of one parameter slot, a lower bound: v > ``low`` (v >= ``low``
+    unless ``strict``), any real where ``low`` is None; no slot has an upper
+    bound.  ``integer`` marks structurally integer parameters (e.g. a hit
+    count): such slots are excluded from differentiation and the analytic
+    gradient reports 0 there.
     """
 
     name: str
     low: float | None = None
-    high: float | None = None
     strict: bool = True
     integer: bool = False
 
     @functools.cached_property
     def interval(self) -> tuple[float, float]:
-        """The open interval (lo, hi) of exactly the values the bounds admit: a closed
+        """The open interval (lo, inf) of exactly the values the bound admits: a closed
         bound b enters as the float next to it, outside (v >= b just when v >
-        nextafter(b, -inf)), a missing one as an infinity, which keeps out inf and nan."""
+        nextafter(b, -inf)), a missing one as -inf; the open ends keep out inf and nan."""
         lo = -math.inf if self.low is None else self.low if self.strict else math.nextafter(self.low, -math.inf)
-        hi = math.inf if self.high is None else self.high if self.strict else math.nextafter(self.high, math.inf)
-        return lo, hi
+        return lo, math.inf
 
     def admits(self, value: float) -> bool:
         """Whether :meth:`check` accepts ``value``: the one admission rule, for
@@ -82,9 +79,7 @@ class ParamSpec:
             raise DomainError(f"{slot} must be finite")
         if self.integer and value != int(value):
             raise DomainError(f"{slot} must be an integer, got {value}")
-        if self.low is not None and (value < self.low or (self.strict and value == self.low)):
-            raise DomainError(f"{slot} must be {'>' if self.strict else '>='} {self.low}, got {value}")
-        raise DomainError(f"{slot} must be {'<' if self.strict else '<='} {self.high}, got {value}")
+        raise DomainError(f"{slot} must be {'>' if self.strict else '>='} {self.low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -146,18 +141,17 @@ class ModelDef:
             spec.check(value, i, self.id)
         return theta
 
-    def closed_box(self, p: int):
-        """The closed bounds (lo, hi) of the ``p`` parameter slots, -inf/inf where a
-        slot has none; None when no slot has one.  Clipping to them honours every
+    def closed_floor(self, p: int):
+        """The closed lower bounds of the ``p`` parameter slots, -inf where a slot has
+        none; None when no slot has one.  Raising a vector to them honours every
         bound but the strict ones, left to :meth:`ParamSpec.admits`, and integer slots."""
-        lo, hi = np.full(p, -np.inf), np.full(p, np.inf)
+        floor = np.full(p, -np.inf)
         for i, spec in enumerate(self.param_specs(p)):
-            if not (spec.strict or spec.integer):
-                lo[i] = -np.inf if spec.low is None else spec.low
-                hi[i] = np.inf if spec.high is None else spec.high
-        if np.isinf(lo).all() and np.isinf(hi).all():
+            if not (spec.strict or spec.integer or spec.low is None):
+                floor[i] = spec.low
+        if np.isinf(floor).all():
             return None
-        return lo, hi
+        return floor
 
     def admits_input(self, u: np.ndarray) -> np.ndarray:
         """Elementwise: which input values lie in the model's input domain

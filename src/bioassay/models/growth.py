@@ -20,10 +20,6 @@ from .base import ModelDef, ParamSpec
 __all__ = ["GROWTH_MODELS"]
 
 
-def _free(name):
-    return ParamSpec(name)
-
-
 # -- double exponential -----------------------------------------------
 
 def _gompertz(u, th):
@@ -197,7 +193,7 @@ GROWTH_MODELS = [
         family="growth",
         fn=_gompertz,
         grad=_gompertz_grad,
-        params=(_free("scale"), _free("shape"), _free("rate")),
+        params=(ParamSpec("scale"), ParamSpec("shape"), ParamSpec("rate")),
         doc="double exponential: theta0 * exp(theta1 * exp(theta2 * u))",
     ),
     ModelDef(
@@ -205,7 +201,7 @@ GROWTH_MODELS = [
         family="growth",
         fn=_janoschek,
         grad=_janoschek_grad,
-        params=(_free("offset"), _free("scale"), _free("rate"), _free("power")),
+        params=(ParamSpec("offset"), ParamSpec("scale"), ParamSpec("rate"), ParamSpec("power")),
         input_low=0.0,
         input_low_strict=True,
         doc="theta0 + theta1 * exp(theta2 * u**theta3)",
@@ -215,7 +211,7 @@ GROWTH_MODELS = [
         family="growth",
         fn=_logistic,
         grad=_logistic_grad,
-        params=(_free("asymptote"), ParamSpec("shape", low=0.0), _free("rate")),
+        params=(ParamSpec("asymptote"), ParamSpec("shape", low=0.0), ParamSpec("rate")),
         doc="theta0 / (1 + theta1 * exp(theta2 * u)); shape > 0 keeps the denominator positive",
     ),
     ModelDef(
@@ -223,7 +219,7 @@ GROWTH_MODELS = [
         family="growth",
         fn=_bertalanffy,
         grad=_bertalanffy_grad,
-        params=(_free("offset"), _free("scale"), _free("rate")),
+        params=(ParamSpec("offset"), ParamSpec("scale"), ParamSpec("rate")),
         doc="(theta0 + theta1 * exp(theta2 * u))**3",
     ),
     ModelDef(
@@ -231,7 +227,7 @@ GROWTH_MODELS = [
         family="growth",
         fn=_tanh4p,
         grad=_tanh4p_grad,
-        params=(_free("level"), _free("amplitude"), _free("steepness"), _free("center")),
+        params=(ParamSpec("level"), ParamSpec("amplitude"), ParamSpec("steepness"), ParamSpec("center")),
         doc="theta0 + theta1 * tanh(theta2 * (u - theta3))",
     ),
     ModelDef(
@@ -239,7 +235,7 @@ GROWTH_MODELS = [
         family="growth",
         fn=_atan3p,
         grad=_atan3p_grad,
-        params=(_free("asymptote"), _free("steepness"), _free("center")),
+        params=(ParamSpec("asymptote"), ParamSpec("steepness"), ParamSpec("center")),
         doc="(theta0/2) * (1 + (2/pi) * arctan(theta1 * (u - theta2)))",
     ),
     ModelDef(
@@ -247,7 +243,7 @@ GROWTH_MODELS = [
         family="growth",
         fn=_atan4p,
         grad=_atan4p_grad,
-        params=(_free("level"), _free("amplitude"), _free("steepness"), _free("center")),
+        params=(ParamSpec("level"), ParamSpec("amplitude"), ParamSpec("steepness"), ParamSpec("center")),
         doc="theta0 + (2/pi) * theta1 * arctan(theta2 * (u - theta3))",
     ),
     ModelDef(
@@ -255,7 +251,7 @@ GROWTH_MODELS = [
         family="growth",
         fn=_exp_time_power,
         grad=_exp_time_power_grad,
-        params=(_free("scale"), _free("power")),
+        params=(ParamSpec("scale"), ParamSpec("power")),
         input_low=0.0,
         input_low_strict=True,
         doc="theta0 * u**theta1",
@@ -265,7 +261,7 @@ GROWTH_MODELS = [
         family="growth",
         fn=_exp_time_power_repar,
         grad=_exp_time_power_repar_grad,
-        params=(_free("level"), _free("scale"), _free("rate")),
+        params=(ParamSpec("level"), ParamSpec("scale"), ParamSpec("rate")),
         input_low=0.0,
         input_low_strict=True,
         doc="theta0 - theta1 * exp(-theta2 * ln u)",
@@ -276,8 +272,8 @@ GROWTH_MODELS = [
         fn=_weibull_recon,
         grad=_weibull_recon_grad,
         params=(
-            _free("upper"),
-            _free("lower"),
+            ParamSpec("upper"),
+            ParamSpec("lower"),
             ParamSpec("rate", low=0.0),
             ParamSpec("shape", low=0.0),
         ),
@@ -290,11 +286,11 @@ GROWTH_MODELS = [
         fn=_gen_logistic_i,
         grad=_gen_logistic_i_grad,
         params=(
-            _free("asymptote"),
-            _free("c0"),
-            _free("c1"),
-            _free("c2"),
-            _free("c3"),
+            ParamSpec("asymptote"),
+            ParamSpec("c0"),
+            ParamSpec("c1"),
+            ParamSpec("c2"),
+            ParamSpec("c3"),
         ),
         doc="theta0 / (1 + exp(theta1 + theta2*u + theta3*u^2 + theta4*u^3))",
     ),
@@ -304,9 +300,9 @@ GROWTH_MODELS = [
         fn=_gen_logistic_ii,
         grad=_gen_logistic_ii_grad,
         params=(
-            _free("asymptote"),
-            _free("intercept"),
-            _free("slope"),
+            ParamSpec("asymptote"),
+            ParamSpec("intercept"),
+            ParamSpec("slope"),
             ParamSpec("power", low=0.0),  # positive avoids the power-transform singularity at 0
         ),
         input_low=0.0,

@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -422,17 +421,24 @@ def _tree_certificate(p: Polyptych, dense, edges, tol: float) -> str | None:
     return None
 
 
+def _root(dense, edges) -> int:
+    """The join tree's root: the one table that is no edge's child."""
+    return (set(range(len(dense))) - {child for child, _p, _s in edges}).pop()
+
+
 def _product_fill(dense, edges) -> np.ndarray:
     """The join-tree product prod n_C / prod n_S over the universal cells, with 0/0 = 0.
 
-    Each separator marginal is taken from the parent table, so the product
-    reproduces every table's marginal.
+    It is the root table times each child over its parent's separator marginal,
+    so it reproduces every table's marginal, and every factor but the root is at
+    most about 1: the product overflows only where the witness does.
     """
     arrays = [np.maximum(arr, 0.0) for _axes, arr in dense]
-    num = reduce(np.multiply, arrays)
-    separators = (_margin(dense[parent][0], arrays[parent], sep) for _c, parent, sep in edges)
-    den = reduce(np.multiply, separators, np.ones(()))
-    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
+    fill = arrays[_root(dense, edges)]
+    for child, parent, sep in edges:
+        den = _margin(dense[parent][0], arrays[parent], sep)
+        fill = fill * np.divide(arrays[child], den, out=np.zeros(arrays[child].shape), where=den > 0)
+    return fill
 
 
 def _northwest_fill(dense, edges) -> np.ndarray:
@@ -446,7 +452,7 @@ def _northwest_fill(dense, edges) -> np.ndarray:
     in integers because the slice totals agree.
     """
     shape = np.broadcast_shapes(*(arr.shape for _axes, arr in dense))
-    root = (set(range(len(dense))) - {child for child, _p, _s in edges}).pop()
+    root = _root(dense, edges)
     axes = sorted(dense[root][0])
     fill = dense[root][1].reshape([shape[i] for i in axes])
     for child, _parent, sep in reversed(edges):

@@ -115,6 +115,18 @@ def test_onset_threshold_replicates():
     assert all(r.time > 0 for r in reps)
 
 
+@pytest.mark.parametrize("i0", [5, 7])
+def test_onset_study_starting_at_its_threshold_stops_at_time_0(i0):
+    reps = simulate_replicates(BirthDeathSpec(b=1.0, d=1.0, i0=i0, t_end=1.0, seed=5), 4, threshold=5)
+    assert [(r.index, r.outcome, r.time) for r in reps] == [(i, "onset", 0.0) for i in range(4)]
+
+
+@pytest.mark.parametrize("threshold", [0, -3])
+def test_onset_threshold_below_1_is_rejected(threshold):
+    with pytest.raises(DomainError, match="threshold must be >= 1"):
+        simulate_replicates(BirthDeathSpec(b=1.0, d=1.0), 3, threshold=threshold)
+
+
 def test_replicates_deterministic():
     spec = BirthDeathSpec(b=1.0, d=1.0, i0=1, t_end=1.0, seed=23)
     for threshold in SAMPLERS.values():
@@ -430,6 +442,13 @@ def test_spec_validation():
         BirthDeathSpec(b=1.0, d=1.0, i0=10**20)  # past int64
     with pytest.raises(DomainError):
         BirthDeathSpec(b=1.0, d=1.0, t_end=0.0)
+
+
+@pytest.mark.parametrize("t_end", [math.inf, math.nan, -1.0])
+def test_spec_rejects_a_horizon_that_is_not_finite_and_positive(t_end):
+    # with t_end = inf a pure-birth clone, which never dies, was reported extinct at inf
+    with pytest.raises(DomainError, match="t_end must be > 0 and finite"):
+        BirthDeathSpec(b=1.0, d=0.0, t_end=t_end)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])

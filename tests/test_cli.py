@@ -799,6 +799,15 @@ def test_simulate_bd_non_finite_rates_exit_2(capsys, birth, death):
     assert err.count("\n") == 1 and "finite" in err
 
 
+def test_simulate_bd_infinite_horizon_exit_2(capsys):
+    # a pure-birth clone never dies: with t_end = inf each one was reported "extinct" at inf
+    code, out, err = run_cli(
+        capsys, "simulate-bd", "--birth", "1", "--death", "0", "--replicates", "2", "--t-end", "inf", "--seed", "3"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: t_end must be > 0 and finite, got inf\n"
+
+
 def test_simulate_bd_i0_past_int64_exit_2(capsys):
     code, out, err = run_cli(
         capsys, "simulate-bd", "--birth", "1", "--death", "1", "--i0", "100000000000000000000"
@@ -1046,3 +1055,52 @@ def test_first_scipy_special_use_in_a_fresh_process(site):
     exec(FIRST_USE_IMPORTS, scope)
     in_process = np.asarray(eval(expr, scope), dtype=float).tolist()
     assert json.loads(proc.stdout) == [False, in_process, True]
+
+
+# -- the CLI contract ---------------------------------------------------------------------
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def assert_cli_contract(proc):
+    """What every CLI call promises: exit 0, 2 or 3, at most one stderr line (no
+    warning ahead of the error), and JSON stdout without NaN or Infinity."""
+    assert proc.returncode in (0, 2, 3), proc.stderr
+    assert proc.stderr.count("\n") <= 1, proc.stderr
+    if proc.stdout.startswith("{"):
+        json.loads(proc.stdout, parse_constant=_reject_constant)
+
+
+# two one-way margins of 1e200 per cell: consistent, with witness cells of 5e199
+HUGE_MARGINS = {
+    "attributes": [{"name": "a", "domain": ["1", "2"]}, {"name": "b", "domain": ["1", "2"]}],
+    "variable": {"name": "c", "type": "nonneg-real"},
+    "tables": [
+        {"scheme": [name], "cells": [{"coords": [code], "value": 1e200} for code in ("1", "2")]}
+        for name in ("a", "b")
+    ],
+}
+
+# argv (INPUT names a file holding HUGE_MARGINS) -> the exit code it must give
+CONTRACT_CASES = {
+    "simulate-bd-infinite-horizon": (
+        ("simulate-bd", "--birth", "1", "--death", "0", "--replicates", "2", "--t-end", "inf", "--seed", "3"), 2,
+    ),
+    "fisher-infinite-sigma2": (("fisher", "--model", "one-hit", "--theta", "1", "--at", "1,2", "--sigma2", "inf"), 2),
+    "fisher-subnormal-sigma2": (
+        ("fisher", "--model", "one-hit", "--theta", "1", "--at", "1,2", "--sigma2", "1e-320"), 2,
+    ),
+    "tables-huge-margins": (("tables", "--input", "INPUT"), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_cli_keeps_its_contract(tmp_path, case):
+    argv, code = CONTRACT_CASES[case]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(HUGE_MARGINS))
+    proc = run_python("-m", "bioassay", *(str(path) if a == "INPUT" else a for a in argv))
+    assert_cli_contract(proc)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error:") if code == 2 else proc.stderr == ""

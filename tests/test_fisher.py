@@ -244,6 +244,19 @@ def test_info_scales_inversely_with_s2():
         total_info("mm", [0.5], [2.0, 1.0], sigma2=0.0)
 
 
+@pytest.mark.parametrize("sigma2", [math.inf, math.nan, -1.0])
+def test_total_info_needs_a_finite_positive_variance(sigma2):
+    with pytest.raises(DomainError, match="sigma2 must be > 0 and finite"):
+        total_info("one-hit", [1.0, 2.0], [1.0], sigma2=sigma2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_total_info_overflow_is_the_matrix_domain_error():
+    # J^T J / 1e-320 leaves the float range: no RuntimeWarning, only InfoMatrix's error
+    with pytest.raises(DomainError, match="information matrix must be finite"):
+        total_info("one-hit", [1.0, 2.0], [1.0], sigma2=1e-320)
+
+
 def test_inverse_info_tracks_monte_carlo_variance():
     """Inverse-information diagonal approximates the sampling variance of
     repeated Gauss-Newton fits (500 noisy replicates)."""

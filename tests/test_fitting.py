@@ -293,6 +293,19 @@ def test_least_squares_damping_handles_singular_normal_equations():
     assert float(np.mean((pred - y) ** 2)) < 4e-4  # fits the ridge despite singularity
 
 
+def test_least_squares_damping_ladder_recovers_from_a_zero_asymptote():
+    # a zero asymptote zeroes the shape and rate columns of the Jacobian: the undamped
+    # normal equations are singular, and only the Levenberg ladder finds a first step
+    xs = np.linspace(0.1, 3.0, 25)
+    y = np.asarray(ba.evaluate("logistic", xs, [2.0, 1.0, -1.5])) + 0.01 * np.random.default_rng(3).standard_normal(25)
+    fit = fit_least_squares("logistic", RegressionDataset(xs, y), [0.0, 1.0, -1.0])
+    assert fit.converged and fit.iterations == 6
+    assert [v.hex() for v in fit.theta_hat.tolist()] == [
+        "0x1.008b3070b93a1p+1", "0x1.011b992267c27p+0", "-0x1.7ba598a43c1f6p+0",
+    ]
+    assert fit.objective.hex() == "0x1.a8f2e4aa48594p-9"
+
+
 def test_least_squares_halves_steps_at_a_parameter_bound():
     # the unconstrained optimum has a negative intercept; Gauss-Newton steps
     # leave the domain (coefficients >= 0) and must be halved back into it

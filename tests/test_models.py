@@ -368,6 +368,23 @@ def test_admits_agrees_with_check_theta(rng):
         assert admitted == expected, m.id
 
 
+def test_parameter_domains_are_lower_bounds():
+    # no slot has an upper bound: ParamSpec takes none, and a fit's floor holds
+    # each closed lower bound, -inf where a slot has none or only a strict one
+    with pytest.raises(TypeError):
+        ParamSpec("rate", low=0.0, high=1.0)
+    assert ParamSpec("c", low=0.0, strict=False).interval == (-5e-324, math.inf)
+    assert ParamSpec("rate", low=0.0).interval == (0.0, math.inf)
+    assert get_model("multistage").closed_floor(3).tolist() == [0.0, 0.0, 0.0]
+    assert get_model("leaf-response").closed_floor(3).tolist() == [-math.inf, -math.inf, 0.0]
+    assert get_model("logistic").closed_floor(3) is None  # its one bound is strict
+    assert get_model("multi-hit").closed_floor(2) is None  # its closed bound is an integer slot's
+    with pytest.raises(DomainError, match=r"'stage-coefficient' \(theta\[1\]\) must be >= 0.0, got -1.0"):
+        ba.evaluate("multistage", 1.0, [0.0, -1.0])
+    with pytest.raises(DomainError, match=r"'rate' \(theta\[0\]\) must be > 0.0, got 0.0"):
+        ba.evaluate("one-hit", 1.0, [0.0])
+
+
 def test_unknown_model():
     from bioassay.exceptions import UnknownModelError
 

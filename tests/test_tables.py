@@ -472,6 +472,15 @@ def test_cyclic_integer_exact_gives_an_exact_integer_witness(rng):
 MASS = SummaryVariable("mass", "nonneg-real")
 
 
+@pytest.mark.filterwarnings("error")
+def test_product_witness_of_huge_margins_stays_in_range():
+    # the product of the two margins' cells, 1e400, leaves the float range; the witness does not
+    p = Polyptych(tables=(row_table([1e200, 1e200], variable=MASS), row_table([1e200, 1e200], attr=COL, variable=MASS)))
+    verdict = check_consistency(p)
+    assert verdict.consistent
+    assert verdict.witness.cells == {(r, c): 5e199 for r in ROW.domain for c in COL.domain}
+
+
 def contradictory_three_way(r, scale):
     """Two-way margins with a = b, a = c and c = b + 1 (mod r): every one-way
     margin agrees and no table exists."""
