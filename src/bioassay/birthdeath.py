@@ -102,6 +102,7 @@ def _step_budget_error(spec: BirthDeathSpec, n: int) -> NotConvergedError:
     )
 
 
+@np.errstate(all="ignore")
 def _run(spec: BirthDeathSpec, n: int, threshold: int | None, record: bool = False):
     """Exact jump chains of ``n`` independent clones, drawn in blocks of steps.
 
@@ -124,8 +125,11 @@ def _run(spec: BirthDeathSpec, n: int, threshold: int | None, record: bool = Fal
     # a first block of more than the budget would be allocated only to be refused
     if n > MAX_REPLICATE_STEPS:
         raise _step_budget_error(spec, n)
-    rng = np.random.default_rng(spec.seed)
     total = spec.b + spec.d
+    # an overflowed rate i (b + d) would give waiting times of 0 where the exact ones are subnormal
+    if not math.isfinite(total * max(spec.i0, MAX_POPULATION + 1)):
+        raise DomainError(f"rates b={spec.b}, d={spec.d} overflow the event rate i (b + d) of the jump chain")
+    rng = np.random.default_rng(spec.seed)
     p_birth = spec.b / total
     t = np.zeros(n)
     pop = np.full(n, int(spec.i0), dtype=np.int64)
@@ -153,13 +157,11 @@ def _run(spec: BirthDeathSpec, n: int, threshold: int | None, record: bool = Fal
         np.subtract(birth + birth, 1, out=path[:, 1:])  # 2 birth - 1, cast up from int8
         np.cumsum(path, axis=1, out=path)
         pops, before = path[:, 1:], path[:, :-1]
-        # columns past a row's stop can divide by a zero or negative population
-        with np.errstate(divide="ignore", invalid="ignore"):
-            times = rng.standard_exponential((m, width))
-            times /= before * total
-            times[:, 0] += t[live]
-            np.cumsum(times, axis=1, out=times)
-            late = times > spec.t_end
+        times = rng.standard_exponential((m, width))
+        times /= before * total
+        times[:, 0] += t[live]
+        np.cumsum(times, axis=1, out=times)
+        late = times > spec.t_end
         stop = late | (pops == 0) | (pops >= ceiling)
         col = stop.argmax(axis=1)  # 0 for a row with no stop, where stop[row, 0] is False
         stopped = stop[rows, col]
@@ -190,6 +192,7 @@ def _run(spec: BirthDeathSpec, n: int, threshold: int | None, record: bool = Fal
     return t, state
 
 
+@np.errstate(all="ignore")
 def _kendall(spec: BirthDeathSpec, n: int):
     """Extinction times of ``n`` clones, each one uniform through Kendall's law.
 
@@ -207,19 +210,17 @@ def _kendall(spec: BirthDeathSpec, n: int):
     b, d = spec.b, spec.d
     log_v = np.log1p(-np.random.default_rng(spec.seed).random(n)) / spec.i0
     v, w = np.exp(log_v), -np.expm1(log_v)
-    # w = 0 (U = 1) and e near 0 divide by zero or overflow, e < 0 takes the log of a
-    # negative: each gives T = inf, or a NaN that the mask on e replaces by inf
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if d == 0:
-            t = np.full(n, np.inf)
-        elif b == d:
-            t = v / (d * w)
-        else:
-            e = w + (d - b) / d * v
-            x = (b - d) / d * v / e
-            t = np.where(np.abs(x) <= 0.5, np.log1p(x), np.log(w / e))
-            t /= b - d
-            t[e <= 0] = np.inf
+    # w = 0 (U = 1) and e near 0 give T = inf; e < 0 gives a NaN that the mask on e replaces by inf
+    if d == 0:
+        t = np.full(n, np.inf)
+    elif b == d:
+        t = v / (d * w)
+    else:
+        e = w + (d - b) / d * v
+        x = (b - d) / d * v / e
+        t = np.where(np.abs(x) <= 0.5, np.log1p(x), np.log(w / e))
+        t /= b - d
+        t[e <= 0] = np.inf
     extinct = t <= spec.t_end
     return np.where(extinct, t, spec.t_end), np.where(extinct, np.int8(_EXTINCT), np.int8(_CENSORED))
 
@@ -287,6 +288,7 @@ def simulate_replicates(
     return list(map(Replicate, range(n_replicates), _OUTCOME_NAMES[state].tolist(), t.tolist()))
 
 
+@np.errstate(all="ignore")
 def empirical_hazard(event_times, bins: int, t_range: tuple[float, float] | None = None):
     """Binned hazard estimate: events / (at risk at the bin start * width).
 
@@ -310,10 +312,13 @@ def empirical_hazard(event_times, bins: int, t_range: tuple[float, float] | None
     pos[-1] = np.searchsorted(times, edges[-1], side="right")
     at_risk = times.size - pos[:-1]
     keep = at_risk > 0
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return mids[keep], np.diff(pos)[keep] / (at_risk[keep] * width)
+    rates = np.diff(pos)[keep] / (at_risk[keep] * width)
+    if not np.isfinite(rates).all():
+        raise DomainError(f"bins of width {width} are too narrow for a finite hazard")
+    return 0.5 * (edges[:-1] + edges[1:])[keep], rates
 
 
+@np.errstate(all="ignore")
 def ad_hazard_fit(event_times, k: int, t0: float = 0.0) -> float:
     """Rate-scale MLE for the power-law hazard c*(t - t0)**(k-1) with k, t0 fixed.
 
@@ -331,8 +336,7 @@ def ad_hazard_fit(event_times, k: int, t0: float = 0.0) -> float:
     check_stage_model(k, t0)
     if np.any(times <= t0):
         raise DomainError(f"all event times must exceed the lag t0 = {t0}")
-    with np.errstate(over="ignore", divide="ignore"):
-        rate = float(times.size * k / np.sum((times - t0) ** k))
+    rate = float(times.size * k / np.sum((times - t0) ** k))
     if not 0.0 < rate < math.inf:
         raise DomainError(
             f"sum of (t - t0)^k leaves the float range at k = {k}: rescale the event times"

@@ -4,7 +4,9 @@ Subcommands: fit, curves, lp, eff, fisher, tables, simulate-bd.  Every
 command is deterministic given its input file, flags, and seed (the
 BIOASSAY_SEED environment variable is the seed fallback).  Exit codes:
 0 success, 2 input/validation error, 3 computational failure.  Table
-inconsistency is a valid answer, not a failure.
+inconsistency is a valid answer, not a failure.  stderr holds at most one
+line: the error (exit 2) or failure (exit 3), or on success the one
+``curves`` warning that names each model whose grid points it clipped.
 
 Input CSV schemas (headers mandatory, UTF-8, comma-separated, '.'
 decimal): regression ``u,y``; survival ``time,event``; quantal
@@ -218,16 +220,10 @@ def _default_theta(model) -> list[float]:
 
 
 def _curve_values(model, grid, theta):
-    """Evaluate on the grid, clipping points outside the model's domain."""
+    """Evaluate on the grid, clipping points outside the model's domain (theta is always checked)."""
     mask = model.admits_input(grid)
-    if not np.all(mask):
-        print(
-            f"warning: {np.sum(~mask)} grid points outside the domain of {model.id}; clipped",
-            file=sys.stderr,
-        )
     vals = np.full(grid.shape, np.nan)
-    if np.any(mask):
-        vals[mask] = np.asarray(evaluate(model, grid[mask], theta), dtype=float)
+    vals[mask] = evaluate(model, grid[mask], theta)
     return vals, mask
 
 
@@ -248,6 +244,8 @@ def _render_svg(grid, series) -> str:
     ylo, yhi = float(finite.min()), float(finite.max())
     if yhi == ylo:
         ylo, yhi = ylo - 1.0, yhi + 1.0
+    if not 0.0 < yhi - ylo < np.inf:  # a point's offset from ylo would overflow or divide by 0
+        raise DomainError(f"curve values in [{ylo}, {yhi}] cannot be scaled to the plot")
     xlo, xhi = float(grid.min()), float(grid.max())
     colors = ("black", "firebrick", "steelblue", "darkgreen")
     parts = [
@@ -292,14 +290,19 @@ def cmd_curves(args) -> int:
         series.append((m.id, vals))
         masks.append(mask)
     if args.format == "svg":
-        _write_out(_render_svg(grid, series), args.out)
-        return 0
-    columns = [list(map(_fmt, grid.tolist()))]
-    for (_model_id, vals), mask in zip(series, masks):
-        # clipped grid points stay empty; computed values print as-is
-        columns.append([_fmt(v) if ok else "" for v, ok in zip(vals.tolist(), mask.tolist())])
-    lines = ["u," + ",".join(model_id for model_id, _vals in series), *map(",".join, zip(*columns))]
-    _write_out("\n".join(lines) + "\n", args.out)
+        text = _render_svg(grid, series)
+    else:
+        columns = [list(map(_fmt, grid.tolist()))]
+        for (_model_id, vals), mask in zip(series, masks):
+            # clipped grid points stay empty; computed values print as-is
+            columns.append([_fmt(v) if ok else "" for v, ok in zip(vals.tolist(), mask.tolist())])
+        lines = ["u," + ",".join(model_id for model_id, _vals in series), *map(",".join, zip(*columns))]
+        text = "\n".join(lines) + "\n"
+    _write_out(text, args.out)
+    # one stderr line, after the output: an error leaves no warning ahead of it
+    clipped = [f"{m.id} {np.sum(~mask)}" for m, mask in zip(models, masks) if not mask.all()]
+    if clipped:
+        print(f"warning: clipped grid points outside the domain: {', '.join(clipped)}", file=sys.stderr)
     return 0
 
 

@@ -86,6 +86,7 @@ def per_obs_info(model: ModelDef | str, u, theta, sigma2: float = 1.0) -> InfoMa
     return total_info(m, [u], theta, sigma2)
 
 
+@np.errstate(all="ignore")
 def total_info(model: ModelDef | str, design, theta, sigma2: float = 1.0) -> InfoMatrix:
     """Additive information over a design: J^T J / sigma2.
 
@@ -103,9 +104,7 @@ def total_info(model: ModelDef | str, design, theta, sigma2: float = 1.0) -> Inf
         want = "(n,)" if m.input_dim == 1 else "(n, 2)"
         raise DomainError(f"{m.id}: design must have shape {want}, got {design.shape}")
     jac = m.finite_grad(m.check_input(design), theta)
-    with np.errstate(over="ignore"):  # an overflow is InfoMatrix's DomainError
-        entries = jac.T @ jac / sigma2
-    return InfoMatrix(entries)
+    return InfoMatrix(jac.T @ jac / sigma2)
 
 
 @dataclass(frozen=True)

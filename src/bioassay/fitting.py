@@ -173,14 +173,14 @@ class FitResult:
 
 # -- censored Weibull -----------------------------------------------------
 
-@np.errstate(over="ignore")
+@np.errstate(all="ignore")
 def weibull_log_likelihood(sample: WeibullSample, theta: float, s: float) -> float:
     """Censored log-likelihood: events contribute the density, all
     observations the survival exponent -(theta t)^s."""
     return float(_weibull_sample_terms(sample, theta, s)[0])
 
 
-@np.errstate(over="ignore")
+@np.errstate(all="ignore")
 def weibull_score(sample: WeibullSample, theta: float, s: float) -> np.ndarray:
     """Score vector (dl/dtheta, dl/ds) of the censored log-likelihood."""
     return _weibull_sample_terms(sample, theta, s)[1] / [theta, 1.0]
@@ -198,6 +198,7 @@ def weibull_theta_star(sample: WeibullSample, s: float) -> float:
     return math.exp((math.log(d) - log_k - math.log(s0)) / s)
 
 
+@np.errstate(all="ignore")
 def weibull_mle(sample: WeibullSample) -> FitResult:
     """Two-parameter Weibull MLE by profiling the rate out of the shape.
 
@@ -285,6 +286,7 @@ def weibull_mle(sample: WeibullSample) -> FitResult:
 
 # -- Gauss-Newton least squares ---------------------------------------------
 
+@np.errstate(all="ignore")
 def fit_least_squares(
     model: ModelDef | str,
     data: RegressionDataset,
@@ -335,58 +337,59 @@ def fit_least_squares(
     converged = False
     message = ""
     iters = 0
-    with np.errstate(over="ignore", under="ignore"):
-        r = residuals(theta)
-        sse = float(r @ r)
-        jac = jacobian(theta)
-        for _ in range(MAX_GN_ITER):
-            iters += 1
-            grad = jac.T @ r  # minus half the SSE gradient
-            if floor is not None:
-                bind = frozen | binding(theta, grad)
-                grad[bind] = 0.0
-                free = np.flatnonzero(~bind)
-            if 2.0 * math.sqrt(grad @ grad) < SCORE_TOL:  # the bits of np.linalg.norm(2 grad)
-                converged = True
-                break
-            ja = jac[:, free]
-            g = ja.T @ r
-            jtj = ja.T @ ja
-            step = np.zeros(p)
-            improved = False
-            # the damping ladder also engages when an ill-conditioned solve yields a bad step
-            for lam in _DAMPING:
-                try:
-                    step_a = np.linalg.solve(jtj + lam * np.eye(len(free)) if lam else jtj, g)
-                except np.linalg.LinAlgError:
+    r = residuals(theta)
+    sse = float(r @ r)
+    jac = jacobian(theta)
+    for _ in range(MAX_GN_ITER):
+        iters += 1
+        grad = jac.T @ r  # minus half the SSE gradient
+        if floor is not None:
+            bind = frozen | binding(theta, grad)
+            grad[bind] = 0.0
+            free = np.flatnonzero(~bind)
+        if 2.0 * math.sqrt(grad @ grad) < SCORE_TOL:  # the bits of np.linalg.norm(2 grad)
+            converged = True
+            break
+        ja = jac[:, free]
+        g = ja.T @ r
+        jtj = ja.T @ ja
+        step = np.zeros(p)
+        improved = False
+        # the damping ladder also engages when an ill-conditioned solve yields a bad step
+        for lam in _DAMPING:
+            try:
+                step_a = np.linalg.solve(jtj + lam * np.eye(len(free)) if lam else jtj, g)
+            except np.linalg.LinAlgError:
+                continue
+            if not np.isfinite(step_a).all():
+                continue
+            step[free] = step_a
+            # step halving; candidates outside the domain are skipped
+            for h in _HALVINGS:
+                cand = theta + h * step
+                if floor is not None:
+                    cand = np.maximum(cand, floor)
+                if not all(map(ParamSpec.admits, specs, cand.tolist())):
                     continue
-                if not np.isfinite(step_a).all():
-                    continue
-                step[free] = step_a
-                # step halving; candidates outside the domain are skipped
-                for h in _HALVINGS:
-                    cand = theta + h * step
-                    if floor is not None:
-                        cand = np.maximum(cand, floor)
-                    if not all(map(ParamSpec.admits, specs, cand.tolist())):
-                        continue
-                    r_new = residuals(cand)
-                    sse_new = float(r_new @ r_new)
-                    if math.isfinite(sse_new) and sse_new <= sse:
-                        improved = True
-                        break
-                if improved:
+                r_new = residuals(cand)
+                sse_new = float(r_new @ r_new)
+                if math.isfinite(sse_new) and sse_new <= sse:
+                    improved = True
                     break
-            if not improved:
-                message = "no descent step found: normal equations persistently singular or stalled"
+            if improved:
                 break
-            rel_drop = (sse - sse_new) / max(sse, 1e-300)
-            theta, r, sse = cand, r_new, sse_new
-            jac = jacobian(theta)
-            if rel_drop < SSE_REL_TOL:
-                converged = True
-                break
+        if not improved:
+            message = "no descent step found: normal equations persistently singular or stalled"
+            break
+        rel_drop = (sse - sse_new) / max(sse, 1e-300)
+        theta, r, sse = cand, r_new, sse_new
+        jac = jacobian(theta)
+        if rel_drop < SSE_REL_TOL:
+            converged = True
+            break
 
+    if not math.isfinite(sse):
+        raise DomainError(f"{m.id}: the residual sum of squares is not finite at theta={theta.tolist()}")
     s2 = sse / (data.n - p) if data.n > p else None
     info = None
     if s2 is not None and s2 > 0:

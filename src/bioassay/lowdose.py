@@ -64,6 +64,7 @@ class PercentileQuery:
             raise DomainError(f"risk_type must be 'total' or 'extra', got {self.risk_type!r}")
 
 
+@np.errstate(all="ignore")
 def resolve_query(query: PercentileQuery):
     """Validate a query and return ``(model, theta, risk_type, target)``.
 
@@ -76,8 +77,7 @@ def resolve_query(query: PercentileQuery):
         raise DomainError(f"percentiles are defined for dose-response curves, not {m.id}")
     theta = m.check_theta(query.theta)
     # theta is checked and dose 0 lies in every dose-scale domain: fn needs no second check
-    with np.errstate(over="ignore", under="ignore"):
-        f0 = float(m.fn(0.0, theta)) if m.input_low is not None else 0.0
+    f0 = float(m.fn(0.0, theta)) if m.input_low is not None else 0.0
     risk = query.risk_type
     if risk is None:
         risk = "extra" if f0 > 0.0 else "total"
@@ -98,9 +98,12 @@ def resolve_query(query: PercentileQuery):
 def _root(m: ModelDef, theta: np.ndarray, target: float) -> float:
     from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
 
-    # every probe is a finite dose inside the domain resolve_query checked
+    # every probe, Brent's too, is a finite dose inside the domain resolve_query checked
     def f(x):
-        return float(m.fn(x, theta))
+        fx = float(m.fn(x, theta))
+        if not math.isfinite(fx):
+            raise UnattainableRiskError(f"target {target} not reached: F is {fx} at dose {x}", fx)
+        return fx
 
     f0 = f(0.0)
     if f0 == target:
@@ -111,8 +114,6 @@ def _root(m: ModelDef, theta: np.ndarray, target: float) -> float:
     x = -1.0 if down else 1.0
     for _ in range(60):
         fx = f(x)
-        if not math.isfinite(fx):
-            raise UnattainableRiskError(f"target {target} not reached: F is {fx} at dose {x}", fx)
         if (fx < target) if down else (fx > target):
             break
         x *= 2.0
@@ -134,7 +135,7 @@ def percentile(query: PercentileQuery) -> float:
     return _solve(m, theta, target)
 
 
-@np.errstate(all="ignore")  # a non-finite percentile is an error below, not a warning
+@np.errstate(all="ignore")
 def _solve(m: ModelDef, theta: np.ndarray, target: float) -> float:
     lp = _root(m, theta, target) if m.inverse is None else float(m.inverse(target, theta))
     if not math.isfinite(lp):
@@ -142,7 +143,7 @@ def _solve(m: ModelDef, theta: np.ndarray, target: float) -> float:
     return lp
 
 
-@np.errstate(over="ignore", under="ignore")
+@np.errstate(all="ignore")
 def _dose_slope(m: ModelDef, theta: np.ndarray, x: float) -> float:
     """dF/dx by central differences (h respects the dose domain)."""
     h = 1e-6 * max(1.0, abs(x))
@@ -165,6 +166,7 @@ def percentile_gradient(query: PercentileQuery) -> np.ndarray:
     return _lp_gradient(m, theta, risk, query.p, _solve(m, theta, target))
 
 
+@np.errstate(all="ignore")
 def _lp_gradient(m: ModelDef, theta: np.ndarray, risk: str, p: float, lp: float) -> np.ndarray:
     g_l = m.finite_grad(lp, theta)
     slope = _dose_slope(m, theta, lp)
@@ -173,7 +175,10 @@ def _lp_gradient(m: ModelDef, theta: np.ndarray, risk: str, p: float, lp: float)
     if risk == "extra" and m.input_low is not None:
         # background correction: grad F(0) need not vanish where F(0) does
         g_l = g_l - (1.0 - p) * m.finite_grad(0.0, theta)
-    return -g_l / slope
+    grad = -g_l / slope
+    if not np.isfinite(grad).all():
+        raise DomainError(f"the percentile gradient of {m.id} is not finite at L_p = {lp}")
+    return grad
 
 
 @dataclass(frozen=True)
@@ -189,6 +194,7 @@ class VsdResult:
     method: str = "delta"
 
 
+@np.errstate(all="ignore")
 def vsd_upper_limit(query: PercentileQuery, fit: FitResult, confidence: float) -> VsdResult:
     """Conservative dose bound: L_p minus a normal quantile of its SE.
 
@@ -222,6 +228,8 @@ def vsd_upper_limit(query: PercentileQuery, fit: FitResult, confidence: float) -
     var = float(g @ info.covariance() @ g)
     if var < 0:
         raise DomainError("information matrix is not positive definite")
+    if not math.isfinite(var):
+        raise DomainError(f"the variance of the percentile is not finite ({var})")
     se = math.sqrt(var)
     z = float(ndtri(confidence))
     vsd = lp - z * se

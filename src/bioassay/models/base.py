@@ -177,21 +177,21 @@ class ModelDef:
 
     # -- evaluation ---------------------------------------------------
 
+    def _bad_point(self, what: str, u, theta, bad) -> DomainError:
+        """DomainError: ``what`` at the first input point where the per-point mask ``bad`` is set."""
+        point = np.asarray(u)[np.argmax(bad)] if bad.ndim else np.asarray(u)
+        return DomainError(f"{self.id}: {what} at u={point.tolist()}, theta={theta.tolist()}")
+
+    @np.errstate(all="ignore")
     def finite_grad(self, u, theta) -> np.ndarray:
         """``grad`` at arguments already validated by the checks above.
 
         Raises :class:`DomainError` naming the first input point whose
         gradient is not finite.
         """
-        with np.errstate(over="ignore", under="ignore"):
-            g = np.asarray(self.grad(u, theta), dtype=float)
+        g = np.asarray(self.grad(u, theta), dtype=float)
         if not np.all(np.isfinite(g)):
-            point = np.asarray(u)
-            if g.ndim > 1:
-                point = point[np.argmax(~np.all(np.isfinite(g), axis=-1))]
-            raise DomainError(
-                f"{self.id}: gradient is not finite at u={point.tolist()}, theta={theta.tolist()}"
-            )
+            raise self._bad_point("gradient is not finite", u, theta, ~np.all(np.isfinite(g), axis=-1))
         return g
 
 
@@ -207,21 +207,24 @@ def get_model(model: ModelDef | str) -> ModelDef:
     return m
 
 
+@np.errstate(all="ignore")
 def evaluate(model, u, theta):
     """Evaluate a model's mean response at input(s) ``u``.
 
     Scalar ``u`` returns a float; array ``u`` returns an array.  Inputs
     and parameters are validated against the model's declared domain and
-    a :class:`DomainError` names the offending quantity.
+    a :class:`DomainError` names the offending quantity, or the first
+    input point whose value is NaN (an overflow to +-inf passes).
     """
     m = get_model(model)
     theta = m.check_theta(theta)
     u_arr = m.check_input(u)
-    with np.errstate(over="ignore", under="ignore"):
-        out = m.fn(u_arr, theta)
-    if np.ndim(out) == 0 or (m.input_dim == 2 and u_arr.ndim == 1):
+    out = np.asarray(m.fn(u_arr, theta), dtype=float)
+    if np.isnan(out).any():
+        raise m._bad_point("value is NaN", u_arr, theta, np.isnan(out))
+    if out.ndim == 0 or (m.input_dim == 2 and u_arr.ndim == 1):
         return float(out)
-    return np.asarray(out, dtype=float)
+    return out
 
 
 def gradient(model, u, theta):

@@ -161,12 +161,12 @@ def _sigmoid_parts(r, up):
     return np.where(up, a, b), np.where(up, b, a), a * b
 
 
+@np.errstate(all="ignore")
 def _hill(x, th):
     # v x^n / (kc^n + x^n) divided through by x^n, which stays finite where
     # x^n and kc^n overflow together; at x = 0, (kc/x)^n = inf gives 0
     v, kc, n = th
-    with np.errstate(divide="ignore"):
-        return v / (1.0 + (kc / x) ** n)
+    return v / (1.0 + (kc / x) ** n)
 
 def _hill_grad(x, th):
     # v sigma(t), t = n ln(x/kc): e^-|t| = (min/max)^n, finite where x^n overflows

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -451,6 +452,20 @@ def test_spec_rejects_a_horizon_that_is_not_finite_and_positive(t_end):
         BirthDeathSpec(b=1.0, d=0.0, t_end=t_end)
 
 
+def test_the_jump_chain_rejects_rates_whose_event_rate_overflows():
+    # (b + d)(MAX_POPULATION + 1) is inf: each waiting time would be 0 where the exact one is subnormal
+    spec = BirthDeathSpec(b=1e308, d=1e300, i0=3)
+    with pytest.raises(DomainError, match="overflow the event rate"):
+        simulate_bd(spec)
+    with pytest.raises(DomainError, match="overflow the event rate"):
+        simulate_replicates(spec, 5, threshold=4)
+    assert len(simulate_replicates(spec, 5)) == 5  # Kendall's law: no chain, no rate to overflow
+    # just inside the bound every waiting time is positive
+    b = sys.float_info.max / (2 * (birthdeath.MAX_POPULATION + 1))
+    reps = simulate_replicates(BirthDeathSpec(b=b, d=0.0), 5, threshold=4)
+    assert all(r.outcome == "onset" and 0.0 < r.time < 1e-298 for r in reps)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
 def test_spec_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
     with pytest.raises(DomainError, match="seed must be an integer >= 0"):
@@ -487,6 +502,12 @@ def test_single_bin_total_rate():
     mids, rates = empirical_hazard(times, bins=1)
     assert mids[0] == pytest.approx(2.0)
     assert rates[0] == pytest.approx(4 / (4 * 4.0))
+
+
+def test_empirical_hazard_past_the_float_range_is_a_domain_error():
+    # bins of width 1e-320: one event among two at risk is a rate of 5e319
+    with pytest.raises(DomainError, match="too narrow for a finite hazard"):
+        empirical_hazard([1e-320, 2e-320], bins=2)
 
 
 def test_empirical_hazard_matches_per_bin_counts():

@@ -4,6 +4,9 @@ import hashlib
 import json
 import math
 import os
+import random
+import re
+import types
 import warnings
 
 import numpy as np
@@ -1082,7 +1085,20 @@ HUGE_MARGINS = {
     ],
 }
 
-# argv (INPUT names a file holding HUGE_MARGINS) -> the exit code it must give
+# the files a row may name in its argv, by key: a string as it is, anything else as JSON
+CONTRACT_FILES = {
+    "INPUT": HUGE_MARGINS,
+    "OVERFLOWING_RESPONSES": "u,y\n1,1e308\n2,1e308\n3,1e308\n",
+    # the fitted rate underflows to 0, and the information divides by its square
+    "FAR_SURVIVAL_TIMES": "time,event\n0.1,1\n0.1,1\n1e300,1\n",
+    # the slope's information 1e-320 inverts to inf, and g' C g forms inf * 0
+    "NAN_VARIANCE_FIT": {"model": "logit-cdf", "theta_hat": [1e-320, 1.0], "info": [[1.0, 0.0], [0.0, 1e-320]]},
+    # L_p = -2e300, where dF/dx underflows: the percentile gradient overflows
+    "FAR_PERCENTILE_FIT": {"model": "logit-cdf", "theta_hat": [1e300, 0.5], "info": [[1.0, 0.0], [0.0, 1.0]]},
+}
+
+# argv -> the exit code it must give, and the start of its one stderr line where that
+# is not the code's own ("error:" for 2, "failure:" for 3, none for 0)
 CONTRACT_CASES = {
     "simulate-bd-infinite-horizon": (
         ("simulate-bd", "--birth", "1", "--death", "0", "--replicates", "2", "--t-end", "inf", "--seed", "3"), 2,
@@ -1092,15 +1108,116 @@ CONTRACT_CASES = {
         ("fisher", "--model", "one-hit", "--theta", "1", "--at", "1,2", "--sigma2", "1e-320"), 2,
     ),
     "tables-huge-margins": (("tables", "--input", "INPUT"), 0),
+    # gradients that form inf * 0 or divide by zero: an error, with no RuntimeWarning ahead of it
+    "fisher-weibull-cdf-inf-times-zero": (
+        ("fisher", "--model", "weibull-cdf", "--theta", "1e300,50", "--at", "1e-300,1"), 2,
+    ),
+    "fisher-logistic-inf-times-zero": (
+        ("fisher", "--model", "logistic", "--theta=1e308,1e8,5e-324", "--at=3,5e-324,0"), 2,
+    ),
+    "fisher-mm-divide-by-zero": (("fisher", "--model", "mm", "--theta=1,5e-324", "--at=1e308,1e308,5e-324"), 2),
+    "curves-nan-value": (("curves", "--model", "gompertz", "--theta=-1e300,0,1e300", "--grid", "0:1:3"), 2),
+    "curves-clipped-before-a-bad-theta": (
+        ("curves", "--model", "hill-decreasing", "--theta=inf,2,-inf", "--grid=-1:0.5:2"), 2,
+    ),
+    "curves-three-models-clipped": (
+        ("curves", "--model", "exp-time-power,exp-time-power-repar,janoschek", "--grid=-1:1:3"), 0, "warning:",
+    ),
+    "curves-svg-values-past-the-plot-scale": (
+        ("curves", "--model=tanh3", "--theta=1e300,1e-320,1e300", "--grid=-1e300:1:3", "--format=svg"), 2,
+    ),
+    "fit-residual-sum-overflows": (("fit", "--model=mm", "--input", "OVERFLOWING_RESPONSES", "--theta=1,1"), 2),
+    "fit-weibull-rate-underflows": (("fit", "--model=weibull-cdf", "--input", "FAR_SURVIVAL_TIMES"), 2),
+    "lp-nan-inside-the-bracket": (("lp", "--model=multi-hit", "--theta=1e308,1e308", "--p=1e-320", "--risk=extra"), 3),
+    "lp-fit-nan-variance": (("lp", "--model=logit-cdf", "--p=0.01", "--fit", "NAN_VARIANCE_FIT"), 2),
+    "lp-fit-percentile-gradient-overflow": (("lp", "--model=logit-cdf", "--p=0.5", "--fit", "FAR_PERCENTILE_FIT"), 2),
+    "simulate-bd-subnormal-death-rate": (
+        ("simulate-bd", "--birth", "0", "--death", "1e-320", "--i0", "1", "--t-end", "1", "--seed", "3",
+         "--replicates", "5", "--threshold", "3"), 0,
+    ),
+    "simulate-bd-overflowing-rates": (("simulate-bd", "--birth", "1e308", "--death", "1e300", "--i0", "3"), 2),
+    "simulate-bd-hazard-past-the-float-range": (
+        ("simulate-bd", "--birth=1", "--death=1e308", "--t-end=1", "--seed=3", "--replicates=3", "--bins=5"), 2,
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
 def test_cli_keeps_its_contract(tmp_path, case):
-    argv, code = CONTRACT_CASES[case]
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps(HUGE_MARGINS))
-    proc = run_python("-m", "bioassay", *(str(path) if a == "INPUT" else a for a in argv))
+    argv, code, *lead = CONTRACT_CASES[case]
+    for name, obj in CONTRACT_FILES.items():
+        (tmp_path / name).write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    proc = run_python("-m", "bioassay", *(str(tmp_path / a) if a in CONTRACT_FILES else a for a in argv))
     assert_cli_contract(proc)
     assert proc.returncode == code, proc.stderr
-    assert proc.stderr.startswith("error:") if code == 2 else proc.stderr == ""
+    lead = lead[0] if lead else {0: "", 2: "error:", 3: "failure:"}[code]
+    assert proc.stderr.startswith(lead) if lead else proc.stderr == ""
+
+
+# the values a sweep draws: zero and units, two subnormals, the edge of the float range, inf and nan
+SWEEP_VALUES = ("0", "1", "-1", "5e-324", "1e-320", "1e300", "-1e300", "1e308", "inf", "-inf", "nan")
+
+
+def sweep_command(rng, workdir):
+    """A random curves, lp, fisher, eff, simulate-bd or fit command; every value goes
+    as --flag=value, so a leading minus sign is never read as a flag.  ``lp --fit`` and
+    ``fit`` first write their random fit report or data file into the directory ``workdir``."""
+    def values(k, sep=","):
+        return sep.join(rng.choice(SWEEP_VALUES) for _ in range(k))
+
+    kind = rng.choice(("curves", "lp", "fisher", "eff", "simulate-bd", "fit"))
+    if kind == "eff":
+        return ["eff", f"--rho12={values(1)}", f"--rhoy21={values(1)}"]
+    if kind == "simulate-bd":
+        # small studies and thresholds: a clone stops within a few dozen steps
+        argv = ["simulate-bd", f"--birth={values(1)}", f"--death={values(1)}", f"--t-end={values(1)}",
+                f"--i0={rng.choice((1, 2, 5))}", "--seed=3", f"--replicates={rng.randint(1, 20)}"]
+        if rng.random() < 0.5:
+            argv.append(f"--threshold={rng.randint(1, 20)}")
+        if rng.random() < 0.3:
+            argv.append(f"--bins={rng.randint(1, 5)}")
+        return argv
+    m = ba.REGISTRY[rng.choice(sorted(ba.REGISTRY))]
+    theta = f"--theta={values(m.arity or rng.randint(1, 4))}"
+    grid = f"--grid={values(2, ':')}:{rng.randint(2, 5)}"
+    if kind == "curves":
+        if rng.random() < 0.2:  # a comparison, on each model's default parameters
+            return ["curves", f"--model={m.id},{rng.choice(sorted(ba.REGISTRY))}", grid]
+        return ["curves", f"--model={m.id}", theta, grid, f"--format={rng.choice(('csv', 'csv', 'svg'))}"]
+    if kind == "lp":
+        risk = [f"--risk={rng.choice(('total', 'extra'))}"] if rng.random() < 0.3 else []
+        argv = ["lp", f"--model={m.id}", f"--p={rng.choice(SWEEP_VALUES + ('0.1',))}", *risk]
+        if rng.random() < 0.7:
+            return [*argv, theta]
+        p = m.arity or rng.randint(1, 4)
+        info = np.diag([float(rng.choice(SWEEP_VALUES)) for _ in range(p)]).tolist()
+        report = workdir / "fit.json"
+        theta_hat = [float(v) for v in values(p).split(",")]
+        report.write_text(json.dumps({"model": m.id, "theta_hat": theta_hat, "info": info}))
+        return [*argv, f"--fit={report}"]
+    if kind == "fit":
+        fmt, header, row = rng.choice((
+            ("regression", "u,y", lambda: values(2)),
+            ("survival", "time,event", lambda: f"{values(1)},{rng.randint(0, 1)}"),
+            ("quantal", "dose,n,events", lambda: f"{values(1)},10,{rng.choice((0, 1, 5, 10))}"),
+        ))
+        data = workdir / "data.csv"
+        data.write_text("\n".join([header, *(row() for _ in range(rng.randint(1, 8)))]) + "\n")
+        argv = ["fit", f"--model={m.id}", f"--input={data}", f"--data-format={fmt}"]
+        return argv if fmt == "survival" else [*argv, theta]
+    design = ",".join(values(m.input_dim, ":") for _ in range(rng.randint(1, 4)))
+    if m.input_dim == 1 and rng.random() < 0.3:
+        return ["fisher", f"--model={m.id}", theta, grid]
+    return ["fisher", f"--model={m.id}", theta, f"--at={design}", f"--sigma2={rng.choice(('1', *SWEEP_VALUES))}"]
+
+
+def test_cli_sweep_keeps_its_contract(capsys, tmp_path):
+    # in-process under the suite's warnings-as-errors: a numpy RuntimeWarning fails the test
+    rng = random.Random(26)
+    for _ in range(12000):
+        argv = sweep_command(rng, tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert_cli_contract(types.SimpleNamespace(returncode=code, stdout=out, stderr=err))
+        # a nan cell is never an answer; an inf cell is an overflowed value, which waits for
+        # ROADMAP item 2 (finite values or a DomainError over each model's whole domain)
+        assert not re.search(r"\bnan\b", out, re.I), argv

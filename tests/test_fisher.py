@@ -87,7 +87,6 @@ def test_total_info_out_of_domain_point_message():
     assert str(design.value) == str(single.value) == "weibull-cdf: input must be >= 0.0"
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_total_info_non_finite_gradient_names_first_point():
     # (theta x)^s overflows: 0 * inf in the shape derivative
     theta = [1.0, 2.0]

@@ -441,6 +441,19 @@ def test_frozen_and_bound_fits_take_pinned_steps(case, pinned):
     assert (fit.objective.hex(), fit.iterations) == (sse_hex, iterations)
 
 
+def test_least_squares_whose_residual_sum_overflows_is_a_domain_error():
+    # residuals near -1e308: their squares leave the float range at every candidate
+    data = RegressionDataset([1.0, 2.0, 3.0], [1e308] * 3)
+    with pytest.raises(DomainError, match=r"mm: the residual sum of squares is not finite at theta=\[1.0, 1.0\]"):
+        fit_least_squares("mm", data, [1.0, 1.0])
+
+
+def test_weibull_fit_whose_rate_underflows_is_a_domain_error():
+    # the rate e^log_theta / c underflows to 0, and the information divides by its square
+    with pytest.raises(DomainError, match="information matrix must be finite"):
+        weibull_mle(WeibullSample([0.1, 0.1, 1e300], [1, 1, 1]))
+
+
 def test_least_squares_requires_enough_points():
     with pytest.raises(DomainError, match="at least 2"):
         fit_least_squares("mm", RegressionDataset([1.0], [0.5]), [1.0, 1.0])

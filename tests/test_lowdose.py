@@ -109,6 +109,26 @@ def test_unattainable_infimum_reported_after_60_doublings():
     assert exc.value.supremum == 0.5
 
 
+def test_a_nan_probe_inside_the_bracket_is_unattainable():
+    # F(1) = 0, so Brent's bracket is (0, 1); F is nan at its first probe 0.5
+    with pytest.raises(UnattainableRiskError, match="F is nan at dose 0.5"):
+        percentile(PercentileQuery("multi-hit", (1e308, 1e308), 1e-320, risk_type="extra"))
+
+
+def test_a_percentile_gradient_that_overflows_is_a_domain_error():
+    # L_p = -2e300, where dF/dx underflows: -grad F / F' leaves the float range
+    q = PercentileQuery("logit-cdf", (1e300, 0.5), 0.5)
+    with pytest.raises(DomainError, match="percentile gradient of logit-cdf is not finite at L_p = -2e\\+300"):
+        percentile_gradient(q)
+
+
+def test_vsd_with_a_variance_that_is_not_finite_is_a_domain_error():
+    # the slope's information 1e-320 inverts to inf, and g' C g forms inf * 0
+    fit = FitResult.from_dict({"model": "logit-cdf", "theta_hat": [1e-320, 1.0], "info": [[1.0, 0.0], [0.0, 1e-320]]})
+    with pytest.raises(DomainError, match=r"variance of the percentile is not finite \(nan\)"):
+        vsd_upper_limit(PercentileQuery("logit-cdf", (1e-320, 1.0), 0.01), fit, 0.975)
+
+
 def test_one_hit_low_dose_linearization():
     theta = 1.7
     for p in (1e-4, 1e-6, 1e-8):

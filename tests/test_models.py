@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -424,3 +426,27 @@ def test_raw_gradients_are_c_contiguous_rows(rng):
         u = np.array([sample_input(model, rng) for _ in range(7)])
         g = model.grad(u, theta)
         assert g.shape == (7, theta.size) and g.flags.c_contiguous, model.id
+
+
+def test_evaluate_names_the_first_nan_point():
+    # exp(1e300 u) overflows for u > 0, and 0 * inf is nan; at u = 0 the value is -1e300
+    theta = [-1e300, 0.0, 1e300]
+    message = r"gompertz: value is NaN at u=0.5, theta=\[-1e\+300, 0.0, 1e\+300\]"
+    with pytest.raises(DomainError, match=message):
+        ba.evaluate("gompertz", [0.0, 0.5, 1.0], theta)
+    with pytest.raises(DomainError, match=message):
+        ba.evaluate("gompertz", 0.5, theta)
+    assert ba.evaluate("gompertz", 0.0, theta) == -1e300
+
+
+def test_every_errstate_in_the_package_ignores_all():
+    # one floating-point rule: a kernel runs with numpy's floating-point warnings off, and the
+    # finiteness check after it turns a bad result into a DomainError; no site keeps its own flags
+    package = pathlib.Path(ba.__file__).parent
+    flags = [
+        (path.name, args)
+        for path in sorted(package.rglob("*.py"))
+        for args in re.findall(r"errstate\((.*?)\)", path.read_text(encoding="utf-8"), re.S)
+    ]
+    assert flags
+    assert [site for site in flags if site[1] != 'all="ignore"'] == []
