@@ -243,7 +243,10 @@ def _render_svg(grid, series) -> str:
         raise DomainError("no finite curve values to plot")
     ylo, yhi = float(finite.min()), float(finite.max())
     if yhi == ylo:
-        ylo, yhi = ylo - 1.0, yhi + 1.0
+        # a flat curve: +-1 about its level where that still widens the span; past
+        # about 2^53 the +-1 is lost to rounding, and the span runs from 0 to the level
+        lo, hi = ylo - 1.0, yhi + 1.0
+        ylo, yhi = (lo, hi) if lo < hi else (min(ylo, 0.0), max(yhi, 0.0))
     if not 0.0 < yhi - ylo < np.inf:  # a point's offset from ylo would overflow or divide by 0
         raise DomainError(f"curve values in [{ylo}, {yhi}] cannot be scaled to the plot")
     xlo, xhi = float(grid.min()), float(grid.max())

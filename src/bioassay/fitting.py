@@ -307,7 +307,8 @@ def fit_least_squares(
     ``SCORE_TOL`` or the relative SSE drop below ``SSE_REL_TOL``;
     persistent singularity yields a non-converged report.  ``active_bounds``
     lists the binding slots at the estimate.  The iterates depend on the
-    bits of the C-ordered (n, p) Jacobian of ``grad``.
+    bits of the C-ordered (n, p) Jacobian that :meth:`ModelDef.finite_grad`
+    builds.
     """
     m = get_model(model)
     theta = m.check_theta(theta0)
@@ -319,17 +320,11 @@ def fit_least_squares(
     free = np.flatnonzero(~frozen)
     floor = m.closed_floor(p)
     specs = m.param_specs(p)
-    # inputs are validated once here; the iterations call fn/grad directly
+    # inputs are validated once here; the iterations call fn and finite_grad directly
     u = m.check_input(data.u)
 
     def residuals(th):
         return data.y - np.asarray(m.fn(u, th), dtype=float)
-
-    def jacobian(th):
-        jac = np.asarray(m.grad(u, th), dtype=float)
-        if not np.isfinite(jac).all():
-            return m.finite_grad(u, th)  # raises, naming the first bad point
-        return jac
 
     def binding(th, grad):
         return (th == floor) & (grad < 0.0)
@@ -339,7 +334,7 @@ def fit_least_squares(
     iters = 0
     r = residuals(theta)
     sse = float(r @ r)
-    jac = jacobian(theta)
+    jac = m.finite_grad(u, theta)
     for _ in range(MAX_GN_ITER):
         iters += 1
         grad = jac.T @ r  # minus half the SSE gradient
@@ -383,7 +378,7 @@ def fit_least_squares(
             break
         rel_drop = (sse - sse_new) / max(sse, 1e-300)
         theta, r, sse = cand, r_new, sse_new
-        jac = jacobian(theta)
+        jac = m.finite_grad(u, theta)
         if rel_drop < SSE_REL_TOL:
             converged = True
             break

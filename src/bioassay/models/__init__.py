@@ -9,15 +9,7 @@ from .base import _MODELS, REGISTRY, ModelDef, ParamSpec, as_theta, evaluate, ge
 from .doseresponse import DOSE_RESPONSE_MODELS
 from .growth import GROWTH_MODELS
 from .hazards import hazard_ad, hazard_cox
-from .kinetics import (
-    KINETICS_MODELS,
-    KineticConstants,
-    mm_parallel_summary,
-    mm_slope_at_origin,
-    mm_velocity_curvature,
-    mm_velocity_slope,
-    steady_state_complex,
-)
+from .kinetics import KINETICS_MODELS
 
 _MODELS.update((m.id, m) for m in (*GROWTH_MODELS, *DOSE_RESPONSE_MODELS, *KINETICS_MODELS))
 
@@ -31,7 +23,6 @@ __all__ = [
     "REGISTRY",
     "ModelDef",
     "ParamSpec",
-    "KineticConstants",
     "as_theta",
     "evaluate",
     "gradient",
@@ -39,9 +30,4 @@ __all__ = [
     "list_models",
     "hazard_ad",
     "hazard_cox",
-    "mm_parallel_summary",
-    "mm_slope_at_origin",
-    "mm_velocity_curvature",
-    "mm_velocity_slope",
-    "steady_state_complex",
 ]

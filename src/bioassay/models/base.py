@@ -90,8 +90,10 @@ class ModelDef:
     arguments, and both are defined on the one input domain of
     :meth:`admits_input`: where a power of u multiplying ln u vanishes at
     u = 0, ``grad`` floors the log's argument and so returns the limit.
-    ``grad`` returns shape ``(arity,)`` for a scalar input and a C-ordered ``(n, arity)``
-    array for n inputs: least-squares iterates depend on its bits.  ``params`` is None for
+    ``grad`` returns a tuple of partial-derivative columns, one per parameter
+    slot, each an array of the input's leading shape or a scalar that
+    broadcasts to it (a constant column such as 1.0, or 0.0 for a frozen
+    slot); :meth:`finite_grad` alone lays them out as the Jacobian.  ``params`` is None for
     variadic models (polynomial-exponent families), in which case
     ``variadic_param`` describes every slot.  ``inverse(target, theta)``,
     where set, is the closed-form dose at which ``fn`` reaches ``target``.
@@ -184,13 +186,21 @@ class ModelDef:
 
     @np.errstate(all="ignore")
     def finite_grad(self, u, theta) -> np.ndarray:
-        """``grad`` at arguments already validated by the checks above.
+        """The Jacobian of ``fn`` in theta, from ``grad``'s columns at arguments
+        already validated by the checks above.
 
-        Raises :class:`DomainError` naming the first input point whose
-        gradient is not finite.
+        A C-ordered array of shape ``np.shape(u) + (p,)`` (the last axis of
+        ``u`` dropped for two-input models): ``(p,)`` for one input point and
+        ``(n, p)`` for n, one row per point.  Least-squares iterates depend on
+        its bits.  Raises :class:`DomainError` naming the first input point
+        whose gradient is not finite.
         """
-        g = np.asarray(self.grad(u, theta), dtype=float)
-        if not np.all(np.isfinite(g)):
+        cols = self.grad(u, theta)
+        shape = np.shape(u)[:-1] if self.input_dim == 2 else np.shape(u)
+        g = np.empty(shape + (len(cols),))
+        for j, col in enumerate(cols):
+            g[..., j] = col
+        if not np.isfinite(g).all():
             raise self._bad_point("gradient is not finite", u, theta, ~np.all(np.isfinite(g), axis=-1))
         return g
 

@@ -49,7 +49,7 @@ def _one_hit(x, th):
     return -np.expm1(-th[0] * x)
 
 def _one_hit_grad(x, th):
-    return np.stack([x * np.exp(-th[0] * x)], axis=-1)
+    return (x * np.exp(-th[0] * x),)
 
 def _one_hit_inverse(target, th):
     return -math.log1p(-target) / th[0]
@@ -68,7 +68,7 @@ def _multi_hit_grad(x, th):
     # and xlogy keeps z = 0 with k = 1 exact
     dp_dlam = x * np.exp(special.xlogy(k - 1.0, z) - z - special.gammaln(k))
     # the hit count is structurally integer: no continuous derivative
-    return np.stack([np.zeros_like(dp_dlam), dp_dlam], axis=-1)
+    return 0.0, dp_dlam
 
 
 # -- Weibull dose curve ----------------------------------------------------
@@ -83,7 +83,7 @@ def _weibull_cdf_grad(x, th):
     zs = z**s
     e = np.exp(-zs)
     # z^s ln z -> 0 at z = 0; the floor 5e-324, the least positive double, leaves z > 0 as is
-    return np.stack([s * theta ** (s - 1.0) * x**s * e, zs * np.log(np.maximum(z, 5e-324)) * e], axis=-1)
+    return s * theta ** (s - 1.0) * x**s * e, zs * np.log(np.maximum(z, 5e-324)) * e
 
 def _weibull_cdf_inverse(target, th):
     return (-math.log1p(-target)) ** (1.0 / th[1]) / th[0]
@@ -97,12 +97,7 @@ def _multistage(x, th):
 def _multistage_grad(x, th):
     x = np.asarray(x, dtype=float)
     e = np.exp(-np.polynomial.polynomial.polyval(x, th))
-    # column j is x^j e, one C-ordered column at a time: broadcasting x against the
-    # stage powers would loop over the few stages innermost, several times slower
-    out = np.empty(x.shape + (len(th),))
-    for j in range(len(th)):
-        out[..., j] = e * x**j
-    return out
+    return tuple(e * x**j for j in range(len(th)))
 
 
 # -- tolerance-distribution curves ----------------------------------------
@@ -113,7 +108,7 @@ def _logit_cdf(x, th):
 def _logit_cdf_grad(x, th):
     p = special.expit(th[0] + th[1] * x)
     w = p * (1.0 - p)
-    return np.stack([w, w * x], axis=-1)
+    return w, w * x
 
 def _logit_cdf_inverse(target, th):
     return (special.logit(target) - th[0]) / th[1]
@@ -125,7 +120,7 @@ def _probit_cdf(x, th):
 def _probit_cdf_grad(x, th):
     z = th[0] + th[1] * x
     phi = np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi)
-    return np.stack([phi, phi * x], axis=-1)
+    return phi, phi * x
 
 def _probit_cdf_inverse(target, th):
     return (special.ndtri(target) - th[0]) / th[1]

@@ -29,7 +29,7 @@ def _gompertz(u, th):
 def _gompertz_grad(u, th):
     inner = np.exp(th[2] * u)
     f = th[0] * np.exp(th[1] * inner)
-    return np.stack([f / th[0], f * inner, f * th[1] * u * inner], axis=-1)
+    return f / th[0], f * inner, f * th[1] * u * inner
 
 
 # -- offset exponential of a power ------------------------------------
@@ -40,8 +40,7 @@ def _janoschek(u, th):
 def _janoschek_grad(u, th):
     w = u ** th[3]
     e = np.exp(th[2] * w)
-    one = np.ones_like(np.asarray(u, dtype=float))
-    return np.stack([one, e, th[1] * w * e, th[1] * th[2] * w * np.log(u) * e], axis=-1)
+    return 1.0, e, th[1] * w * e, th[1] * th[2] * w * np.log(u) * e
 
 
 # -- three-parameter logistic ------------------------------------------
@@ -52,9 +51,7 @@ def _logistic(u, th):
 def _logistic_grad(u, th):
     e = np.exp(th[2] * u)
     den = 1.0 + th[1] * e
-    return np.stack(
-        [1.0 / den, -th[0] * e / den**2, -th[0] * th[1] * u * e / den**2], axis=-1
-    )
+    return 1.0 / den, -th[0] * e / den**2, -th[0] * th[1] * u * e / den**2
 
 
 # -- cubed exponential (von Bertalanffy form) ---------------------------
@@ -65,7 +62,7 @@ def _bertalanffy(u, th):
 def _bertalanffy_grad(u, th):
     e = np.exp(th[2] * u)
     g2 = 3.0 * (th[0] + th[1] * e) ** 2
-    return np.stack([g2, g2 * e, g2 * th[1] * u * e], axis=-1)
+    return g2, g2 * e, g2 * th[1] * u * e
 
 
 # -- shifted/scaled tanh and arctan sigmoids ----------------------------
@@ -77,8 +74,7 @@ def _tanh4p_grad(u, th):
     z = th[2] * (u - th[3])
     t = np.tanh(z)
     sech2 = 1.0 - t**2
-    one = np.ones_like(t)
-    return np.stack([one, t, th[1] * (u - th[3]) * sech2, -th[1] * th[2] * sech2], axis=-1)
+    return 1.0, t, th[1] * (u - th[3]) * sech2, -th[1] * th[2] * sech2
 
 
 def _atan3p(u, th):
@@ -88,13 +84,10 @@ def _atan3p(u, th):
 def _atan3p_grad(u, th):
     z = th[1] * (u - th[2])
     den = 1.0 + z**2
-    return np.stack(
-        [
-            0.5 * (1.0 + (2.0 / np.pi) * np.arctan(z)),
-            (th[0] / np.pi) * (u - th[2]) / den,
-            -(th[0] / np.pi) * th[1] / den,
-        ],
-        axis=-1,
+    return (
+        0.5 * (1.0 + (2.0 / np.pi) * np.arctan(z)),
+        (th[0] / np.pi) * (u - th[2]) / den,
+        -(th[0] / np.pi) * th[1] / den,
     )
 
 
@@ -104,15 +97,11 @@ def _atan4p(u, th):
 def _atan4p_grad(u, th):
     z = th[2] * (u - th[3])
     den = 1.0 + z**2
-    one = np.ones_like(z)
-    return np.stack(
-        [
-            one,
-            (2.0 / np.pi) * np.arctan(z),
-            (2.0 / np.pi) * th[1] * (u - th[3]) / den,
-            -(2.0 / np.pi) * th[1] * th[2] / den,
-        ],
-        axis=-1,
+    return (
+        1.0,
+        (2.0 / np.pi) * np.arctan(z),
+        (2.0 / np.pi) * th[1] * (u - th[3]) / den,
+        -(2.0 / np.pi) * th[1] * th[2] / den,
     )
 
 
@@ -123,7 +112,7 @@ def _exp_time_power(u, th):
 
 def _exp_time_power_grad(u, th):
     w = u ** th[1]
-    return np.stack([w, th[0] * w * np.log(u)], axis=-1)
+    return w, th[0] * w * np.log(u)
 
 
 def _exp_time_power_repar(u, th):
@@ -132,8 +121,7 @@ def _exp_time_power_repar(u, th):
 
 def _exp_time_power_repar_grad(u, th):
     w = u ** (-th[2])
-    one = np.ones_like(w)
-    return np.stack([one, -w, th[1] * np.log(u) * w], axis=-1)
+    return 1.0, -w, th[1] * np.log(u) * w
 
 
 # -- reconstructed Weibull response -------------------------------------
@@ -144,14 +132,11 @@ def _weibull_recon(u, th):
 def _weibull_recon_grad(u, th):
     z = th[2] * u
     e = np.exp(-(z ** th[3]))
-    return np.stack(
-        [
-            1.0 - e,
-            e,
-            (th[0] - th[1]) * th[3] * u ** th[3] * th[2] ** (th[3] - 1.0) * e,
-            (th[0] - th[1]) * (z ** th[3]) * np.log(np.maximum(z, 5e-324)) * e,  # 0 at z = 0
-        ],
-        axis=-1,
+    return (
+        1.0 - e,
+        e,
+        (th[0] - th[1]) * th[3] * u ** th[3] * th[2] ** (th[3] - 1.0) * e,
+        (th[0] - th[1]) * (z ** th[3]) * np.log(np.maximum(z, 5e-324)) * e,  # 0 at z = 0
     )
 
 
@@ -166,7 +151,7 @@ def _gen_logistic_i_grad(u, th):
     e = np.exp(a)
     den2 = (1.0 + e) ** 2
     base = -th[0] * e / den2
-    return np.stack([1.0 / (1.0 + e), base, base * u, base * u**2, base * u**3], axis=-1)
+    return 1.0 / (1.0 + e), base, base * u, base * u**2, base * u**3
 
 
 # -- generalized logistic, power-transform exponent ----------------------
@@ -184,7 +169,7 @@ def _gen_logistic_ii_grad(u, th):
     base = -th[0] * e / den2
     # d/dtheta3 of (u**theta3 - 1)/theta3
     dg = (th[3] * w * np.log(u) - (w - 1.0)) / th[3] ** 2
-    return np.stack([1.0 / (1.0 + e), base, base * g, base * th[2] * dg], axis=-1)
+    return 1.0 / (1.0 + e), base, base * g, base * th[2] * dg
 
 
 GROWTH_MODELS = [

@@ -65,8 +65,7 @@ def _monomolecular(u, th):
 
 def _monomolecular_grad(u, th):
     e = np.exp(-th[2] * u)
-    one = np.ones_like(e)
-    return np.stack([one, -e, th[1] * u * e], axis=-1)
+    return 1.0, -e, th[1] * u * e
 
 
 # Saturating-exponential variant of the reparametrized time-power model

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import linalg, stats
 
 from bioassay import birthdeath
 from bioassay.birthdeath import (
@@ -29,6 +29,27 @@ def extinction_probability(b, d, t, i0=1):
         e = math.exp((b - d) * t)
         p1 = d * (e - 1.0) / (b * e - d)
     return p1**i0
+
+
+def absorption_cdfs(b, d, i0, threshold):
+    """P(onset by t) and P(extinct before onset, by t) of a clone from i0 cells (test oracle).
+
+    The chain's generator on the transient states 1..N-1, N the threshold, is tridiagonal
+    Q with Q[i, i+1] = i b, Q[i, i-1] = i d; it is D^-1 S D for S symmetric tridiagonal,
+    off-diagonals sqrt(i b (i+1) d), and D[i+1]^2 / D[i]^2 = i b / ((i+1) d).  With
+    S = V diag(lam) V^T the probability of absorption into j by time t is
+    sum_k V[i0, k] V[s, k] D[s] / D[i0] r (e^{lam_k t} - 1) / lam_k, entering j from
+    its neighbour s at rate r: from N-1 at (N-1) b, or from 1 at d.  b, d > 0.
+    """
+    i = np.arange(1.0, threshold)
+    lam, v = linalg.eigh_tridiagonal(-i * (b + d), np.sqrt(i[:-1] * b * i[1:] * d))
+    log_d = 0.5 * np.concatenate([[0.0], np.cumsum(np.log(i[:-1] * b) - np.log(i[1:] * d))])
+
+    def cdf(s, rate):
+        c = v[i0 - 1] * v[s] * np.exp(log_d[s] - log_d[i0 - 1]) * rate / lam
+        return lambda t: np.expm1(np.multiply.outer(t, lam)) @ c
+
+    return cdf(threshold - 2, (threshold - 1) * b), cdf(0, d)
 
 
 # Extinction studies (no threshold) invert Kendall's law; the jump chain still runs every onset
@@ -305,6 +326,27 @@ def test_extinction_study_needs_no_step_budget(monkeypatch):
     monkeypatch.setattr(birthdeath, "MAX_POPULATION", 10)
     reps = simulate_replicates(BirthDeathSpec(b=2.0, d=1.0, i0=20, t_end=100.0, seed=3), 1000)
     assert {r.outcome for r in reps} == {"censored"}  # extinction has probability 2^-20 per clone
+
+
+@pytest.mark.parametrize(
+    "b, d, i0, threshold", [(1.2, 1.0, 3, 20), (1.0, 1.0, 5, 12), (0.8, 1.0, 4, 9), (1.5, 1.0, 1, 100)]
+)
+def test_onset_studies_follow_the_exact_absorption_law(b, d, i0, threshold):
+    """Onset and extinct-before-onset replicates: their shares and their times against the
+    chain's absorption law, conditioned on absorption by t_end."""
+    n, t_end = 20_000, 50.0
+    onset, extinct = absorption_cdfs(b, d, i0, threshold)
+    # the oracle's limits are the gambler's-ruin probabilities; the sum over the modes cancels
+    # by up to D[N-1] / D[i0], about 4e7 at (1.5, 1, 1, 100), hence 1e-6 and not 1e-15
+    ruin = i0 / threshold if b == d else (1.0 - (d / b) ** i0) / (1.0 - (d / b) ** threshold)
+    assert onset(np.inf) == pytest.approx(ruin, rel=1e-6)
+    assert extinct(np.inf) == pytest.approx(1.0 - ruin, rel=1e-6)
+    reps = simulate_replicates(BirthDeathSpec(b=b, d=d, i0=i0, t_end=t_end, seed=47), n, threshold=threshold)
+    for outcome, cdf in (("onset", onset), ("extinct", extinct)):
+        times = np.array([r.time for r in reps if r.outcome == outcome])
+        want = cdf(t_end)
+        assert abs(times.size / n - want) < 3.5 * math.sqrt(want * (1.0 - want) / n), outcome
+        assert stats.kstest(times, lambda t: cdf(t) / want).pvalue > 1e-3, outcome
 
 
 @pytest.mark.parametrize("b, d, i0, threshold", [(1.5, 1.0, 2, 20), (1.2, 1.0, 1, 5)])

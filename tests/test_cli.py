@@ -309,6 +309,25 @@ def test_curves_svg_points_follow_the_axes(capsys):
             assert pt == "%.17g,%.17g" % (sx, sy)
 
 
+# a flat curve's level -> the y coordinate of its polyline: mid-plot while +-1 about the level
+# widens the span, at the top edge where 2^53 + 1 rounds to 2^53, and past that at the edge
+# away from 0, the span then running from 0 to the level
+FLAT_SVG_LEVELS = {0.0: 240.0, -3.0: 240.0, 2.0**53: 50.0, 1e300: 50.0, 1.7976931348623157e308: 50.0,
+                   -1.7976931348623157e308: 430.0}
+
+
+@pytest.mark.parametrize("level", sorted(FLAT_SVG_LEVELS))
+def test_curves_svg_draws_a_flat_curve_at_any_finite_level(capsys, level):
+    # tanh with amplitude 0 is the constant level
+    argv = ("curves", "--model=tanh", f"--theta={level!r},0,1,0", "--grid=0:1:3", "--format=svg")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    (line,) = [line for line in out.splitlines() if line.startswith("<polyline")]
+    pts = [tuple(map(float, pt.split(","))) for pt in line.split('points="')[1].split('"')[0].split()]
+    assert [x for x, _y in pts] == [50.0, 320.0, 590.0]
+    assert {y for _x, y in pts} == {FLAT_SVG_LEVELS[level]}
+
+
 GALLERY_DIGESTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "gallery.sha256.json")
 
 
@@ -1124,7 +1143,10 @@ CONTRACT_CASES = {
         ("curves", "--model", "exp-time-power,exp-time-power-repar,janoschek", "--grid=-1:1:3"), 0, "warning:",
     ),
     "curves-svg-values-past-the-plot-scale": (
-        ("curves", "--model=tanh3", "--theta=1e300,1e-320,1e300", "--grid=-1e300:1:3", "--format=svg"), 2,
+        ("curves", "--model=tanh3", "--theta=1e300,1e-320,1e300", "--grid=-1e300:1:3", "--format=svg"), 0,
+    ),
+    "curves-svg-span-overflows": (
+        ("curves", "--model=tanh", "--theta=0,1e308,1,0", "--grid=-10:10:3", "--format=svg"), 2,
     ),
     "fit-residual-sum-overflows": (("fit", "--model=mm", "--input", "OVERFLOWING_RESPONSES", "--theta=1,1"), 2),
     "fit-weibull-rate-underflows": (("fit", "--model=weibull-cdf", "--input", "FAR_SURVIVAL_TIMES"), 2),
@@ -1156,14 +1178,17 @@ def test_cli_keeps_its_contract(tmp_path, case):
 
 # the values a sweep draws: zero and units, two subnormals, the edge of the float range, inf and nan
 SWEEP_VALUES = ("0", "1", "-1", "5e-324", "1e-320", "1e300", "-1e300", "1e308", "inf", "-inf", "nan")
+# magnitudes inside every model's domain, so that commands get past validation to the numerics
+IN_DOMAIN_VALUES = ("0.5", "2", "10", "1e-8", "1e8")
 
 
-def sweep_command(rng, workdir):
-    """A random curves, lp, fisher, eff, simulate-bd or fit command; every value goes
-    as --flag=value, so a leading minus sign is never read as a flag.  ``lp --fit`` and
-    ``fit`` first write their random fit report or data file into the directory ``workdir``."""
+def sweep_command(rng, workdir, pool=SWEEP_VALUES):
+    """A random curves, lp, fisher, eff, simulate-bd or fit command, its numbers drawn from
+    ``pool``; every value goes as --flag=value, so a leading minus sign is never read as a
+    flag.  ``lp --fit`` and ``fit`` first write their random fit report or data file into
+    the directory ``workdir``."""
     def values(k, sep=","):
-        return sep.join(rng.choice(SWEEP_VALUES) for _ in range(k))
+        return sep.join(rng.choice(pool) for _ in range(k))
 
     kind = rng.choice(("curves", "lp", "fisher", "eff", "simulate-bd", "fit"))
     if kind == "eff":
@@ -1186,11 +1211,11 @@ def sweep_command(rng, workdir):
         return ["curves", f"--model={m.id}", theta, grid, f"--format={rng.choice(('csv', 'csv', 'svg'))}"]
     if kind == "lp":
         risk = [f"--risk={rng.choice(('total', 'extra'))}"] if rng.random() < 0.3 else []
-        argv = ["lp", f"--model={m.id}", f"--p={rng.choice(SWEEP_VALUES + ('0.1',))}", *risk]
+        argv = ["lp", f"--model={m.id}", f"--p={rng.choice(pool + ('0.1',))}", *risk]
         if rng.random() < 0.7:
             return [*argv, theta]
         p = m.arity or rng.randint(1, 4)
-        info = np.diag([float(rng.choice(SWEEP_VALUES)) for _ in range(p)]).tolist()
+        info = np.diag([float(rng.choice(pool)) for _ in range(p)]).tolist()
         report = workdir / "fit.json"
         theta_hat = [float(v) for v in values(p).split(",")]
         report.write_text(json.dumps({"model": m.id, "theta_hat": theta_hat, "info": info}))
@@ -1208,16 +1233,25 @@ def sweep_command(rng, workdir):
     design = ",".join(values(m.input_dim, ":") for _ in range(rng.randint(1, 4)))
     if m.input_dim == 1 and rng.random() < 0.3:
         return ["fisher", f"--model={m.id}", theta, grid]
-    return ["fisher", f"--model={m.id}", theta, f"--at={design}", f"--sigma2={rng.choice(('1', *SWEEP_VALUES))}"]
+    return ["fisher", f"--model={m.id}", theta, f"--at={design}", f"--sigma2={rng.choice(('1', *pool))}"]
 
 
-def test_cli_sweep_keeps_its_contract(capsys, tmp_path):
+def run_sweep(capsys, workdir, seed, n, pool=SWEEP_VALUES):
     # in-process under the suite's warnings-as-errors: a numpy RuntimeWarning fails the test
-    rng = random.Random(26)
-    for _ in range(12000):
-        argv = sweep_command(rng, tmp_path)
+    rng = random.Random(seed)
+    for _ in range(n):
+        argv = sweep_command(rng, workdir, pool)
         code, out, err = run_cli(capsys, *argv)
         assert_cli_contract(types.SimpleNamespace(returncode=code, stdout=out, stderr=err))
         # a nan cell is never an answer; an inf cell is an overflowed value, which waits for
         # ROADMAP item 2 (finite values or a DomainError over each model's whole domain)
         assert not re.search(r"\bnan\b", out, re.I), argv
+
+
+def test_cli_sweep_keeps_its_contract(capsys, tmp_path):
+    run_sweep(capsys, tmp_path, 26, 12000)
+
+
+def test_cli_in_domain_sweep_keeps_its_contract(capsys, tmp_path):
+    # most draws of the sweep above stop at validation; these reach the fits and the numerics
+    run_sweep(capsys, tmp_path, 27, 5000, IN_DOMAIN_VALUES)

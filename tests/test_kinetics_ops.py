@@ -1,4 +1,4 @@
-"""Steady-state algebra, slope/curvature helpers, and hazard functions."""
+"""The parallel-hyperbola entry's limits, and hazard functions."""
 
 import math
 
@@ -6,122 +6,13 @@ import pytest
 
 import bioassay as ba
 from bioassay.exceptions import DomainError
-from bioassay.models import (
-    KineticConstants,
-    hazard_ad,
-    hazard_cox,
-    mm_parallel_summary,
-    mm_slope_at_origin,
-    mm_velocity_curvature,
-    mm_velocity_slope,
-    steady_state_complex,
-)
-
-
-def test_steady_state_complex_simple():
-    kc = KineticConstants.from_rates(k1=1.0, k2=1.0, k3=1.0, e0=1.0)
-    assert steady_state_complex(kc, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert steady_state_complex(kc, 0.0) == 0.0
-
-
-def test_steady_state_velocity_equals_mm_curve():
-    kc = KineticConstants.from_rates(k1=2.0, k2=1.0, k3=1.0, e0=3.0)
-    assert kc.vmax == pytest.approx(3.0)
-    assert kc.km == pytest.approx(1.0)
-    v = kc.k3 * steady_state_complex(kc, 5.0)
-    assert v == pytest.approx(ba.evaluate("mm", 5.0, [kc.vmax, kc.km]), rel=1e-14)
-    assert v == pytest.approx(2.5, rel=1e-14)
-
-
-def test_steady_state_bounded_by_e0():
-    kc = KineticConstants.from_rates(k1=5.0, k2=0.5, k3=0.5, e0=2.0)
-    for s in (0.0, 0.1, 1.0, 100.0, 1e6):
-        es = steady_state_complex(kc, s)
-        assert 0.0 <= es <= kc.e0
-
-
-def test_steady_state_rejects_negative_substrate():
-    kc = KineticConstants.from_rates(k1=1.0, k2=1.0, k3=1.0, e0=1.0)
-    with pytest.raises(DomainError):
-        steady_state_complex(kc, -1.0)
-
-
-def test_constants_must_be_positive():
-    with pytest.raises(DomainError):
-        KineticConstants(vmax=0.0, km=1.0)
-    with pytest.raises(DomainError):
-        KineticConstants.from_rates(k1=1.0, k2=-1.0, k3=1.0, e0=1.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(DomainError, match="'vmax' must be finite"):
-            KineticConstants(vmax=bad, km=1.0)
-        # an infinite k1 would give km = 0: the rates themselves are refused
-        with pytest.raises(DomainError, match="rate constants and total enzyme must all be finite"):
-            KineticConstants.from_rates(k1=bad, k2=1.0, k3=1.0, e0=1.0)
-
-
-@pytest.mark.parametrize("s", [math.nan, math.inf], ids=["nan", "inf"])
-def test_substrate_helpers_reject_a_non_finite_level(s):
-    kc = KineticConstants.from_rates(k1=1.0, k2=1.0, k3=1.0, e0=1.0)
-    for helper in (steady_state_complex, mm_velocity_slope, mm_velocity_curvature):
-        with pytest.raises(DomainError, match="substrate concentration must be finite"):
-            helper(kc, s)
-
-
-def test_slope_at_origin():
-    assert mm_slope_at_origin(KineticConstants(vmax=2.0, km=1.0)) == 2.0
-    assert mm_slope_at_origin(KineticConstants(vmax=1.0, km=4.0)) == 0.25
-
-
-def test_velocity_slope_matches_finite_difference():
-    kc = KineticConstants(vmax=2.0, km=1.0)
-    assert mm_velocity_slope(kc, 1.0) == pytest.approx(0.5, rel=1e-15)
-    h = 1e-6
-    fd = (ba.evaluate("mm", 1.0 + h, [2.0, 1.0]) - ba.evaluate("mm", 1.0 - h, [2.0, 1.0])) / (2 * h)
-    assert mm_velocity_slope(kc, 1.0) == pytest.approx(fd, rel=1e-8)
-
-
-def test_velocity_curvature_matches_finite_difference():
-    kc = KineticConstants(vmax=2.0, km=1.5)
-    x = 0.7
-    h = 1e-4
-    f = lambda t: ba.evaluate("mm", t, [2.0, 1.5])
-    fd2 = (f(x + h) - 2 * f(x) + f(x - h)) / h**2
-    assert mm_velocity_curvature(kc, x) == pytest.approx(fd2, rel=1e-6)
-    assert mm_velocity_curvature(kc, x) < 0
-
-
-@pytest.mark.parametrize("x", [1e110, 1e200, 1e308])
-def test_velocity_slope_and_curvature_vanish_at_huge_substrate_levels(x):
-    # the true values, about 1/x^2 and -2/x^3, are 1e-220 or less
-    kc = KineticConstants(vmax=1.0, km=1.0)
-    assert 0.0 <= mm_velocity_slope(kc, x) <= 1e-220
-    assert -1e-300 <= mm_velocity_curvature(kc, x) <= 0.0
-    # the bounded factors agree with the textbook forms where those are finite
-    assert mm_velocity_slope(kc, 1e100) == pytest.approx(1e-200, rel=1e-14)
-    assert mm_velocity_curvature(kc, 1e100) == pytest.approx(-2e-300, rel=1e-14)
-
-
-@pytest.mark.parametrize("s", [1e300, 1e308])
-def test_steady_state_complex_saturates_at_e0(s):
-    kc = KineticConstants.from_rates(k1=10.0, k2=1.0, k3=1.0, e0=1.0)
-    assert steady_state_complex(kc, s) == pytest.approx(kc.e0, rel=1e-15)
-    # at the smallest subnormal s the complex, k1 s / (k2 + k3) = 5 x 2^-1074, is still exact
-    assert steady_state_complex(kc, 5e-324) == 5 * 5e-324
-
-
-def test_parallel_summary_values():
-    assert mm_parallel_summary(1.0, 1.0, 1.0, 1.0) == (2.0, 2.0)
-    assert mm_parallel_summary(2.0, 1.0, 1.0, 2.0) == (2.5, 3.0)
-    with pytest.raises(DomainError):
-        mm_parallel_summary(1.0, 0.0, 1.0, 1.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(DomainError, match="parallel-process constants must all be finite"):
-            mm_parallel_summary(1.0, bad, 1.0, 1.0)
+from bioassay.models import hazard_ad, hazard_cox
 
 
 def test_parallel_registry_entry_matches_summary():
+    # two hyperbolas in parallel: slope v1/k1 + v2/k2 at the origin, asymptote v1 + v2
     v1, k1, v2, k2 = 2.0, 1.0, 1.0, 2.0
-    slope, asymptote = mm_parallel_summary(v1, k1, v2, k2)
+    slope, asymptote = v1 / k1 + v2 / k2, v1 + v2
     assert abs(ba.evaluate("mm-parallel", 1e6, [v1, k1, v2, k2]) - asymptote) < 1e-4
     h = 1e-7
     fd_slope = ba.evaluate("mm-parallel", h, [v1, k1, v2, k2]) / h

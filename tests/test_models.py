@@ -1,5 +1,6 @@
 """Registry models: values, analytic gradients, domains, reductions."""
 
+import ast
 import hashlib
 import math
 import pathlib
@@ -420,12 +421,14 @@ def test_multistage_gradient_within_2_ulp(stages):
 
 
 def test_raw_gradients_are_c_contiguous_rows(rng):
-    # the fit's Jacobian layout: one C-ordered row per input point, one column per slot
+    # the fit's Jacobian layout, which finite_grad alone builds from grad's columns: one
+    # C-ordered row per input point (an (n, 2) array for two-input models), one column per slot
     for model in all_models():
         theta = sample_theta(model, rng)
         u = np.array([sample_input(model, rng) for _ in range(7)])
-        g = model.grad(u, theta)
+        g = model.finite_grad(u, theta)
         assert g.shape == (7, theta.size) and g.flags.c_contiguous, model.id
+        assert model.finite_grad(u[0], theta).shape == (theta.size,), model.id
 
 
 def test_evaluate_names_the_first_nan_point():
@@ -437,6 +440,25 @@ def test_evaluate_names_the_first_nan_point():
     with pytest.raises(DomainError, match=message):
         ba.evaluate("gompertz", 0.5, theta)
     assert ba.evaluate("gompertz", 0.0, theta) == -1e300
+
+
+def test_the_jacobian_is_built_in_one_place():
+    # grad returns one column per slot and ModelDef.finite_grad alone lays them out: no model
+    # stacks its own Jacobian, and nothing else calls grad
+    package = pathlib.Path(ba.__file__).parent
+    sources = {path.relative_to(package).as_posix(): path.read_text(encoding="utf-8")
+               for path in sorted(package.rglob("*.py"))}
+    assert [name for name, text in sources.items() if name.startswith("models/") and "np.stack(" in text] == []
+
+    def grad_calls(tree):
+        return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "grad"]
+
+    everywhere = [call for text in sources.values() for call in grad_calls(ast.parse(text))]
+    assert len(everywhere) == 1
+    (call,) = everywhere
+    base = ast.parse(sources["models/base.py"])
+    (finite_grad,) = [n for n in ast.walk(base) if isinstance(n, ast.FunctionDef) and n.name == "finite_grad"]
+    assert [(n.lineno, n.col_offset) for n in grad_calls(finite_grad)] == [(call.lineno, call.col_offset)]
 
 
 def test_every_errstate_in_the_package_ignores_all():
